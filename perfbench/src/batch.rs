@@ -5,10 +5,12 @@
 //! A *lane* is one run of one problem on one seeded input. Each workload
 //! repeats one batch call for the measuring time: every seed of every
 //! spec in `sweep`, the whole design space in `explore`. A call's time
-//! covers handing the jobs over (`BatchJob`s own their inputs) and
-//! `run_batch`; throughput is the median over calls. Pipelined specs have
-//! no `BatchJob` form, so they run through the same steps `run_batch`
-//! takes, from outside: `TemporalPipeline::run_captured` once, then
+//! covers `run_batch` and the pipelined specs' steps, not building the
+//! `BatchJob`s (they own copies of the inputs, which is benchmark work);
+//! throughput is the fast-phase rate over calls
+//! (`stats::fast_phase_rate`). Pipelined specs have no `BatchJob` form, so
+//! they run through the same steps `run_batch` takes, from outside:
+//! `TemporalPipeline::run_captured` once, then
 //! `ControlSchedule::replay_lanes` over lane blocks on `nproc` threads.
 
 use std::sync::Arc;
@@ -23,9 +25,9 @@ use smache::{CoreResult, SmacheSystem, TemporalPipeline};
 use smache_sim::hash::stream_seed;
 
 use crate::specs::{kernel, Problem};
-use crate::stats::median;
+use crate::stats::fast_phase_rate;
 use crate::trace::{SpanId, Tracer, GROUP};
-use crate::{cpu_seconds, Ctx, Metric, Outcome};
+use crate::{cpu_seconds, Ctx, Metric, Outcome, SetupClock};
 
 /// Seeds per spec in `sweep`, and lanes of a `high` sweep call.
 pub const SWEEP_LANES: usize = 512;
@@ -33,8 +35,6 @@ pub const SWEEP_LANES: usize = 512;
 pub const EXPLORE_SPECS: usize = 48;
 /// Fewest batch calls a run makes.
 const MIN_CALLS: usize = 5;
-/// Set-up repetitions; `setup_s` is their median.
-pub const SETUP_REPS: usize = 7;
 
 /// A problem ready to run: its plan and its seeded inputs.
 pub struct Prepared {
@@ -63,29 +63,20 @@ pub fn prepare(problems: &[Problem], seed: u64, lanes: usize) -> Vec<Prepared> {
         .collect()
 }
 
-/// Runs set-up `SETUP_REPS` times; returns the last result and the median
-/// wall time in seconds.
-pub fn timed_setup<T>(mut f: impl FnMut() -> T) -> (T, f64, usize) {
-    let mut times = Vec::with_capacity(SETUP_REPS);
-    let mut last = None;
-    for _ in 0..SETUP_REPS {
-        let t = Instant::now();
-        last = Some(f());
-        times.push(t.elapsed().as_secs_f64());
-    }
-    (
-        last.expect("at least one set-up"),
-        median(&times),
-        SETUP_REPS,
-    )
-}
-
 fn factory() -> KernelFactory {
     Arc::new(kernel)
 }
 
 /// One lane of a call: (problem index, input index).
 pub type Lane = (usize, usize);
+
+/// Seconds a batch call spent outside `run_batch` proper.
+pub struct CallTimes {
+    /// Building the `BatchJob`s.
+    pub build_s: f64,
+    /// Running the pipelined specs.
+    pub piped_s: f64,
+}
 
 /// Runs one batch call and returns each lane's result in lane order.
 /// Plain specs go through one `run_batch`; each pipelined spec is
@@ -95,8 +86,10 @@ pub fn run_call(
     prepared: &[Prepared],
     lanes: &[Lane],
     parent: SpanId,
-) -> Vec<CoreResult<RunReport>> {
+) -> (Vec<CoreResult<RunReport>>, CallTimes) {
     let tracer = ctx.tracer;
+    let build_t = Instant::now();
+    let mut build_s = 0.0;
     let mut results: Vec<Option<CoreResult<RunReport>>> = (0..lanes.len()).map(|_| None).collect();
     let plain: Vec<usize> = (0..lanes.len())
         .filter(|&i| !prepared[lanes[i].0].problem.pipelined())
@@ -119,6 +112,7 @@ pub fn run_call(
                 })
                 .collect()
         });
+        build_s = build_t.elapsed().as_secs_f64();
         let report = tracer.span("run_batch", "batch", parent, |_| {
             SmacheSystem::run_batch(jobs, BatchOptions::new().threads(ctx.threads))
         });
@@ -132,6 +126,7 @@ pub fn run_call(
         .collect();
     piped.sort_unstable();
     piped.dedup();
+    let piped_t = Instant::now();
     for p in piped {
         let idx: Vec<usize> = (0..lanes.len()).filter(|&i| lanes[i].0 == p).collect();
         let pr = &prepared[p];
@@ -144,10 +139,12 @@ pub fn run_call(
             results[*i] = Some(r);
         }
     }
-    results
+    let results = results
         .into_iter()
         .map(|r| r.expect("every lane ran"))
-        .collect()
+        .collect();
+    let piped_s = piped_t.elapsed().as_secs_f64();
+    (results, CallTimes { build_s, piped_s })
 }
 
 /// Captures a pipelined spec on its first lane and replays the rest in
@@ -326,14 +323,16 @@ fn call_lanes(kind: Kind, prepared: &[Prepared]) -> Vec<Lane> {
 }
 
 /// Issues the workload's batch call until `ctx.seconds` are spent (and at
-/// least [`MIN_CALLS`] times), checking every call's lanes after timing it.
-/// Returns the outcome and, per problem, the lanes captured or simulated
-/// in full (for the traced run's serial-capture estimate).
+/// least [`MIN_CALLS`] times), checking every call's lanes after timing it
+/// and calling `clock` between calls. Returns the outcome and, per
+/// problem, the lanes captured or simulated in full (for the traced run's
+/// serial-capture estimate).
 pub fn measure(
     ctx: &Ctx,
     kind: Kind,
     prepared: &[Prepared],
     root: SpanId,
+    clock: &mut SetupClock,
 ) -> (Outcome, Vec<usize>) {
     let tracer: &Tracer = ctx.tracer;
     let n = prepared.len();
@@ -351,18 +350,19 @@ pub fn measure(
         .sum();
     let mut captures = vec![0usize; n];
     let mut per_problem: Vec<Option<(u64, u64, u64)>> = vec![None; n];
-    let (mut calls, mut replayed, mut busy_wall_s) = (0usize, 0u64, 0.0);
+    let (mut calls, mut replayed, mut busy_wall_s, mut piped_s) = (0usize, 0u64, 0.0, 0.0);
     let mut call_rate = Vec::new();
     let started = Instant::now();
     let cpu0 = cpu_seconds();
     while calls < MIN_CALLS || started.elapsed().as_secs_f64() < ctx.seconds {
         let call_span = tracer.open("call", GROUP, root);
         let t = Instant::now();
-        let results = run_call(ctx, prepared, &lanes, call_span);
-        let wall = t.elapsed().as_secs_f64();
+        let (results, times) = run_call(ctx, prepared, &lanes, call_span);
+        let wall = t.elapsed().as_secs_f64() - times.build_s;
         tracer.close(call_span);
         calls += 1;
         busy_wall_s += wall;
+        piped_s += times.piped_s;
         call_rate.push(updates as f64 / wall);
         for (&(p, _), r) in lanes.iter().zip(&results) {
             if let Ok(r) = r {
@@ -381,6 +381,7 @@ pub fn measure(
         tracer.span("checks", "check", root, |_| {
             checker.check(kind, prepared, &lanes, &results, ctx.seed)
         });
+        clock.tick();
     }
     let cpu_s = cpu_seconds() - cpu0;
     let wall_s = started.elapsed().as_secs_f64();
@@ -389,9 +390,13 @@ pub fn measure(
         .iter()
         .flatten()
         .fold((0u64, 0u64, 0u64), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
-    // The median call resists a host that loses its CPUs for a while.
     let e2e = vec![
-        Metric::new("cell_updates_per_s", median(&call_rate), "1/s", calls),
+        Metric::new(
+            "cell_updates_per_s",
+            fast_phase_rate(&call_rate),
+            "1/s",
+            calls,
+        ),
         Metric::new(
             "sim_cycles_per_cell",
             cyc as f64 / upd.max(1) as f64,
@@ -403,6 +408,12 @@ pub fn measure(
             bytes as f64 / upd.max(1) as f64,
             "B",
             n,
+        ),
+        Metric::new(
+            "batch.pipelined_time_share",
+            piped_s / busy_wall_s,
+            "share",
+            calls,
         ),
     ];
     let layer = vec![

@@ -1,6 +1,6 @@
-//! Seeded input generation: a small PRNG, Poisson arrival schedules and
-//! Zipf popularity draws. Everything here is a pure function of the seed,
-//! so the same `--seed` gives the same inputs on every run.
+//! Seeded input generation: a small PRNG and Zipf popularity draws.
+//! Everything here is a pure function of the seed, so the same `--seed`
+//! gives the same inputs on every run.
 
 use smache_sim::hash::{splitmix64, stream_seed};
 
@@ -37,18 +37,6 @@ impl Rng {
     }
 }
 
-/// Send offsets, in seconds from the start of a step, of `count` Poisson
-/// arrivals at `rate` per second (exponential gaps).
-pub fn poisson_schedule(rng: &mut Rng, rate: f64, count: usize) -> Vec<f64> {
-    let mut t = 0.0;
-    (0..count)
-        .map(|_| {
-            t += -(1.0 - rng.unit()).ln() / rate;
-            t
-        })
-        .collect()
-}
-
 /// Zipf(`s`) sampler over ranks `0..n` by inverse CDF.
 pub struct Zipf {
     cdf: Vec<f64>,
@@ -82,19 +70,6 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn poisson_schedule_is_deterministic_per_seed() {
-        let a = poisson_schedule(&mut Rng::new(7, "serve"), 500.0, 2000);
-        let b = poisson_schedule(&mut Rng::new(7, "serve"), 500.0, 2000);
-        let c = poisson_schedule(&mut Rng::new(8, "serve"), 500.0, 2000);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "offsets increase");
-        // The mean gap is 1/rate within a few percent at this size.
-        let mean_gap = a[a.len() - 1] / a.len() as f64;
-        assert!((mean_gap * 500.0 - 1.0).abs() < 0.08, "{mean_gap}");
-    }
 
     #[test]
     fn zipf_favours_low_ranks() {

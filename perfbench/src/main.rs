@@ -25,15 +25,16 @@ mod trace;
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use smache_sim::Json;
 
-use crate::stats::Summary;
+use crate::stats::median;
 use crate::trace::{SpanId, Tracer, GROUP, NO_SPAN};
 
 /// The end-to-end metrics every workload reports on its JSON line, in
-/// `BENCHMARK.json` order. `serve` also prints its latency and rate
-/// metrics in the table.
+/// `BENCHMARK.json` order. `serve` also prints its round-trip latencies
+/// in the table.
 const E2E_METRICS: &[&str] = &[
     "cell_updates_per_s",
     "sim_cycles_per_cell",
@@ -82,18 +83,65 @@ impl Metric {
             note: String::new(),
         }
     }
+}
 
-    /// `lat_p50_ms.<step>` and `lat_p99_ms.<step>` from a latency sample.
-    pub fn latency(step: &str, s: Summary) -> [Metric; 2] {
-        let mut tail = Metric::new(&format!("lat_p99_ms.{step}"), s.tail, "ms", s.n);
-        if s.tail_p != 99.0 {
-            tail.note = format!("only p{} is supported by {} samples", s.tail_p, s.n);
+/// Set-up repetitions spread over a run's measuring time.
+pub const SETUP_REPS: usize = 24;
+
+/// Repeats set-up between measured calls: one timed repetition each
+/// 1/[`SETUP_REPS`] of the measuring time, after the first set-up. The
+/// host's speed changes within seconds, so `setup_s`, the median of every
+/// repetition, samples the whole run rather than its first moment.
+pub struct SetupClock<'a> {
+    rep: Option<Box<dyn FnMut() -> f64 + 'a>>,
+    every_s: f64,
+    last: Instant,
+    times: Vec<f64>,
+}
+
+impl<'a> SetupClock<'a> {
+    /// A clock whose first set-up took `first_s`; `rep` runs one more
+    /// set-up and returns its time in seconds.
+    pub fn new(first_s: f64, seconds: f64, rep: impl FnMut() -> f64 + 'a) -> SetupClock<'a> {
+        SetupClock {
+            rep: Some(Box::new(rep)),
+            every_s: seconds / SETUP_REPS as f64,
+            last: Instant::now(),
+            times: vec![first_s],
         }
-        [
-            Metric::new(&format!("lat_p50_ms.{step}"), s.p50, "ms", s.n),
-            tail,
-        ]
     }
+
+    /// A clock that repeats nothing.
+    pub fn idle() -> SetupClock<'static> {
+        SetupClock {
+            rep: None,
+            every_s: f64::INFINITY,
+            last: Instant::now(),
+            times: Vec::new(),
+        }
+    }
+
+    /// Runs a set-up repetition when one is due.
+    pub fn tick(&mut self) {
+        if let Some(rep) = self.rep.as_mut() {
+            if self.last.elapsed().as_secs_f64() >= self.every_s {
+                self.times.push(rep());
+                self.last = Instant::now();
+            }
+        }
+    }
+
+    /// `setup_s`: the median set-up time, with its sample count.
+    fn metric(&self) -> Metric {
+        Metric::new("setup_s", median(&self.times), "s", self.times.len())
+    }
+}
+
+/// Runs `f` and returns its result and wall seconds.
+pub fn timed_s<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t = Instant::now();
+    let out = f();
+    (out, t.elapsed().as_secs_f64())
 }
 
 /// What a measured workload run produced.
@@ -210,14 +258,14 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Runs a workload's measured part once.
-fn measure(ctx: &Ctx, root: SpanId, setup: &mut Setup) -> Outcome {
+fn measure(ctx: &Ctx, root: SpanId, setup: &mut Setup, clock: &mut SetupClock) -> Outcome {
     match setup {
         Setup::Batch(kind, prepared, captures) => {
-            let (outcome, caps) = batch::measure(ctx, *kind, prepared, root);
+            let (outcome, caps) = batch::measure(ctx, *kind, prepared, root, clock);
             *captures = caps;
             outcome
         }
-        Setup::Serve(state) => serve::measure(ctx, state, root),
+        Setup::Serve(state) => serve::measure(ctx, state, root, clock),
     }
 }
 
@@ -250,34 +298,39 @@ fn main() {
         work: work.clone(),
     };
 
-    // Set-up, repeated; `setup_s` is the median.
-    let (mut setup, setup_s, setup_n) = match args.workload.as_str() {
-        "sweep" => {
-            let problems = specs::sweep_problems();
-            let (p, s, n) =
-                batch::timed_setup(|| batch::prepare(&problems, args.seed, batch::SWEEP_LANES));
-            (Setup::Batch(batch::Kind::Sweep, p, Vec::new()), s, n)
-        }
-        "explore" => {
-            let (p, s, n) = batch::timed_setup(|| {
-                batch::prepare(
-                    &specs::explore_problems(specs::DESIGN_SEED, batch::EXPLORE_SPECS),
-                    args.seed,
-                    1,
-                )
-            });
-            (Setup::Batch(batch::Kind::Explore, p, Vec::new()), s, n)
+    // Set-up: plans and seeded inputs, or the filled store and the
+    // started server. Drawing the problem lists is not timed.
+    let (mut setup, first_s) = match args.workload.as_str() {
+        "sweep" | "explore" => {
+            let (kind, problems, lanes) = batch_problems(&args.workload);
+            let (p, s) = timed_s(|| batch::prepare(&problems, args.seed, lanes));
+            (Setup::Batch(kind, p, Vec::new()), s)
         }
         _ => {
-            let (state, s, n) = serve::setup(&ctx);
-            (Setup::Serve(Box::new(state)), s, n)
+            let (state, s) = serve::setup(&ctx);
+            (Setup::Serve(Box::new(state)), s)
         }
     };
 
     let mut table: Vec<Metric> = Vec::new();
     let (outcome, chosen): (Outcome, Vec<String>) = if !args.trace {
         let t0 = cpu_ticks();
-        let o = measure(&ctx, NO_SPAN, &mut setup);
+        let ctx = &ctx;
+        let mut clock = match &setup {
+            Setup::Batch(..) => {
+                let (_, problems, lanes) = batch_problems(&args.workload);
+                SetupClock::new(first_s, args.seconds, move || {
+                    timed_s(|| batch::prepare(&problems, ctx.seed, lanes)).1
+                })
+            }
+            Setup::Serve(state) => {
+                let problems = state.problems();
+                SetupClock::new(first_s, args.seconds, move || {
+                    serve::setup_rep(ctx, &problems)
+                })
+            }
+        };
+        let o = measure(ctx, NO_SPAN, &mut setup, &mut clock);
         table.push(Metric::new(
             "host.steal_share",
             steal_share(t0, cpu_ticks()),
@@ -285,7 +338,7 @@ fn main() {
             1,
         ));
         table.extend(o.e2e.iter().cloned());
-        table.push(Metric::new("setup_s", setup_s, "s", setup_n));
+        table.push(clock.metric());
         if o.get("peak_rss_mb").is_none() {
             table.push(Metric::new("peak_rss_mb", peak_rss_mb(), "MB", 1));
         }
@@ -363,7 +416,7 @@ fn traced(
         tracer: ctx.tracer,
         work: ctx.work.clone(),
     };
-    let plain = measure(&half, NO_SPAN, setup);
+    let plain = measure(&half, NO_SPAN, setup, &mut SetupClock::idle());
 
     // The traced pass draws its own inputs, so the serve pass does not
     // replay the first pass's (spec, seed) pairs into a warm cache.
@@ -374,7 +427,7 @@ fn traced(
         ..half
     };
     let root = tracer.open(&format!("{} (traced)", args.workload), GROUP, NO_SPAN);
-    let mut outcome = measure(&tctx, root, setup);
+    let mut outcome = measure(&tctx, root, setup, &mut SetupClock::idle());
     tracer.close(root);
     let spans = tracer.spans();
     let wall = (spans[root].end - spans[root].start) as f64;
@@ -402,18 +455,19 @@ fn traced(
 
     // Per-layer probes over the workload's own problems.
     let probe_root = tracer.open("probes", GROUP, NO_SPAN);
-    let probed = probe::probe(
-        &tctx,
-        &setup_problems(setup),
-        probe_root,
-        matches!(setup, Setup::Batch(..)),
-    );
+    let probed = probe::probe(&tctx, &setup_problems(setup), probe_root);
+    // Workloads that do not serve take the serve-side metrics from a
+    // short pass of the serve loop.
+    let side = matches!(setup, Setup::Batch(..)).then(|| serve::side_pass(&tctx, probe_root));
     tracer.close(probe_root);
     let mut layer = probed.metrics;
-    for m in outcome.layer.drain(..) {
+    for m in outcome
+        .layer
+        .drain(..)
+        .chain(side.iter().flat_map(|s| s.layer.iter().cloned()))
+    {
         layer.insert(m.name.clone(), m);
     }
-    probe::pool_wait(&mut layer);
     if let Setup::Batch(_, prepared, captures) = setup {
         // Pass 1 of `run_batch` captures serially: estimate its share of
         // the calls' time from the probed capture time per cell update.
@@ -434,16 +488,12 @@ fn traced(
             ),
         );
     }
-    let (key, better_low) = match args.workload.as_str() {
-        "serve" => ("lat_p50_ms.high", true),
-        _ => ("cell_updates_per_s", false),
-    };
+    let key = "cell_updates_per_s";
     let (a, b) = (
         plain.get(key).unwrap_or(0.0),
         outcome.get(key).unwrap_or(0.0),
     );
-    let overhead = if better_low { b / a - 1.0 } else { a / b - 1.0 };
-    let mut m = Metric::new("trace.overhead", overhead, "share", 2);
+    let mut m = Metric::new("trace.overhead", a / b - 1.0, "share", 2);
     m.note = format!("{key}: untraced {a:.4}, traced {b:.4}");
     layer.insert(m.name.clone(), m);
     layer.insert(
@@ -481,10 +531,29 @@ fn traced(
             .unwrap_or_else(|| panic!("per-layer metric {name} was not measured"));
         table.push(m);
     }
-    outcome.attempted += plain.attempted;
-    outcome.failed += plain.failed;
-    outcome.wrong += plain.wrong;
+    for o in std::iter::once(plain).chain(side) {
+        outcome.attempted += o.attempted;
+        outcome.failed += o.failed;
+        outcome.wrong += o.wrong;
+        outcome.notes.extend(o.notes);
+    }
     (outcome, names)
+}
+
+/// A batch workload's kind, problems and seeds per problem.
+fn batch_problems(workload: &str) -> (batch::Kind, Vec<specs::Problem>, usize) {
+    match workload {
+        "sweep" => (
+            batch::Kind::Sweep,
+            specs::sweep_problems(),
+            batch::SWEEP_LANES,
+        ),
+        _ => (
+            batch::Kind::Explore,
+            specs::explore_problems(specs::DESIGN_SEED, batch::EXPLORE_SPECS),
+            1,
+        ),
+    }
 }
 
 fn setup_problems(setup: &Setup) -> Vec<specs::Problem> {

@@ -114,10 +114,9 @@ pub struct Probed {
     pub capture_s_per_update: f64,
 }
 
-/// Probes every layer on (up to [`MAX_PROBED`] of) `problems`;
-/// `serve_burst` adds a closed-loop burst against a fresh server for the
-/// serve-side layers.
-pub fn probe(ctx: &Ctx, problems: &[Problem], parent: SpanId, serve_burst: bool) -> Probed {
+/// Probes every layer but the serve-side ones (see `serve::measure`) on
+/// (up to [`MAX_PROBED`] of) `problems`.
+pub fn probe(ctx: &Ctx, problems: &[Problem], parent: SpanId) -> Probed {
     let tracer = ctx.tracer;
     let step = problems.len().div_ceil(MAX_PROBED).max(1);
     let chosen: Vec<&Problem> = problems.iter().step_by(step).collect();
@@ -127,8 +126,6 @@ pub fn probe(ctx: &Ctx, problems: &[Problem], parent: SpanId, serve_burst: bool)
     let store_dir = ctx.work.join("probe-sched");
     let _ = std::fs::remove_dir_all(&store_dir);
     let mut store = ScheduleStore::open(&store_dir, 0).expect("probe store opens");
-    let mut saved: Vec<((u64, u64), Arc<ControlSchedule>)> = Vec::new();
-    let mut exec: HashMap<&'static str, Vec<f64>> = HashMap::new();
     let mut cache = ResultCache::new(4 << 20);
     for (i, p) in chosen.iter().enumerate() {
         let cell_updates = p.cell_updates() as f64;
@@ -251,7 +248,6 @@ pub fn probe(ctx: &Ctx, problems: &[Problem], parent: SpanId, serve_burst: bool)
         });
         assert!(matches!(loaded, Ok(Some(_))), "a saved schedule loads back");
         s.push("store.load_us", load_s * 1e6);
-        saved.push((key, Arc::clone(&captured)));
 
         if let Some(line) = p.request_line(&i.to_string(), 77 + i as u64) {
             let parse_s = timed_reps(tracer, "Request::parse_line", "protocol", parent, || {
@@ -270,23 +266,21 @@ pub fn probe(ctx: &Ctx, problems: &[Problem], parent: SpanId, serve_burst: bool)
                 || (req.cache_key(), req.schedule_key()),
             );
             s.push("protocol.key_us", key_s * 1e6);
-            let ((doc, sched), cap) = timed(
+            let ((doc, sched), _) = timed(
                 tracer,
                 "RunRequest::execute_capture",
                 "system",
                 parent,
                 || req.execute_capture().expect("captures"),
             );
-            exec.entry("capture").or_default().push(cap * 1e3);
             let sched = sched.expect("replayable");
-            let rep = timed_reps(
+            timed_reps(
                 tracer,
                 "RunRequest::execute_replay",
                 "replay",
                 parent,
                 || req.execute_replay(&sched).expect("replays"),
             );
-            exec.entry("replay").or_default().push(rep * 1e3);
             cache.insert(req.cache_key(), doc.compact());
             let get_s = timed_reps(tracer, "ResultCache::get", "cache", parent, || {
                 cache.get(req.cache_key())
@@ -295,20 +289,7 @@ pub fn probe(ctx: &Ctx, problems: &[Problem], parent: SpanId, serve_burst: bool)
         }
     }
 
-    // Store LRU under pressure: every probed schedule saved into a store
-    // with half their size as its budget, then every key looked up once.
-    let total = store.bytes();
     drop(store);
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let mut small = ScheduleStore::open(&store_dir, total / 2).expect("probe store opens");
-    for (k, sched) in &saved {
-        small.save(*k, sched).expect("probe store write");
-    }
-    let found = saved
-        .iter()
-        .filter(|(k, _)| matches!(small.load(*k), Ok(Some(_))))
-        .count();
-    drop(small);
     let _ = std::fs::remove_dir_all(&store_dir);
 
     let mut out: Vec<Metric> = [
@@ -350,47 +331,12 @@ pub fn probe(ctx: &Ctx, problems: &[Problem], parent: SpanId, serve_burst: bool)
         "cycles",
         chosen.len(),
     ));
-    out.push(Metric::new(
-        "store.hit_ratio",
-        found as f64 / saved.len().max(1) as f64,
-        "share",
-        saved.len(),
-    ));
     out.extend(probe_batch(ctx, &chosen, &capture_s, parent));
-    if serve_burst {
-        out.extend(crate::serve::probe_burst(ctx, problems, parent));
-    }
-    let mut metrics: BTreeMap<String, Metric> = BTreeMap::new();
-    for m in out {
-        metrics.insert(m.name.clone(), m);
-    }
-    let exec_med = |k: &str| exec.get(k).map_or(0.0, |v| median(v));
-    metrics.insert(
-        "probe.exec_ms.replay".into(),
-        Metric::new("probe.exec_ms.replay", exec_med("replay"), "ms", 0),
-    );
-    metrics.insert(
-        "probe.exec_ms.capture".into(),
-        Metric::new("probe.exec_ms.capture", exec_med("capture"), "ms", 0),
-    );
+    let metrics = out.into_iter().map(|m| (m.name.clone(), m)).collect();
     Probed {
         metrics,
         capture_s_per_update: capture_s.values().sum::<f64>() / upd,
     }
-}
-
-/// `pool.wait_ms`: each class's median round trip minus its probed
-/// execution time, weighted by the class's request count.
-pub fn pool_wait(metrics: &mut BTreeMap<String, Metric>) {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for class in ["replay", "capture"] {
-        let rtt = &metrics[&format!("serve.rtt_ms.{class}")];
-        let exec = metrics[&format!("probe.exec_ms.{class}")].value;
-        sum += (rtt.value - exec) * rtt.samples as f64;
-        n += rtt.samples;
-    }
-    let m = Metric::new("pool.wait_ms", sum / n.max(1) as f64, "ms", n);
-    metrics.insert(m.name.clone(), m);
 }
 
 /// `run_batch` on the probed single-step problems, `PROBE_LANES` seeds

@@ -1,13 +1,13 @@
-//! The `serve` workload: open-loop Poisson arrivals at fixed rates
-//! against an in-process `smache_serve::start`.
+//! The `serve` workload: a closed loop of requests against an in-process
+//! `smache_serve::start`.
 //!
-//! One sender thread writes requests at their scheduled times and one
-//! receiver thread reads responses, over a single connection to the
-//! server's Unix socket (inside the working directory). Latency is
-//! measured from each request's *scheduled* send time, so a stall also
-//! charges the requests queued behind it; the generator reports how late
-//! it ran as `gen_lag_ms`. A refused, missing or wrong response counts as
-//! infinite latency.
+//! One sender thread keeps [`IN_FLIGHT_PER_WORKER`] × `nproc` requests in
+//! flight and one receiver thread reads the responses, over a single
+//! connection to the server's Unix socket (inside the working directory).
+//! Requests go out in rounds of [`ROUND`]; a round's rate is the cell
+//! updates it answered over its wall time, and the run reports the
+//! fast-phase rate over its rounds (`stats::fast_phase_rate`), as the
+//! batch workloads do over their calls.
 //!
 //! Traffic: spec popularity is Zipf over [`KNOWN`] specs, more than the
 //! schedule cache holds. About a third of requests repeat a recent
@@ -16,16 +16,14 @@
 //! the caches and the store), and the rest are fresh seeds of known specs
 //! (replays from the schedule cache or the store).
 //!
-//! Rates climb a fixed [`LADDER`]; [`LOW`] and [`HIGH`] are the two
-//! reported steps, and `max_rate_rps` is the highest rung below the first
-//! one whose tail latency misses [`LIMIT_MS`] or whose backlog grows.
+//! A shorter pass of the same loop gives the serve-side per-layer metrics
+//! of the traced `sweep` and `explore` runs ([`side_pass`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use smache::system::ScheduleStore;
@@ -33,12 +31,11 @@ use smache_serve::{start, Listen, Request, RequestBody, ServeConfig, ServerHandl
 use smache_sim::hash::fingerprint128;
 use smache_sim::Json;
 
-use crate::batch::SETUP_REPS;
-use crate::gen::{poisson_schedule, Rng, Zipf};
-use crate::specs::{serve_problems, Problem, DESIGN_SEED};
-use crate::stats::{median, summarise, summarise_windows, MIN_WINDOW, WINDOWS};
+use crate::gen::{Rng, Zipf};
+use crate::specs::{fresh_problem, serve_problems, Problem, DESIGN_SEED};
+use crate::stats::{fast_phase_rate, median, summarise};
 use crate::trace::{SpanId, GROUP};
-use crate::{Ctx, Metric, Outcome};
+use crate::{Ctx, Metric, Outcome, SetupClock};
 
 /// Known specs (popularity ranks of the Zipf draw).
 pub const KNOWN: usize = 48;
@@ -48,48 +45,32 @@ const ZIPF_S: f64 = 1.0;
 const REPEAT_SHARE: f64 = 0.33;
 /// Share of requests naming a never-seen spec.
 const FRESH_SHARE: f64 = 0.03;
-/// Never-seen specs drawn; more than a run's fresh requests, so the mix
-/// holds across every rung.
-const FRESH_POOL: usize = 1500;
-/// Repeats pick a pair sent between this many requests ago...
-const REPEAT_MIN_AGO: usize = 8;
+/// Repeats pick a pair sent between this many requests ago (beyond the
+/// requests in flight, so its first response is back)...
+const REPEAT_MIN_AGO: usize = 16;
 /// ...and this many.
-const REPEAT_MAX_AGO: usize = 40;
-/// Offered rates in requests per second, ascending.
-pub const LADDER: &[f64] = &[
-    500.0, 1500.0, 2000.0, 2240.0, 2500.0, 2800.0, 3150.0, 3550.0, 4000.0, 4500.0, 5000.0, 5600.0,
-    6300.0, 7100.0, 8000.0,
-];
-/// Index of the `low` step in [`LADDER`].
-pub const LOW: usize = 0;
-/// Index of the `high` step in [`LADDER`].
-pub const HIGH: usize = 1;
-/// Tail-latency limit of a passing rung, ms.
-pub const LIMIT_MS: f64 = 50.0;
-/// Fewest requests per rung: leaves at least ten beyond p99.
-const MIN_REQUESTS: usize = 1000;
-/// Fewest requests of a reported step: a full set of latency windows.
-const MIN_STEP: usize = WINDOWS * MIN_WINDOW;
-/// Shares of `--seconds` spent sending at the `low` step, at the `high`
-/// step, and at each other rung.
-const LOW_SHARE: f64 = 0.3;
-const HIGH_SHARE: f64 = 0.25;
-const RUNG_SHARE: f64 = 0.04;
+const REPEAT_MAX_AGO: usize = 64;
+/// Requests in flight per server worker.
+const IN_FLIGHT_PER_WORKER: usize = 4;
+/// Requests per round.
+const ROUND: usize = 1000;
+/// Fewest rounds a run makes; the first warms the caches and is not rated.
+const MIN_ROUNDS: usize = 6;
 /// Result-cache budget (smaller than the run's distinct results).
 const CACHE_BYTES: usize = 256 << 10;
 /// Schedule-cache budget (smaller than the known specs' schedules).
 const SCHEDULE_CACHE_BYTES: usize = 512 << 10;
-/// Admission-queue capacity: deep enough that a stalled host queues
-/// requests rather than refusing them at the reported steps.
-const QUEUE_CAP: usize = 1024;
-/// One in this many ok responses is re-run directly and compared.
-const CHECK_EVERY: usize = 24;
+/// One in this many responses is checked against a direct execution.
+const CHECK_EVERY: usize = 250;
+/// Cache hits sent one at a time after the loop (`reactor.hit_rtt_us`).
+const HIT_PROBES: usize = 50;
+/// Measuring time of the side pass of the traced batch runs, seconds.
+const SIDE_SECONDS: f64 = 3.0;
 
 /// A running server with its problem set.
 pub struct State {
     handle: Option<ServerHandle>,
     known: Vec<Problem>,
-    fresh: Vec<Problem>,
     store_dir: PathBuf,
 }
 
@@ -106,7 +87,7 @@ impl State {
 
 /// Starts a server with `workers = nproc` and small caches over `store`,
 /// listening on a Unix socket next to the store.
-fn start_server(ctx: &Ctx, store_dir: &std::path::Path, store_bytes: u64) -> ServerHandle {
+fn start_server(ctx: &Ctx, store_dir: &Path, store_bytes: u64) -> ServerHandle {
     start(ServeConfig {
         listen: Listen::Unix(ctx.work.join(format!(
             "{}.sock",
@@ -117,15 +98,15 @@ fn start_server(ctx: &Ctx, store_dir: &std::path::Path, store_bytes: u64) -> Ser
         schedule_cache_bytes: SCHEDULE_CACHE_BYTES,
         store_dir: Some(store_dir.to_path_buf()),
         store_bytes,
-        queue_cap: QUEUE_CAP,
         ..ServeConfig::default()
     })
     .expect("server starts")
 }
 
-/// Captures every known spec into a fresh store directory and returns the
-/// bytes stored.
-fn fill_store(dir: &std::path::Path, known: &[Problem]) -> u64 {
+/// Captures every known spec into a fresh store directory, then starts a
+/// server over it with a little more room than the known set, so that
+/// captures of never-seen specs evict.
+fn fill_and_start(ctx: &Ctx, dir: &Path, known: &[Problem]) -> ServerHandle {
     let _ = std::fs::remove_dir_all(dir);
     let mut store = ScheduleStore::open(dir, 0).expect("store opens");
     for (i, p) in known.iter().enumerate() {
@@ -139,38 +120,38 @@ fn fill_store(dir: &std::path::Path, known: &[Problem]) -> u64 {
             .save(run.schedule_key().expect("replayable"), &schedule)
             .expect("store write");
     }
-    store.bytes()
+    let bytes = store.bytes();
+    drop(store);
+    start_server(ctx, dir, bytes + bytes / 5)
 }
 
-/// Set-up, repeated: fill the store by capturing every known spec, then
-/// start the server. Returns the last state and the median set-up time;
-/// drawing the specs is input generation and is not timed.
-pub fn setup(ctx: &Ctx) -> (State, f64, usize) {
-    let dir = ctx.work.join("store");
+/// Set-up: fill the store by capturing every known spec, then start the
+/// server. Returns the state and the set-up time; drawing the specs is
+/// input generation and is not timed.
+pub fn setup(ctx: &Ctx) -> (State, f64) {
     let known = serve_problems(DESIGN_SEED, KNOWN, "k");
-    let fresh: Vec<Problem> = serve_problems(DESIGN_SEED, FRESH_POOL, "n")
-        .into_iter()
-        .filter(|f| known.iter().all(|k| k.spec != f.spec))
-        .collect();
-    let mut times = Vec::new();
-    let mut state = None;
-    for _ in 0..SETUP_REPS {
-        if let Some(old) = state.take() {
-            teardown(old);
-        }
-        let t = Instant::now();
-        let bytes = fill_store(&dir, &known);
-        // A little more room than the known set: fresh captures evict.
-        let handle = start_server(ctx, &dir, bytes + bytes / 5);
-        times.push(t.elapsed().as_secs_f64());
-        state = Some(State {
-            handle: Some(handle),
-            known: known.clone(),
-            fresh: fresh.clone(),
-            store_dir: dir.clone(),
-        });
-    }
-    (state.expect("set up"), median(&times), times.len())
+    let dir = ctx.work.join("store");
+    let t = Instant::now();
+    let handle = fill_and_start(ctx, &dir, &known);
+    let setup_s = t.elapsed().as_secs_f64();
+    let state = State {
+        handle: Some(handle),
+        known,
+        store_dir: dir,
+    };
+    (state, setup_s)
+}
+
+/// One more timed set-up into a scratch store; the server it starts is
+/// stopped untimed.
+pub fn setup_rep(ctx: &Ctx, known: &[Problem]) -> f64 {
+    let dir = ctx.work.join("setup-store");
+    let t = Instant::now();
+    let handle = fill_and_start(ctx, &dir, known);
+    let setup_s = t.elapsed().as_secs_f64();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    setup_s
 }
 
 /// Stops the server and removes its store.
@@ -184,11 +165,10 @@ pub fn teardown(mut state: State) {
 /// One planned request.
 struct Planned {
     line: String,
-    offset: f64,
     /// Index of the (spec, seed) pair among the run's pairs.
     pair: usize,
     target: Target,
-    cells: u64,
+    problem: Arc<Problem>,
 }
 
 /// Response class, from the `status`, the `cached` flag and the report's
@@ -208,6 +188,16 @@ impl Class {
     fn ok(self) -> bool {
         matches!(self, Class::Hit | Class::Replay | Class::Capture)
     }
+
+    fn name(self) -> &'static str {
+        match self {
+            Class::Hit => "hit",
+            Class::Replay => "replay",
+            Class::Capture => "capture",
+            Class::Refused => "refused",
+            Class::Error => "error",
+        }
+    }
 }
 
 /// A 128-bit report fingerprint.
@@ -225,110 +215,156 @@ struct Got {
     text: Option<String>,
 }
 
-/// Draws request plans; shared across rungs so repeats and seeds stay
-/// consistent over the whole run.
-struct Planner {
-    rng: Rng,
-    zipf: Zipf,
-    next_seed: u64,
-    next_fresh: usize,
-    /// (problem reference, seed) of every pair so far.
-    pairs: Vec<(Target, u64)>,
-    issued: Vec<usize>,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Target {
     Known(usize),
     Fresh(usize),
 }
 
+/// A (spec, seed) pair.
+#[derive(Clone)]
+struct Pair {
+    id: usize,
+    target: Target,
+    seed: u64,
+    problem: Arc<Problem>,
+}
+
+/// Draws request plans; shared across rounds so repeats and seeds stay
+/// consistent over the whole run. It holds only the pairs that may still
+/// repeat, so its memory does not grow with the run.
+struct Planner {
+    rng: Rng,
+    zipf: Zipf,
+    known: Vec<Arc<Problem>>,
+    /// Never-seen specs drawn so far, and the next index to try.
+    fresh: usize,
+    next_fresh: usize,
+    pairs: usize,
+    next_seed: u64,
+    /// The pairs of the last [`REPEAT_MAX_AGO`] requests, oldest first.
+    recent: VecDeque<Pair>,
+}
+
 impl Planner {
-    fn new(seed: u64) -> Planner {
+    fn new(seed: u64, known: Vec<Problem>) -> Planner {
         Planner {
             rng: Rng::new(seed, "serve-mix"),
-            zipf: Zipf::new(KNOWN, ZIPF_S),
-            next_seed: seed.wrapping_mul(1_000_003) % (1 << 40) + 1,
+            zipf: Zipf::new(known.len(), ZIPF_S),
+            known: known.into_iter().map(Arc::new).collect(),
+            fresh: 0,
             next_fresh: 0,
-            pairs: Vec::new(),
-            issued: Vec::new(),
+            pairs: 0,
+            next_seed: seed.wrapping_mul(1_000_003) % (1 << 40) + 1,
+            recent: VecDeque::with_capacity(REPEAT_MAX_AGO + 1),
         }
     }
 
-    fn problem(state: &State, t: Target) -> &Problem {
-        match t {
-            Target::Known(i) => &state.known[i],
-            Target::Fresh(i) => &state.fresh[i],
+    fn new_pair(&mut self, target: Target, problem: Arc<Problem>) -> Pair {
+        self.next_seed += 1;
+        self.pairs += 1;
+        Pair {
+            id: self.pairs - 1,
+            target,
+            seed: self.next_seed,
+            problem,
         }
     }
 
-    fn plan(&mut self, state: &State, rate: f64, count: usize, first_id: usize) -> Vec<Planned> {
-        let offsets = poisson_schedule(&mut self.rng, rate, count);
-        offsets
+    fn request(&mut self, pair: Pair, id: usize) -> Planned {
+        let planned = Planned {
+            line: pair
+                .problem
+                .request_line(&id.to_string(), pair.seed)
+                .expect("serve specs are expressible"),
+            pair: pair.id,
+            target: pair.target,
+            problem: Arc::clone(&pair.problem),
+        };
+        self.recent.push_back(pair);
+        if self.recent.len() > REPEAT_MAX_AGO {
+            self.recent.pop_front();
+        }
+        planned
+    }
+
+    /// The next `count` requests of the mix, with ids from `first_id`.
+    fn plan(&mut self, count: usize, first_id: usize) -> Vec<Planned> {
+        (0..count)
+            .map(|k| {
+                let u = self.rng.unit();
+                let n = self.recent.len();
+                let pair = if u < REPEAT_SHARE && n == REPEAT_MAX_AGO {
+                    let ago = self.rng.range(REPEAT_MIN_AGO as u64, REPEAT_MAX_AGO as u64) as usize;
+                    self.recent[n - ago].clone()
+                } else if u < REPEAT_SHARE + FRESH_SHARE {
+                    let p = loop {
+                        self.next_fresh += 1;
+                        if let Some(p) = fresh_problem(self.next_fresh - 1) {
+                            break p;
+                        }
+                    };
+                    self.fresh += 1;
+                    self.new_pair(Target::Fresh(self.fresh - 1), Arc::new(p))
+                } else {
+                    let rank = self.zipf.sample(&mut self.rng);
+                    let p = Arc::clone(&self.known[rank]);
+                    self.new_pair(Target::Known(rank), p)
+                };
+                self.request(pair, first_id + k)
+            })
+            .collect()
+    }
+
+    /// Repeats of the `count` most recent distinct pairs: cache hits.
+    fn repeat_recent(&mut self, count: usize, first_id: usize) -> Vec<Planned> {
+        let mut seen = HashSet::new();
+        let recent: Vec<Pair> = self
+            .recent
+            .iter()
+            .rev()
+            .filter(|p| seen.insert(p.id))
+            .take(count)
+            .cloned()
+            .collect();
+        recent
             .into_iter()
             .enumerate()
-            .map(|(k, offset)| {
-                let u = self.rng.unit();
-                let n = self.issued.len();
-                let pair = if u < REPEAT_SHARE && n > REPEAT_MAX_AGO {
-                    let ago = self.rng.range(REPEAT_MIN_AGO as u64, REPEAT_MAX_AGO as u64) as usize;
-                    self.issued[n - ago]
-                } else if u < REPEAT_SHARE + FRESH_SHARE && self.next_fresh < state.fresh.len() {
-                    self.next_fresh += 1;
-                    self.next_seed += 1;
-                    self.pairs
-                        .push((Target::Fresh(self.next_fresh - 1), self.next_seed));
-                    self.pairs.len() - 1
-                } else {
-                    self.next_seed += 1;
-                    let rank = self.zipf.sample(&mut self.rng);
-                    self.pairs.push((Target::Known(rank), self.next_seed));
-                    self.pairs.len() - 1
-                };
-                self.issued.push(pair);
-                let (target, seed) = self.pairs[pair];
-                let p = Self::problem(state, target);
-                Planned {
-                    line: p
-                        .request_line(&(first_id + k).to_string(), seed)
-                        .expect("serve specs are expressible"),
-                    offset,
-                    pair,
-                    target,
-                    cells: p.cell_updates(),
-                }
-            })
+            .map(|(k, pair)| self.request(pair, first_id + k))
             .collect()
     }
 }
 
-/// What one rung measured.
-struct Rung {
-    rate: f64,
+/// What one round measured.
+struct Round {
     planned: Vec<Planned>,
     sent: Vec<Instant>,
     got: Vec<Option<Got>>,
     start: Instant,
-    /// Latency from the scheduled send, ms (infinite unless ok).
-    lat_ms: Vec<f64>,
-    /// Round trip from the actual send, ms, per class.
-    rtt_ms: HashMap<&'static str, Vec<f64>>,
-    lag_ms: Vec<f64>,
-    depth_samples: Vec<f64>,
-    backlog_at_end: usize,
-    last_recv: Instant,
+    /// The last response (or when the receiver gave up).
+    end: Instant,
+    /// `serve.queue.depth`, sampled at every send.
+    depth: Vec<f64>,
 }
 
-impl Rung {
-    /// Tail latency within the limit and a backlog that did not grow
-    /// beyond what the limit allows in flight.
-    fn passes(&self) -> bool {
-        let s = summarise(&self.lat_ms);
-        s.tail <= LIMIT_MS && (self.backlog_at_end as f64) <= (self.rate * LIMIT_MS / 1e3).max(8.0)
-    }
-
+impl Round {
     fn ok(&self, j: usize) -> Option<&Got> {
         self.got[j].as_ref().filter(|g| g.class.ok())
+    }
+
+    /// Round trip of request `j` from its send, ms.
+    fn rtt_ms(&self, j: usize) -> Option<f64> {
+        self.ok(j)
+            .map(|g| g.at.saturating_duration_since(self.sent[j]).as_secs_f64() * 1e3)
+    }
+
+    /// Cell updates answered per second.
+    fn rate(&self) -> f64 {
+        let cells: u64 = (0..self.planned.len())
+            .filter(|&j| self.ok(j).is_some())
+            .map(|j| self.planned[j].problem.cell_updates())
+            .sum();
+        cells as f64 / (self.end - self.start).as_secs_f64()
     }
 }
 
@@ -374,65 +410,46 @@ fn parse_id(line: &str) -> Option<usize> {
     rest[..rest.find('"')?].parse().ok()
 }
 
-/// Sends one rung open-loop and collects every response; the text of
-/// request `j` is kept when `keep[j]` (or when it is not ok).
-fn run_rung(
+/// Sends one round closed-loop, at most `in_flight` requests outstanding,
+/// and collects every response; the text of request `j` is kept when
+/// `keep[j]` (or when it is not ok).
+fn run_round(
     stream: &UnixStream,
     reader: &mut BufReader<UnixStream>,
     metrics: &ServerMetrics,
-    rate: f64,
     planned: Vec<Planned>,
     first_id: usize,
+    in_flight: usize,
     keep: &[bool],
-) -> Rung {
+) -> Round {
     let n = planned.len();
-    let start = Instant::now() + Duration::from_millis(5);
-    let sent: Mutex<Vec<Instant>> = Mutex::new(vec![start; n]);
-    let got: Mutex<Vec<Option<Got>>> = Mutex::new((0..n).map(|_| None).collect());
-    let received = AtomicUsize::new(0);
-    let last_offset = planned.last().map_or(0.0, |p| p.offset);
-    let give_up = start + Duration::from_secs_f64(last_offset + 30.0);
-    let mut depth_samples = Vec::new();
-    let mut lag_ms = Vec::with_capacity(n);
-    let mut backlog_at_end = 0;
-    let due = |j: usize| start + Duration::from_secs_f64(planned[j].offset);
-    std::thread::scope(|s| {
-        s.spawn(|| {
+    let start = Instant::now();
+    let (tx, rx) = mpsc::channel::<()>();
+    let lines = &planned;
+    let ((sent, depth), (got, end)) = std::thread::scope(|s| {
+        let sender = s.spawn(move || {
             let mut w = stream;
-            let mut j = 0;
-            let mut buf = String::new();
-            while j < n {
-                let now = Instant::now();
-                if due(j) > now {
-                    std::thread::sleep(due(j) - now);
-                }
-                // Everything already due goes out in one write.
-                let now = Instant::now();
-                buf.clear();
-                let first = j;
-                while j < n && due(j) <= now {
-                    buf.push_str(&planned[j].line);
-                    buf.push('\n');
-                    j += 1;
-                }
-                if w.write_all(buf.as_bytes()).is_err() {
+            let mut sent = vec![start; n];
+            let mut depth = Vec::with_capacity(n);
+            for (j, p) in lines.iter().enumerate() {
+                // Wait for a response once the window is full; the
+                // receiver hangs up when it gives up.
+                if j >= in_flight && rx.recv().is_err() {
                     break;
                 }
-                let at = Instant::now();
-                let mut sent = sent.lock().expect("sent times");
-                for (k, slot) in sent.iter_mut().enumerate().take(j).skip(first) {
-                    *slot = at;
-                    lag_ms.push(at.saturating_duration_since(due(k)).as_secs_f64() * 1e3);
+                sent[j] = Instant::now();
+                if w.write_all(format!("{}\n", p.line).as_bytes()).is_err() {
+                    break;
                 }
-                drop(sent);
-                depth_samples.push(metrics.counter("serve.queue.depth") as f64);
+                depth.push(metrics.counter("serve.queue.depth") as f64);
             }
-            backlog_at_end = j - received.load(Ordering::SeqCst);
+            (sent, depth)
         });
-        s.spawn(|| {
+        let receiver = s.spawn(move || {
+            let mut got: Vec<Option<Got>> = (0..n).map(|_| None).collect();
             let mut line = Vec::new();
-            let mut count = 0;
-            while count < n && Instant::now() < give_up {
+            let (mut count, mut last) = (0, Instant::now());
+            while count < n && last.elapsed() < Duration::from_secs(30) {
                 match reader.read_until(b'\n', &mut line) {
                     Ok(0) => break,
                     Ok(_) if line.ends_with(b"\n") => {
@@ -447,61 +464,36 @@ fn run_rung(
                         };
                         let class = class_of(&text);
                         let report = report_text(&text);
-                        let fp = fingerprint128(report.as_bytes());
-                        let fp_norm = engine_blind_fp(report);
-                        let text = (keep[idx] || !class.ok()).then_some(text);
-                        got.lock().expect("responses")[idx] = Some(Got {
+                        got[idx] = Some(Got {
                             at,
                             class,
-                            fp,
-                            fp_norm,
-                            text,
+                            fp: fingerprint128(report.as_bytes()),
+                            fp_norm: engine_blind_fp(report),
+                            text: (keep[idx] || !class.ok()).then_some(text),
                         });
                         count += 1;
-                        received.store(count, Ordering::SeqCst);
+                        last = at;
+                        let _ = tx.send(());
                     }
                     Ok(_) => {}
                     Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                     Err(_) => break,
                 }
             }
+            (got, last)
         });
+        (
+            sender.join().expect("sender thread"),
+            receiver.join().expect("receiver thread"),
+        )
     });
-    let sent = sent.into_inner().expect("sent times");
-    let got = got.into_inner().expect("responses");
-    let mut lat_ms = Vec::with_capacity(n);
-    let mut rtt_ms: HashMap<&'static str, Vec<f64>> = HashMap::new();
-    let mut last_recv = start;
-    for (k, g) in got.iter().enumerate() {
-        match g.as_ref().filter(|g| g.class.ok()) {
-            Some(g) => {
-                lat_ms.push(g.at.saturating_duration_since(due(k)).as_secs_f64() * 1e3);
-                let name = match g.class {
-                    Class::Hit => "hit",
-                    Class::Replay => "replay",
-                    _ => "capture",
-                };
-                rtt_ms
-                    .entry(name)
-                    .or_default()
-                    .push(g.at.saturating_duration_since(sent[k]).as_secs_f64() * 1e3);
-                last_recv = last_recv.max(g.at);
-            }
-            None => lat_ms.push(f64::INFINITY),
-        }
-    }
-    Rung {
-        rate,
+    Round {
         planned,
         sent,
         got,
         start,
-        lat_ms,
-        rtt_ms,
-        lag_ms,
-        depth_samples,
-        backlog_at_end,
-        last_recv,
+        end,
+        depth,
     }
 }
 
@@ -550,10 +542,6 @@ fn counters(m: &ServerMetrics) -> Vec<u64> {
     COUNTERS.iter().map(|n| m.counter(n)).collect()
 }
 
-fn ratio(a: u64, b: u64) -> f64 {
-    a as f64 / (a + b).max(1) as f64
-}
-
 fn median_or_zero(v: &[f64]) -> f64 {
     if v.is_empty() {
         0.0
@@ -565,12 +553,8 @@ fn median_or_zero(v: &[f64]) -> f64 {
 /// Cache, store and buffer-pool ratios from counter deltas.
 fn counter_metrics(d: &[u64]) -> Vec<Metric> {
     let m = |name: &str, a: usize| {
-        Metric::new(
-            name,
-            ratio(d[a], d[a + 1]),
-            "share",
-            (d[a] + d[a + 1]) as usize,
-        )
+        let n = d[a] + d[a + 1];
+        Metric::new(name, d[a] as f64 / n.max(1) as f64, "share", n as usize)
     };
     vec![
         m("cache.result_hit_ratio", 0),
@@ -580,102 +564,67 @@ fn counter_metrics(d: &[u64]) -> Vec<Metric> {
     ]
 }
 
-/// Runs the ladder and checks the responses.
-pub fn measure(ctx: &Ctx, state: &mut State, root: SpanId) -> Outcome {
+/// Runs rounds for the measuring time, checking each round's responses
+/// and calling `clock` after it, then the serial cache-hit probe.
+pub fn measure(ctx: &Ctx, state: &mut State, root: SpanId, clock: &mut SetupClock) -> Outcome {
     let tracer = ctx.tracer;
     let handle = state.handle();
     let metrics = handle.metrics();
     let (stream, mut reader) = connect(handle);
-    let mut planner = Planner::new(ctx.seed);
+    let mut planner = Planner::new(ctx.seed, state.known.clone());
+    let in_flight = IN_FLIGHT_PER_WORKER * ctx.threads;
     let before = counters(metrics);
-    let mut rungs: Vec<(usize, Rung)> = Vec::new();
-    let mut max_rate = 0.0;
-    let mut failed_rung = false;
-    let mut next_id = 0;
-    let mut peak_rss = 0.0;
-    // A rung over the limit is run once more; it fails only if the rerun
-    // fails too, so one stall of the host does not end the ladder.
-    let steps = LADDER
-        .iter()
-        .enumerate()
-        .flat_map(|(k, &rate)| [(k, rate, false), (k, rate, true)]);
-    for (k, rate, retry) in steps {
-        if retry && (!failed_rung || k == LOW || k == HIGH) {
-            continue;
-        }
-        let (share, min) = match k {
-            LOW => (LOW_SHARE, MIN_STEP),
-            HIGH => (HIGH_SHARE, MIN_STEP),
-            _ => (RUNG_SHARE, MIN_REQUESTS),
-        };
-        let count = min.max((rate * share * ctx.seconds) as usize);
-        let planned = planner.plan(state, rate, count, next_id);
-        // Keep texts to check (every CHECK_EVERY-th request of the two
-        // reported steps) and one per target for the simulated counts.
-        let mut first_of = std::collections::HashSet::new();
+    let mut tally = Tally::default();
+    let mut requested: HashSet<Target> = HashSet::new();
+    let (mut rounds, mut next_id) = (0, 0);
+    let started = Instant::now();
+    while rounds < MIN_ROUNDS || started.elapsed().as_secs_f64() < ctx.seconds {
+        let planned = tracer.span("plan requests", "bench", root, |_| {
+            planner.plan(ROUND, next_id)
+        });
+        // Keep texts to check (one in CHECK_EVERY) and the first response
+        // of every known spec, which prices its simulated cost.
         let keep: Vec<bool> = planned
             .iter()
             .enumerate()
             .map(|(j, p)| {
-                !retry
-                    && (k == LOW || k == HIGH)
-                    && (j % CHECK_EVERY == 0 || first_of.insert(p.target))
+                let first = matches!(p.target, Target::Known(_)) && requested.insert(p.target);
+                (next_id + j).is_multiple_of(CHECK_EVERY) || first
             })
             .collect();
-        let span = tracer.open(&format!("rung {rate} rps"), GROUP, root);
-        let rung = run_rung(&stream, &mut reader, metrics, rate, planned, next_id, &keep);
-        tracer.close(span);
-        if tracer.on() {
-            for (j, g) in rung.got.iter().enumerate() {
-                let due = rung.start + Duration::from_secs_f64(rung.planned[j].offset);
-                let end = g.as_ref().map_or(rung.last_recv, |g| g.at);
-                let layer = match g.as_ref().map(|g| g.class) {
-                    Some(Class::Hit) => "reactor",
-                    Some(Class::Replay) => "replay",
-                    Some(Class::Capture) => "system",
-                    _ => "refused",
-                };
-                let req = Some((next_id + j) as u64);
-                let id = tracer.record("request", layer, span, req, due, end);
-                tracer.record(
-                    "generator lag",
-                    "loadgen",
-                    id,
-                    req,
-                    due,
-                    rung.sent[j].min(end),
-                );
-            }
-        }
-        next_id += rung.planned.len();
-        let pass = rung.passes();
-        let s = summarise(&rung.lat_ms);
-        println!(
-            "  rung {:>6.0} rps: n={} p50 {:.3} ms p{} {:.3} ms backlog {} {}",
-            rate,
-            s.n,
-            s.p50,
-            s.tail_p,
-            s.tail,
-            rung.backlog_at_end,
-            if pass { "pass" } else { "over the limit" }
+        let span = tracer.open("round", GROUP, root);
+        let round = run_round(
+            &stream,
+            &mut reader,
+            metrics,
+            planned,
+            next_id,
+            in_flight,
+            &keep,
         );
-        if retry {
-            failed_rung = !pass;
-        } else {
-            failed_rung |= !pass;
-        }
-        if !failed_rung {
-            max_rate = rate;
-        }
-        rungs.push((if retry { usize::MAX } else { k }, rung));
-        if k == HIGH {
-            peak_rss = crate::peak_rss_mb();
-        }
-        if failed_rung && k >= HIGH && (retry || k == HIGH) {
-            break;
-        }
+        tracer.close(span);
+        record_requests(ctx, &round, span, next_id);
+        tracer.span("checks", "check", root, |_| {
+            tally.add(&round, next_id, rounds > 0)
+        });
+        next_id += round.planned.len();
+        rounds += 1;
+        clock.tick();
     }
+    let requests_s = started.elapsed().as_secs_f64();
+
+    // Cache hits one at a time: the reactor's own round trip.
+    let planned = planner.repeat_recent(HIT_PROBES, next_id);
+    let keep = vec![false; planned.len()];
+    let span = tracer.open("hit probe", GROUP, root);
+    let probe = run_round(&stream, &mut reader, metrics, planned, next_id, 1, &keep);
+    tracer.close(span);
+    record_requests(ctx, &probe, span, next_id);
+    tally.add(&probe, next_id, false);
+    let hit_rtt: Vec<f64> = (0..probe.planned.len())
+        .filter(|&j| probe.ok(j).is_some_and(|g| g.class == Class::Hit))
+        .filter_map(|j| probe.rtt_ms(j))
+        .collect();
     publish_stats(&stream, &mut reader);
     let d: Vec<u64> = counters(metrics)
         .iter()
@@ -683,231 +632,240 @@ pub fn measure(ctx: &Ctx, state: &mut State, root: SpanId) -> Outcome {
         .map(|(a, b)| a - b)
         .collect();
 
-    // Correctness, outside the timed region: repeats are byte-identical,
-    // sampled responses equal a direct execution of the same line.
-    let (mut wrong, mut refused) = (0u64, 0u64);
-    let mut notes = Vec::new();
-    let mut note = |n: String| {
-        if notes.len() < 8 {
-            notes.push(n);
-        }
-    };
-    // Per pair: the normalised fingerprint of its first response and every
-    // report text served for it so far. A hit must repeat one of those
-    // texts byte for byte; any response must match the first modulo the
-    // engine label.
-    let mut seen: HashMap<usize, (Fp, Vec<Fp>)> = HashMap::new();
-    let mut attempted = 0u64;
-    for (k, rung) in &rungs {
-        let measured = *k == LOW || *k == HIGH;
-        attempted += if measured {
-            rung.planned.len() as u64
-        } else {
-            0
-        };
-        for (j, p) in rung.planned.iter().enumerate() {
-            let Some(g) = rung.ok(j) else {
-                let g = rung.got[j].as_ref();
-                if g.is_some_and(|g| g.class == Class::Refused) {
-                    refused += measured as u64;
-                } else {
-                    wrong += 1;
-                    let why = g
-                        .and_then(|g| g.text.clone())
-                        .unwrap_or("no response".into());
-                    note(format!("request at {} rps: {why}", rung.rate));
-                }
-                continue;
-            };
-            let mut bad = |why: String| {
-                wrong += 1;
-                note(why);
-            };
-            match seen.get_mut(&p.pair) {
-                Some((norm, texts)) => {
-                    if *norm != g.fp_norm {
-                        bad(format!(
-                            "pair {}: report differs from its first response",
-                            p.pair
-                        ));
-                    } else if g.class == Class::Hit && !texts.contains(&g.fp) {
-                        bad(format!(
-                            "pair {}: cache hit not byte-identical to a served report",
-                            p.pair
-                        ));
-                    }
-                    texts.push(g.fp);
-                }
-                None => {
-                    seen.insert(p.pair, (g.fp_norm, vec![g.fp]));
-                }
-            }
-            if measured && j % CHECK_EVERY == 0 {
-                if let Some(Err(e)) = g.text.as_deref().map(|t| check_direct(&p.line, t)) {
-                    bad(e);
-                }
-            }
-        }
-    }
-
-    let step = |k: usize| {
-        &rungs
-            .iter()
-            .find(|r| r.0 == k)
-            .expect("reported steps ran")
-            .1
-    };
-    let (low, high) = (step(LOW), step(HIGH));
-    let (lo, hi) = (
-        summarise_windows(&low.lat_ms),
-        summarise_windows(&high.lat_ms),
-    );
-    // Simulated cost per cell update over every ok response of the two
-    // fixed steps. Cycles and traffic depend on the spec alone, so one
-    // parsed report per target prices all its responses.
-    let mut price: HashMap<Target, (u64, u64)> = HashMap::new();
-    for rung in [low, high] {
-        for (j, p) in rung.planned.iter().enumerate() {
-            if let Some(doc) = rung
-                .ok(j)
-                .and_then(|g| g.text.as_deref())
-                .and_then(|t| Json::parse(report_text(t)).ok())
-            {
-                let m = doc.get("metrics");
-                let dram = m.and_then(|m| m.get("dram"));
-                let get = |j: Option<&Json>, k: &str| {
-                    j.and_then(|j| j.get(k)).and_then(Json::as_u64).unwrap_or(0)
-                };
-                price.insert(
-                    p.target,
-                    (
-                        get(m, "cycles"),
-                        get(dram, "bytes_read") + get(dram, "bytes_written"),
-                    ),
-                );
-            }
-        }
-    }
-    let (mut cyc, mut bytes, mut upd) = (0u64, 0u64, 0u64);
-    for rung in [low, high] {
-        for (j, p) in rung.planned.iter().enumerate() {
-            if let (Some(_), Some(&(c, b))) = (rung.ok(j), price.get(&p.target)) {
-                cyc += c;
-                bytes += b;
-                upd += p.cells;
-            }
-        }
-    }
-    let high_cells: u64 = (0..high.planned.len())
-        .filter(|&j| high.ok(j).is_some())
-        .map(|j| high.planned[j].cells)
-        .sum();
-    let high_wall = high
-        .last_recv
-        .saturating_duration_since(high.start)
-        .as_secs_f64();
-    let mut e2e = vec![
+    let t = &tally;
+    let rtt: Vec<f64> = t.rtt_ms.values().flatten().copied().collect();
+    let rtt_sum = summarise(&rtt);
+    let mut rtt_tail = Metric::new("serve.rtt_tail_ms", rtt_sum.tail, "ms", rtt_sum.n);
+    rtt_tail.note = format!("p{} of every ok response's round trip", rtt_sum.tail_p);
+    let per_cell = |v: u64| v as f64 / t.priced_updates.max(1) as f64;
+    let e2e = vec![
         Metric::new(
             "cell_updates_per_s",
-            high_cells as f64 / high_wall,
+            fast_phase_rate(&t.rates),
             "1/s",
-            high.planned.len(),
+            t.rates.len(),
         ),
         Metric::new(
             "sim_cycles_per_cell",
-            cyc as f64 / upd.max(1) as f64,
+            per_cell(t.priced_cycles),
             "cycles",
-            lo.n + hi.n,
+            t.priced.len(),
         ),
         Metric::new(
             "dram_bytes_per_cell",
-            bytes as f64 / upd.max(1) as f64,
+            per_cell(t.priced_bytes),
             "B",
-            lo.n + hi.n,
+            t.priced.len(),
         ),
-        Metric::new("max_rate_rps", max_rate, "1/s", rungs.len()),
+        Metric::new("peak_rss_mb", crate::peak_rss_mb(), "MB", 1),
+        Metric::new("serve.rtt_p50_ms", rtt_sum.p50, "ms", rtt_sum.n),
+        rtt_tail,
     ];
-    e2e.extend(Metric::latency("low", lo));
-    e2e.extend(Metric::latency("high", hi));
-    e2e.push(Metric::new("peak_rss_mb", peak_rss, "MB", 1));
-    let lag = summarise(
-        &rungs
-            .iter()
-            .flat_map(|r| r.1.lag_ms.iter().copied())
-            .collect::<Vec<_>>(),
-    );
-    let mut lag_m = Metric::new("gen_lag_ms", lag.tail, "ms", lag.n);
-    lag_m.note = format!("generator lateness p{} (p50 {:.4})", lag.tail_p, lag.p50);
-    e2e.push(lag_m);
 
     let mut layer = Vec::new();
-    for (name, c) in [
-        ("hit", Class::Hit),
-        ("replay", Class::Replay),
-        ("capture", Class::Capture),
-    ] {
-        let v: Vec<f64> = (0..high.planned.len())
-            .filter(|&j| high.ok(j).is_some_and(|g| g.class == c))
-            .map(|j| high.lat_ms[j])
-            .collect();
+    let (mut wait, mut waited) = (0.0, 0usize);
+    for c in [Class::Hit, Class::Replay, Class::Capture] {
+        let v = t.rtt_ms.get(c.name()).map_or(&[][..], Vec::as_slice);
+        let p50 = median_or_zero(v);
         layer.push(Metric::new(
-            &format!("serve.class_p50_ms.{name}"),
-            median_or_zero(&v),
+            &format!("serve.class_p50_ms.{}", c.name()),
+            p50,
             "ms",
             v.len(),
         ));
+        if let Some(exec) = t.exec_ms.get(c.name()).filter(|e| !e.is_empty()) {
+            wait += (p50 - median(exec)) * v.len() as f64;
+            waited += v.len();
+        }
     }
-    let hit_rtt = low.rtt_ms.get("hit").cloned().unwrap_or_default();
+    let mut wait_m = Metric::new("pool.wait_ms", wait / waited.max(1) as f64, "ms", waited);
+    wait_m.note = "class round trip minus the class's direct execution time".into();
+    layer.push(wait_m);
     layer.push(Metric::new(
         "reactor.hit_rtt_us",
         median_or_zero(&hit_rtt) * 1e3,
         "us",
         hit_rtt.len(),
     ));
-    for class in ["replay", "capture"] {
-        let v = high.rtt_ms.get(class).cloned().unwrap_or_default();
-        layer.push(Metric::new(
-            &format!("serve.rtt_ms.{class}"),
-            median_or_zero(&v),
-            "ms",
-            v.len(),
-        ));
-    }
-    let depth = &high.depth_samples;
     layer.push(Metric::new(
         "pool.queue_depth_mean",
-        depth.iter().sum::<f64>() / depth.len().max(1) as f64,
+        t.depth_sum / t.depth_n.max(1) as f64,
         "jobs",
-        depth.len(),
+        t.depth_n,
     ));
-    let high_refused = (0..high.planned.len())
-        .filter(|&j| {
-            high.got[j]
-                .as_ref()
-                .is_some_and(|g| g.class == Class::Refused)
-        })
-        .count();
     layer.push(Metric::new(
         "pool.rejected_share",
-        high_refused as f64 / high.planned.len() as f64,
+        t.rated_refused as f64 / t.rated_sent.max(1) as f64,
         "share",
-        high.planned.len(),
+        t.rated_sent,
     ));
     layer.extend(counter_metrics(&d));
     Outcome {
-        attempted,
-        failed: wrong + refused,
-        wrong,
-        notes,
+        attempted: tally.attempted,
+        failed: tally.wrong + tally.refused,
+        wrong: tally.wrong,
+        notes: tally.notes,
         e2e,
         layer,
-        busy_wall_s: high_wall,
+        busy_wall_s: requests_s,
+    }
+}
+
+/// One span per request, from its send to its response, in the layer that
+/// answered it.
+fn record_requests(ctx: &Ctx, round: &Round, parent: SpanId, first_id: usize) {
+    if !ctx.tracer.on() {
+        return;
+    }
+    for (j, g) in round.got.iter().enumerate() {
+        let end = g.as_ref().map_or(round.end, |g| g.at);
+        let layer = match g.as_ref().map(|g| g.class) {
+            Some(Class::Hit) => "reactor",
+            Some(Class::Replay) => "replay",
+            Some(Class::Capture) => "system",
+            _ => "refused",
+        };
+        let req = Some((first_id + j) as u64);
+        ctx.tracer
+            .record("request", layer, parent, req, round.sent[j], end);
+    }
+}
+
+/// What the rounds measured and what their checks found, kept small so
+/// the client's memory does not grow with the run.
+#[derive(Default)]
+struct Tally {
+    attempted: u64,
+    wrong: u64,
+    refused: u64,
+    notes: Vec<String>,
+    /// Per rated round: cell updates answered per second.
+    rates: Vec<f64>,
+    /// Round trips of rated rounds' ok responses by class, ms.
+    rtt_ms: HashMap<&'static str, Vec<f64>>,
+    depth_sum: f64,
+    depth_n: usize,
+    rated_sent: usize,
+    rated_refused: usize,
+    /// Per pair that may still repeat: the request index it was last
+    /// sent at, the normalised fingerprint of its first response, and
+    /// every report text served for it.
+    seen: HashMap<usize, (usize, Fp, Vec<Fp>)>,
+    /// Direct execution times of checked requests by class, ms.
+    exec_ms: HashMap<&'static str, Vec<f64>>,
+    /// Known specs priced so far, with their simulated totals.
+    priced: HashSet<Target>,
+    priced_cycles: u64,
+    priced_bytes: u64,
+    priced_updates: u64,
+}
+
+impl Tally {
+    fn fail(&mut self, why: String) {
+        self.wrong += 1;
+        if self.notes.len() < 8 {
+            self.notes.push(why);
+        }
+    }
+
+    /// Takes in one round whose first request had id `first_id`.
+    /// Correctness, outside the timed region: every response of a pair
+    /// matches its first one modulo the `engine` label, a cache hit repeats
+    /// a served text byte for byte, and one response in [`CHECK_EVERY`]
+    /// equals a direct `RunRequest::execute` of the same line.
+    fn add(&mut self, round: &Round, first_id: usize, rated: bool) {
+        let n = round.planned.len();
+        self.attempted += n as u64;
+        if rated {
+            self.rates.push(round.rate());
+            self.depth_sum += round.depth.iter().sum::<f64>();
+            self.depth_n += round.depth.len();
+            self.rated_sent += n;
+        }
+        for (j, p) in round.planned.iter().enumerate() {
+            let Some(g) = round.ok(j) else {
+                match round.got[j].as_ref() {
+                    Some(g) if g.class == Class::Refused => {
+                        self.refused += 1;
+                        self.rated_refused += rated as usize;
+                    }
+                    g => {
+                        let why = g.and_then(|g| g.text.clone());
+                        self.fail(why.unwrap_or_else(|| format!("no response: {}", p.line)));
+                    }
+                }
+                continue;
+            };
+            if rated {
+                let rtt = round.rtt_ms(j).expect("ok responses have a round trip");
+                self.rtt_ms.entry(g.class.name()).or_default().push(rtt);
+            }
+            let at = first_id + j;
+            match self.seen.get_mut(&p.pair) {
+                Some((last, norm, texts)) => {
+                    *last = at;
+                    let why = if *norm != g.fp_norm {
+                        "report differs from its first response"
+                    } else if g.class == Class::Hit && !texts.contains(&g.fp) {
+                        "cache hit not byte-identical to a served report"
+                    } else {
+                        ""
+                    };
+                    texts.push(g.fp);
+                    if !why.is_empty() {
+                        self.fail(format!("pair {}: {why}", p.pair));
+                    }
+                }
+                None => {
+                    self.seen.insert(p.pair, (at, g.fp_norm, vec![g.fp]));
+                }
+            }
+            let Some(text) = g.text.as_deref() else {
+                continue;
+            };
+            if matches!(p.target, Target::Known(_)) && !self.priced.contains(&p.target) {
+                self.price(p, text);
+            }
+            if at.is_multiple_of(CHECK_EVERY) {
+                match check_direct(&p.line, text, g.class) {
+                    Ok(Some(ms)) => self.exec_ms.entry(g.class.name()).or_default().push(ms),
+                    Ok(None) => {}
+                    Err(e) => {
+                        let label = &p.problem.label;
+                        self.fail(format!("{label} ({}): {e}", g.class.name()));
+                    }
+                }
+            }
+        }
+        // A pair repeats only within REPEAT_MAX_AGO requests of its last
+        // send; older ones are done.
+        let horizon = (first_id + n).saturating_sub(REPEAT_MAX_AGO + 1);
+        self.seen.retain(|_, (last, _, _)| *last >= horizon);
+    }
+
+    /// Adds a known spec's simulated cycles and traffic, from its report:
+    /// they depend on the spec alone.
+    fn price(&mut self, p: &Planned, text: &str) {
+        let Ok(doc) = Json::parse(report_text(text)) else {
+            return;
+        };
+        let m = doc.get("metrics");
+        let dram = m.and_then(|m| m.get("dram"));
+        let get = |j: Option<&Json>, k: &str| {
+            j.and_then(|j| j.get(k)).and_then(Json::as_u64).unwrap_or(0)
+        };
+        self.priced.insert(p.target);
+        self.priced_cycles += get(m, "cycles");
+        self.priced_bytes += get(dram, "bytes_read") + get(dram, "bytes_written");
+        self.priced_updates += p.problem.cell_updates();
     }
 }
 
 /// Re-runs a request line with `RunRequest::execute` and compares the
-/// result with the served report, ignoring only the `engine` label.
-fn check_direct(line: &str, response: &str) -> Result<(), String> {
+/// result with the served report, ignoring only the `engine` label. For a
+/// replayed or captured response, also times the call the server made
+/// (`execute_replay` on a fresh capture, or `execute_capture`), in ms.
+fn check_direct(line: &str, response: &str, class: Class) -> Result<Option<f64>, String> {
     let RequestBody::Run(run) = Request::parse_line(line).map_err(|e| e.to_string())?.body else {
         return Err("not a run request".into());
     };
@@ -919,100 +877,90 @@ fn check_direct(line: &str, response: &str) -> Result<(), String> {
         Json::Obj(pairs) => Json::Obj(pairs.into_iter().filter(|(k, _)| k != "engine").collect()),
         other => other,
     };
-    if strip(want) == strip(got) {
-        Ok(())
-    } else {
-        Err(format!("served report differs from direct execute: {line}"))
+    if strip(want) != strip(got) {
+        return Err(format!("served report differs from direct execute: {line}"));
     }
+    if class == Class::Hit {
+        return Ok(None);
+    }
+    let t = Instant::now();
+    let (_, schedule) = run
+        .execute_capture()
+        .map_err(|e| format!("direct capture failed: {e}"))?;
+    let capture_ms = t.elapsed().as_secs_f64() * 1e3;
+    Ok(match (class, schedule) {
+        (Class::Capture, _) => Some(capture_ms),
+        (Class::Replay, Some(schedule)) => {
+            let t = Instant::now();
+            run.execute_replay(&schedule)
+                .map_err(|e| format!("direct replay failed: {e}"))?;
+            Some(t.elapsed().as_secs_f64() * 1e3)
+        }
+        _ => None,
+    })
 }
 
-/// A closed-loop burst against a fresh server for workloads that do not
-/// serve: per problem a capture, a repeat (hit) and a new seed (replay).
-/// Returns the serve-side per-layer metrics.
-pub fn probe_burst(ctx: &Ctx, problems: &[Problem], parent: SpanId) -> Vec<Metric> {
-    let tracer = ctx.tracer;
-    let dir = ctx.work.join("probe-store");
-    let _ = std::fs::remove_dir_all(&dir);
-    let handle = start_server(ctx, &dir, 64 << 20);
-    let (stream, mut reader) = connect(&handle);
-    let mut rtt: HashMap<&'static str, Vec<f64>> = HashMap::new();
-    let mut depth = Vec::new();
-    let mut id = 0usize;
-    let mut w = &stream;
-    for (i, p) in problems.iter().filter(|p| p.cross.is_none()).enumerate() {
-        for (name, seed) in [
-            ("capture", 1u64 + i as u64),
-            ("hit", 1 + i as u64),
-            ("replay", 1_000_000 + i as u64),
-        ] {
-            let line = p.request_line(&id.to_string(), seed).expect("expressible");
-            id += 1;
-            let t = Instant::now();
-            w.write_all(format!("{line}\n").as_bytes())
-                .expect("probe send");
-            depth.push(handle.metrics().counter("serve.queue.depth") as f64);
-            let mut buf = Vec::new();
-            let give_up = t + Duration::from_secs(30);
-            while !buf.ends_with(b"\n") && Instant::now() < give_up {
-                let _ = reader.read_until(b'\n', &mut buf);
-            }
-            let end = Instant::now();
-            let layer = match name {
-                "hit" => "reactor",
-                "replay" => "replay",
-                _ => "system",
-            };
-            tracer.record(
-                &format!("serve {name}"),
-                layer,
-                parent,
-                Some(id as u64),
-                t,
-                end,
-            );
-            rtt.entry(name)
-                .or_default()
-                .push((end - t).as_secs_f64() * 1e3);
-        }
+/// A short pass of the serve loop against a fresh server, for the
+/// serve-side per-layer metrics of workloads that do not serve.
+pub fn side_pass(ctx: &Ctx, parent: SpanId) -> Outcome {
+    let short = Ctx {
+        seed: ctx.seed,
+        seconds: SIDE_SECONDS.min(ctx.seconds),
+        threads: ctx.threads,
+        tracer: ctx.tracer,
+        work: ctx.work.join("side"),
+    };
+    std::fs::create_dir_all(&short.work).expect("side pass directory");
+    let (mut state, _) = setup(&short);
+    let outcome = measure(&short, &mut state, parent, &mut SetupClock::idle());
+    teardown(state);
+    outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lines(seed: u64) -> Vec<String> {
+        let known = serve_problems(DESIGN_SEED, KNOWN, "k");
+        let mut planner = Planner::new(seed, known);
+        let mut out: Vec<String> = planner.plan(600, 0).into_iter().map(|p| p.line).collect();
+        out.extend(planner.repeat_recent(10, 600).into_iter().map(|p| p.line));
+        out
     }
-    publish_stats(&stream, &mut reader);
-    let c = counters(handle.metrics());
-    drop(reader);
-    drop(stream);
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    let med = |k: &str| rtt.get(k).map_or(0.0, |v| median(v));
-    let n = |k: &str| rtt.get(k).map_or(0, Vec::len);
-    // The burst's store sees only first captures; the store ratio comes
-    // from the probes' LRU check instead.
-    let mut out: Vec<Metric> = counter_metrics(&c)
-        .into_iter()
-        .filter(|m| m.name != "store.hit_ratio")
-        .collect();
-    out.extend([
-        Metric::new("serve.class_p50_ms.hit", med("hit"), "ms", n("hit")),
-        Metric::new(
-            "serve.class_p50_ms.replay",
-            med("replay"),
-            "ms",
-            n("replay"),
-        ),
-        Metric::new(
-            "serve.class_p50_ms.capture",
-            med("capture"),
-            "ms",
-            n("capture"),
-        ),
-        Metric::new("serve.rtt_ms.replay", med("replay"), "ms", n("replay")),
-        Metric::new("serve.rtt_ms.capture", med("capture"), "ms", n("capture")),
-        Metric::new("reactor.hit_rtt_us", med("hit") * 1e3, "us", n("hit")),
-        Metric::new(
-            "pool.queue_depth_mean",
-            depth.iter().sum::<f64>() / depth.len().max(1) as f64,
-            "jobs",
-            depth.len(),
-        ),
-        Metric::new("pool.rejected_share", 0.0, "share", id),
-    ]);
-    out
+
+    #[test]
+    fn request_plan_is_deterministic_per_seed() {
+        assert_eq!(lines(7), lines(7));
+        assert_ne!(lines(7), lines(8));
+    }
+
+    #[test]
+    fn request_mix_repeats_and_adds_never_seen_specs() {
+        let known = serve_problems(DESIGN_SEED, KNOWN, "k");
+        let mut planner = Planner::new(3, known);
+        let planned = planner.plan(3000, 0);
+        let mut pairs = HashSet::new();
+        let first: Vec<&Planned> = planned.iter().filter(|p| pairs.insert(p.pair)).collect();
+        let repeats = planned.len() - first.len();
+        let fresh = first
+            .iter()
+            .filter(|p| matches!(p.target, Target::Fresh(_)))
+            .count();
+        assert!(
+            (900..1100).contains(&repeats),
+            "about a third repeat: {repeats}"
+        );
+        assert!((50..140).contains(&fresh), "about 3 % never seen: {fresh}");
+        // Ids run on from the first id, and repeats name recent pairs.
+        assert!(planned[17].line.starts_with("{\"id\":\"17\""));
+        let recent = planner.repeat_recent(5, 3000);
+        assert!(
+            planner.recent.len() <= REPEAT_MAX_AGO,
+            "the planner forgets old pairs"
+        );
+        assert!(recent
+            .iter()
+            .all(|p| planned[2990..].iter().any(|q| q.pair == p.pair)));
+    }
 }

@@ -162,7 +162,9 @@ impl Problem {
 
 /// The seed sweep's problems: the paper's 11×11 four-point grid
 /// (circular rows, open columns), a larger nine-point grid, a pipelined
-/// spec over two channels, and a latency-only chaos spec.
+/// spec over two channels, and a latency-only chaos spec. The pipelined
+/// spec is small (about a tenth of a seed's cell updates) because it does
+/// not go through `run_batch`.
 pub fn sweep_problems() -> Vec<Problem> {
     vec![
         Problem::new("paper-11x11", &[("grid", "11x11")], 4),
@@ -172,14 +174,14 @@ pub fn sweep_problems() -> Vec<Problem> {
             2,
         ),
         Problem::new(
-            "pipe-24x24-t4c2",
+            "pipe-16x16-t2c2",
             &[
-                ("grid", "24x24"),
+                ("grid", "16x16"),
                 ("shape", "five"),
-                ("timesteps", "4"),
+                ("timesteps", "2"),
                 ("channels", "2"),
             ],
-            8,
+            2,
         ),
         Problem::new("chaos-16x16", &[("grid", "16x16")], 4).with_chaos(7, "jitter"),
     ]
@@ -283,6 +285,40 @@ pub fn serve_problems(seed: u64, count: usize, salt: &str) -> Vec<Problem> {
     out
 }
 
+/// Never-seen specs [`fresh_problem`] can name.
+const FRESH_SPECS: usize = 16 * 25 * 3 * 4 * 4 * 2;
+
+/// The `i`-th never-seen spec of the `serve` workload, or `None` when it
+/// does not plan. Its grid has 41–56 columns, wider than any known spec,
+/// so it never names a known spec; distinct `i` below 19 200 name distinct
+/// specs. Consecutive `i` are scattered over the whole space (a stride
+/// coprime to its size), so the cost of the never-seen specs does not
+/// drift over a run.
+pub fn fresh_problem(i: usize) -> Option<Problem> {
+    let mut rest = (i * 7919) % FRESH_SPECS;
+    let mut digit = |n: usize| {
+        let d = rest % n;
+        rest /= n;
+        d
+    };
+    let grid = format!("{}x{}", 41 + digit(16), 16 + digit(25));
+    let shape = ["four", "five", "nine"][digit(3)];
+    let (rows, cols) = (BOUNDS[digit(4)], BOUNDS[digit(4)]);
+    let instances = 1 + digit(2) as u64;
+    let words = [
+        ("grid", grid.as_str()),
+        ("shape", shape),
+        ("rows", rows),
+        ("cols", cols),
+    ];
+    let source: BTreeMap<String, String> = words
+        .iter()
+        .map(|&(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    let plans = ProblemSpec::from_source(&source).is_ok_and(|spec| spec.builder().plan().is_ok());
+    plans.then(|| Problem::new(&format!("n{i}-{shape}-{grid}"), &words, instances))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +356,20 @@ mod tests {
         let s = serve_problems(3, 16, "k");
         assert_eq!(s.len(), 16);
         assert!(s.iter().all(|p| p.request_line("1", 5).is_some()));
+    }
+
+    #[test]
+    fn fresh_specs_are_distinct_and_never_known() {
+        let known = serve_problems(DESIGN_SEED, 48, "k");
+        let fresh: Vec<Problem> = (0..400).filter_map(fresh_problem).collect();
+        assert!(fresh.len() > 300, "most fresh specs plan: {}", fresh.len());
+        for (i, f) in fresh.iter().enumerate() {
+            assert!(known.iter().all(|k| k.spec != f.spec), "{}", f.label);
+            assert!(fresh[..i]
+                .iter()
+                .all(|g| g.spec != f.spec || g.instances != f.instances));
+            assert!(f.request_line("1", 5).is_some());
+        }
     }
 
     #[test]

@@ -152,13 +152,13 @@ fn range_analysis(c: &mut Criterion) {
     group.finish();
 }
 
-/// Parallel compositions: multilane and cascade against the single-lane
-/// reference on the same physics.
+/// Parallel compositions: multilane and a 4-deep temporal pipeline against
+/// the single-lane reference on the same physics.
 fn compositions(c: &mut Criterion) {
     use smache::arch::kernel::AverageKernel;
-    use smache::system::cascade::CascadeSystem;
     use smache::system::multilane::MultilaneSystem;
     use smache::system::smache_system::SystemConfig;
+    use smache::{PipelineConfig, TemporalPipeline};
     use smache_stencil::BoundarySpec;
 
     let grid = GridSpec::d2(32, 32).expect("valid");
@@ -189,11 +189,14 @@ fn compositions(c: &mut Criterion) {
             sys.run(&input, 8).expect("run").metrics.cycles
         })
     });
-    group.bench_function("cascade4_2_passes", |b| {
+    group.bench_function("pipeline4_2_passes", |b| {
         b.iter(|| {
+            let config = PipelineConfig {
+                depth: 4,
+                ..Default::default()
+            };
             let mut sys =
-                CascadeSystem::new(plan(), Box::new(AverageKernel), 4, SystemConfig::default())
-                    .expect("system");
+                TemporalPipeline::new(plan(), Box::new(AverageKernel), config).expect("system");
             sys.run(&input, 2).expect("run").metrics.cycles
         })
     });

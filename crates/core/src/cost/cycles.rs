@@ -150,8 +150,11 @@ impl CycleModel {
         }
     }
 
-    /// Predicts a `depth`-stage temporal cascade: one DRAM pass streams N
-    /// words while every stage adds one window-fill of skew.
+    /// Predicts a `depth`-stage [`TemporalPipeline`](crate::TemporalPipeline):
+    /// one DRAM pass streams N words while every stage adds one window-fill
+    /// of skew. Valid for plans without static buffers (no per-pass
+    /// warm-up) on one DRAM channel at `cmd_gap` 1; wrap plans, extra
+    /// channels and throttled channels are outside the model.
     pub fn cascade(
         &self,
         plan: &BufferPlan,
@@ -314,7 +317,7 @@ mod tests {
 
     #[test]
     fn cascade_prediction_tracks_simulation() {
-        use crate::system::cascade::CascadeSystem;
+        use crate::pipeline::{PipelineConfig, TemporalPipeline};
         let bounds = BoundarySpec::all_open(2).expect("bounds");
         let grid = GridSpec::d2(24, 24).expect("grid");
         let input: Vec<u64> = (0..576).collect();
@@ -326,8 +329,16 @@ mod tests {
             let config = SystemConfig::default();
             let predicted =
                 CycleModel.cascade(&plan, &config.dram, AverageKernel.latency(), depth, 4);
-            let mut sys =
-                CascadeSystem::new(plan, Box::new(AverageKernel), depth, config).expect("sys");
+            let mut sys = TemporalPipeline::new(
+                plan,
+                Box::new(AverageKernel),
+                PipelineConfig {
+                    depth,
+                    system: config,
+                    ..Default::default()
+                },
+            )
+            .expect("sys");
             let measured = sys.run(&input, 4).expect("run");
             let err = (predicted.cycles as f64 - measured.metrics.cycles as f64).abs()
                 / measured.metrics.cycles as f64;

@@ -97,7 +97,7 @@ pub enum CoreError {
         max: usize,
     },
     /// An active fault plan was given to a system that has no chaos
-    /// wrappers (multi-lane / cascade keep the plain DRAM model).
+    /// wrappers (multi-lane keeps the plain DRAM model).
     ChaosUnsupported {
         /// The rejecting system.
         system: &'static str,

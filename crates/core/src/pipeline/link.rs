@@ -15,10 +15,9 @@
 //! region sits at the far end of the upstream output, so the downstream
 //! warm-up may only start once the upstream stage is nearly done. For
 //! stream-only plans (open/mirror/constant boundaries) the prefetch set is
-//! empty and consumption tracks production with FIFO-like occupancy — the
-//! cascade behaviour. Either way the link is on-chip (its bits are counted
-//! in the pipeline's resource report) and intermediate timesteps never
-//! touch DRAM.
+//! empty and consumption tracks production with FIFO-like occupancy.
+//! Either way the link is on-chip (its bits are counted in the pipeline's
+//! resource report) and intermediate timesteps never touch DRAM.
 
 use smache_mem::Word;
 

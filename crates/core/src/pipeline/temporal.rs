@@ -918,7 +918,7 @@ mod tests {
     use crate::functional::golden::golden_run;
     use crate::system::smache_system::SmacheSystem;
     use smache_mem::MemKind;
-    use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
+    use smache_stencil::{AxisBoundaries, Boundary, BoundarySpec, GridSpec, StencilShape};
 
     fn plan_for(bounds: BoundarySpec, h: usize, w: usize) -> BufferPlan {
         BufferPlan::analyse(
@@ -976,13 +976,26 @@ mod tests {
     }
 
     #[test]
-    fn open_boundary_pipeline_matches_golden() {
-        let bounds = BoundarySpec::all_open(2).unwrap();
-        let input: Vec<Word> = (0..117).map(|i| i * 5).collect();
-        let mut pipe = pipeline(bounds.clone(), 9, 13, 3);
-        let report = pipe.run(&input, 2).unwrap();
-        assert_eq!(report.output, golden(&bounds, 9, 13, &input, 6));
-        assert_eq!(report.warmup_cycles, 0, "no static buffers, no warm-up");
+    fn static_free_pipelines_match_golden() {
+        let mirror_constant = BoundarySpec::new(&[
+            AxisBoundaries::both(Boundary::Mirror),
+            AxisBoundaries::both(Boundary::Constant(50)),
+        ])
+        .unwrap();
+        for (bounds, h, w) in [
+            (BoundarySpec::all_open(2).unwrap(), 9, 13),
+            (mirror_constant, 10, 10),
+        ] {
+            let input: Vec<Word> = (0..(h * w) as Word).map(|i| i * 5).collect();
+            let mut pipe = pipeline(bounds.clone(), h, w, 3);
+            let report = pipe.run(&input, 2).unwrap();
+            assert_eq!(
+                report.output,
+                golden(&bounds, h, w, &input, 6),
+                "{bounds:?}"
+            );
+            assert_eq!(report.warmup_cycles, 0, "no static buffers, no warm-up");
+        }
     }
 
     #[test]
@@ -1008,21 +1021,45 @@ mod tests {
 
     #[test]
     fn deeper_pipelines_cut_dram_traffic() {
-        let bounds = BoundarySpec::paper_case();
-        let input: Vec<Word> = (0..121).collect();
-        // 8 timesteps as 8 / 4 / 2 passes.
-        let traffic = |depth: usize, passes: u64| {
-            let mut pipe = pipeline(bounds.clone(), 11, 11, depth);
-            let report = pipe.run(&input, passes).unwrap();
-            report.metrics.dram.reads + report.metrics.dram.writes
-        };
-        let t1 = traffic(1, 8);
-        let t2 = traffic(2, 4);
-        let t4 = traffic(4, 2);
-        assert!(t2 < t1, "2-deep pipeline must cut traffic: {t2} vs {t1}");
-        assert!(t4 < t2, "4-deep pipeline must cut further: {t4} vs {t2}");
-        // Stream + write-back traffic scales with passes.
-        assert!(t4 * 3 < t1, "4x temporal blocking ~ 4x less traffic");
+        for (bounds, h, w) in [
+            (BoundarySpec::paper_case(), 11, 11),
+            (BoundarySpec::all_open(2).unwrap(), 16, 16),
+        ] {
+            let input: Vec<Word> = (0..(h * w) as Word).collect();
+            // 12 timesteps as 12 / 6 / 3 passes.
+            let metrics = |depth: usize, passes: u64| {
+                let mut pipe = pipeline(bounds.clone(), h, w, depth);
+                pipe.run(&input, passes).unwrap().metrics
+            };
+            let m1 = metrics(1, 12);
+            let m2 = metrics(2, 6);
+            let m4 = metrics(4, 3);
+            let (t1, t2, t4) = (
+                m1.dram.total_bytes(),
+                m2.dram.total_bytes(),
+                m4.dram.total_bytes(),
+            );
+            assert_eq!(m1.ops, m4.ops, "{h}x{w}: same computation performed");
+            assert!(t2 < t1, "{h}x{w}: 2-deep must cut traffic: {t2} vs {t1}");
+            assert!(t4 < t2, "{h}x{w}: 4-deep must cut further: {t4} vs {t2}");
+            // Stream + write-back traffic scales with passes.
+            let ratio = t1 as f64 / t4 as f64;
+            assert!(
+                (ratio - 4.0).abs() < 0.05,
+                "{h}x{w}: DRAM traffic must drop ~4x, got {ratio:.2}"
+            );
+            assert!(
+                m4.cycles < m1.cycles,
+                "{h}x{w}: fewer passes, fewer cycles: {} vs {}",
+                m4.cycles,
+                m1.cycles
+            );
+            // The price: more than 3x the on-chip buffering.
+            assert!(
+                m4.resources.total_memory_bits() > 3 * m1.resources.total_memory_bits(),
+                "{h}x{w}: buffering must grow with depth"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 pub mod axi;
 pub mod batch;
-pub mod cascade;
 pub mod metrics;
 pub mod multilane;
 pub mod replay;
@@ -12,10 +11,7 @@ pub mod smache_system;
 pub mod store;
 
 pub use axi::{AxiSmache, StallFuzzSink, StallFuzzSource};
-#[allow(deprecated)]
-pub use batch::LaneReport;
 pub use batch::{BatchJob, BatchOptions, BatchReport, KernelFactory, DEFAULT_LANE_BLOCK};
-pub use cascade::{CascadeReport, CascadeSystem};
 pub use metrics::{DesignMetrics, NormalisedMetrics};
 pub use multilane::{MultilaneReport, MultilaneSystem};
 pub use replay::{schedule_key, ControlSchedule, ReplayMode};

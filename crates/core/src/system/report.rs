@@ -8,7 +8,6 @@
 //! the row tuples assembled by the bench sweeps. They carried overlapping
 //! data under different names. [`RunReport`] replaces all three: a batch
 //! lane *is* a `RunReport`, and the bench harnesses consume it directly.
-//! The old `LaneReport` name survives one release as a deprecated alias.
 
 use smache_mem::{FaultEvent, Word};
 use smache_sim::{CycleStats, TelemetrySnapshot};

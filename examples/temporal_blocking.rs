@@ -1,9 +1,9 @@
 //! Temporal blocking: several time steps per DRAM pass.
 //!
 //! The paper cites multi-time-step streaming (its refs [2], [4]) as
-//! complementary to Smache; this example composes both — a cascade of
-//! Smache stages computing a 12-step heat diffusion in 12, 6, 3 and 2 DRAM
-//! passes, showing the traffic/resource trade.
+//! complementary to Smache; this example composes both — a temporal
+//! pipeline of Smache stages computing a 12-step heat diffusion in 12, 6, 3
+//! and 2 DRAM passes, showing the traffic/resource trade.
 //!
 //! ```text
 //! cargo run --example temporal_blocking --release
@@ -11,9 +11,7 @@
 
 use smache::arch::kernel::AverageKernel;
 use smache::functional::golden::golden_run;
-use smache::system::cascade::CascadeSystem;
-use smache::system::smache_system::SystemConfig;
-use smache::SmacheBuilder;
+use smache::{PipelineConfig, SmacheBuilder, TemporalPipeline};
 use smache_bench::report::Table;
 use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
 
@@ -37,7 +35,7 @@ fn main() {
 
     println!("== {DIM}x{DIM} heat diffusion, {STEPS} time steps ==\n");
     let mut t = Table::new(vec![
-        "cascade depth",
+        "pipeline depth",
         "DRAM passes",
         "cycles",
         "DRAM traffic (KB)",
@@ -49,13 +47,15 @@ fn main() {
             .boundaries(bounds.clone())
             .plan()
             .expect("plan");
-        let mut sys = CascadeSystem::new(
+        let mut sys = TemporalPipeline::new(
             plan,
             Box::new(AverageKernel),
-            depth,
-            SystemConfig::default(),
+            PipelineConfig {
+                depth,
+                ..Default::default()
+            },
         )
-        .expect("cascade");
+        .expect("pipeline");
         let passes = STEPS / depth as u64;
         let report = sys.run(&input, passes).expect("run");
         assert_eq!(
@@ -72,6 +72,6 @@ fn main() {
     }
     println!("{t}");
     println!("every row verified bit-identical to the golden {STEPS}-step reference;");
-    println!("deeper cascades trade on-chip buffering for DRAM passes (refs [2],[4]");
+    println!("deeper pipelines trade on-chip buffering for DRAM passes (refs [2],[4]");
     println!("of the paper, composed with the Smache stream buffer).");
 }

@@ -2,7 +2,6 @@
 //! loud, typed, and descriptive.
 
 use smache::arch::kernel::AverageKernel;
-use smache::system::cascade::CascadeSystem;
 use smache::system::multilane::MultilaneSystem;
 use smache::system::smache_system::SystemConfig;
 use smache::{CoreError, SmacheBuilder};
@@ -41,20 +40,12 @@ fn stall_released_before_budget_recovers() {
 
 #[test]
 fn config_errors_are_descriptive() {
-    let plan = || {
-        SmacheBuilder::new(GridSpec::d2(8, 8).expect("grid"))
-            .boundaries(BoundarySpec::paper_case())
-            .plan()
-            .expect("plan")
-    };
-    // Cascade refuses wrap boundaries with an explanation.
-    let err = CascadeSystem::new(plan(), Box::new(AverageKernel), 2, SystemConfig::default())
-        .map(|_| ())
-        .expect_err("wraps rejected");
-    assert!(err.to_string().contains("static buffers"), "{err}");
-
     // Multilane refuses too many lanes against dual-port banks.
-    let err = MultilaneSystem::new(plan(), Box::new(AverageKernel), 3, SystemConfig::default())
+    let plan = SmacheBuilder::new(GridSpec::d2(8, 8).expect("grid"))
+        .boundaries(BoundarySpec::paper_case())
+        .plan()
+        .expect("plan");
+    let err = MultilaneSystem::new(plan, Box::new(AverageKernel), 3, SystemConfig::default())
         .map(|_| ())
         .expect_err("lanes capped");
     assert!(err.to_string().contains("ports"), "{err}");

@@ -646,17 +646,26 @@ fn main() {
                 format!("{:.2}", hit_rate),
                 r.rejected.to_string(),
             ]);
-            rows.push(Json::obj(vec![
+            let mut row = vec![
                 ("repeat_pct", Json::Int(repeat_pct as i64)),
                 ("mode", Json::str(mode)),
                 ("requests", Json::Int(r.oks as i64)),
                 ("throughput_rps", Json::Num(rps)),
-                ("p50_us", Json::Int(p50 as i64)),
-                ("p95_us", Json::Int(p95 as i64)),
-                ("p99_us", Json::Int(p99 as i64)),
+            ];
+            // Open mode collects no per-request latencies: its rows carry
+            // no percentiles rather than zeros.
+            if !r.latencies_us.is_empty() {
+                row.extend([
+                    ("p50_us", Json::Int(p50 as i64)),
+                    ("p95_us", Json::Int(p95 as i64)),
+                    ("p99_us", Json::Int(p99 as i64)),
+                ]);
+            }
+            row.extend([
                 ("hit_rate", Json::Num(hit_rate)),
                 ("rejected", Json::Int(r.rejected as i64)),
-            ]));
+            ]);
+            rows.push(Json::obj(row));
             if mode == "closed" {
                 closed_rps.insert(repeat_pct, rps);
             }

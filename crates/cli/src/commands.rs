@@ -2,13 +2,14 @@
 //! is unit-testable; `main` prints it.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use smache::arch::kernel::AverageKernel;
 use smache::arch::kernel::Kernel as _;
 use smache::cost::{CostEstimate, CycleModel, FreqModel, SynthesisModel};
 use smache::functional::golden::golden_run;
+use smache::spec::seeded_input;
+use smache::system::{CaptureOutcome, ControlSchedule, DesignMetrics, ReplayMode, RunReport};
 use smache_baseline::{BaselineConfig, BaselineSystem};
 use smache_codegen::{lint_verilog, VerilogGen};
 
@@ -460,9 +461,7 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
     let fmt = trace_format(args, "vcd")?;
     let chaos = chaos_plan(args)?;
 
-    let n = spec.grid.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let input: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << 20)).collect();
+    let input = seeded_input(spec.grid.len(), seed);
 
     let mut system = spec
         .builder()
@@ -494,9 +493,9 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
 }
 
 /// Parses `--replay auto|on|off` (default `auto`).
-fn replay_mode(args: &Args) -> Result<smache::system::ReplayMode, CliError> {
+fn replay_mode(args: &Args) -> Result<ReplayMode, CliError> {
     let v = args.get_or("replay", "auto");
-    match smache::system::ReplayMode::from_label(v) {
+    match ReplayMode::from_label(v) {
         Some(mode) => Ok(mode),
         None => Err(ArgError::BadValue {
             key: "replay".into(),
@@ -513,7 +512,7 @@ fn replay_mode(args: &Args) -> Result<smache::system::ReplayMode, CliError> {
 /// request schema mirrors it (`jobs`/`replay`/`lane-block` request keys).
 struct BatchFlags {
     jobs: usize,
-    mode: smache::system::ReplayMode,
+    mode: ReplayMode,
     store: Option<smache::system::ScheduleStore>,
     lane_block: usize,
 }
@@ -541,13 +540,106 @@ fn output_fp(output: &[u64]) -> String {
     format!("{hi:016x}{lo:016x}")
 }
 
+/// The golden reference output when `--verify` is set.
+fn golden_output(
+    args: &Args,
+    spec: &ProblemSpec,
+    input: &[u64],
+    instances: u64,
+) -> Result<Option<Vec<u64>>, CliError> {
+    if !args.flag("verify") {
+        return Ok(None);
+    }
+    Ok(Some(golden_run(
+        &spec.grid,
+        &spec.bounds,
+        &spec.shape,
+        &AverageKernel,
+        input,
+        instances,
+    )?))
+}
+
+/// Checks a run's output against the golden grid. A difference is a
+/// [`smache::CoreError::Mismatch`] naming the first differing element and
+/// both of its words.
+fn check_golden(output: &[u64], golden: &[u64]) -> Result<(), smache::CoreError> {
+    if output.len() != golden.len() {
+        return Err(smache::CoreError::Config(format!(
+            "output holds {} words, the golden grid {}",
+            output.len(),
+            golden.len()
+        )));
+    }
+    match output.iter().zip(golden).position(|(a, b)| a != b) {
+        None => Ok(()),
+        Some(index) => Err(smache::CoreError::Mismatch {
+            index,
+            expected: golden[index],
+            actual: output[index],
+        }),
+    }
+}
+
+/// Runs one engine under the `--replay` policy. A captured schedule is
+/// replayed over the same input, so `engine=replay` prints the replay
+/// path's own output; a fallback names its typed reason.
+fn run_with_replay<E>(
+    mode: ReplayMode,
+    engine: &mut E,
+    input: &[u64],
+    run: impl FnOnce(&mut E) -> smache::CoreResult<RunReport>,
+    capture: impl FnOnce(&mut E) -> smache::CoreResult<(RunReport, Arc<ControlSchedule>)>,
+) -> Result<(RunReport, String), CliError> {
+    Ok(match mode.capture_or_run(engine, run, capture)? {
+        CaptureOutcome::FullSim(report) => (report, "engine=full_sim".into()),
+        CaptureOutcome::Captured(_, schedule) => (
+            schedule
+                .replay(&AverageKernel, input)
+                .map_err(smache::CoreError::ReplayRefused)?,
+            "engine=replay".into(),
+        ),
+        CaptureOutcome::Fallback(report, why) => {
+            (report, format!("engine=full_sim fallback={}", why.label()))
+        }
+    })
+}
+
+/// Prints one Smache run — metrics, warm-up, the engine note with the
+/// output fingerprint, chaos counters — and checks it against `golden`.
+fn print_smache_run(
+    out: &mut String,
+    metrics: &DesignMetrics,
+    output: &[u64],
+    warmup: u64,
+    engine_note: &str,
+    chaos: &smache_mem::FaultPlan,
+    golden: Option<&[u64]>,
+) -> Result<(), CliError> {
+    let _ = writeln!(out, "{metrics}");
+    let _ = writeln!(
+        out,
+        "  warm-up {warmup} cycles; resources: {}",
+        metrics.resources
+    );
+    let _ = writeln!(out, "  {engine_note} fp={}", output_fp(output));
+    if chaos.is_active() {
+        let _ = writeln!(out, "  chaos (seed {}): {}", chaos.seed, metrics.faults);
+    }
+    if let Some(golden) = golden {
+        check_golden(output, golden)?;
+        let _ = writeln!(out, "  verified against golden reference");
+    }
+    Ok(())
+}
+
 fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let spec = spec_from_args(args)?;
-    if spec.pipelined() {
-        return cmd_simulate_pipeline(args, &spec);
-    }
     let instances: u64 = args.get_num("instances", 100)?;
     let seed: u64 = args.get_num("seed", 1)?;
+    if spec.pipelined() {
+        return cmd_simulate_pipeline(args, &spec, instances, seed);
+    }
     let design = args.get_or("design", "smache");
     if !["smache", "baseline", "both"].contains(&design) {
         return Err(ArgError::BadValue {
@@ -587,28 +679,13 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         return cmd_simulate_batch(args, &spec, instances, seed, batch);
     }
 
-    let n = spec.grid.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let input: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << 20)).collect();
-
-    let golden = if args.flag("verify") {
-        Some(golden_run(
-            &spec.grid,
-            &spec.bounds,
-            &spec.shape,
-            &AverageKernel,
-            &input,
-            instances,
-        )?)
-    } else {
-        None
-    };
+    let input = seeded_input(spec.grid.len(), seed);
+    let golden = golden_output(args, &spec, &input, instances)?;
 
     let mode = replay_mode(args)?;
     let mut out = String::new();
     if design == "smache" || design == "both" {
-        use smache::system::ReplayMode;
-        let (metrics, output, warmup, engine_note) = if lanes > 1 {
+        if lanes > 1 {
             if mode == ReplayMode::On {
                 return Err(smache::CoreError::Config(
                     "--replay on does not support --lanes (multilane runs full sim)".into(),
@@ -627,64 +704,40 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
                 config,
             )?;
             let report = system.run(&input, instances)?;
-            (report.metrics, report.output, 0, "engine=full_sim".into())
+            print_smache_run(
+                &mut out,
+                &report.metrics,
+                &report.output,
+                0,
+                "engine=full_sim",
+                &chaos,
+                golden.as_deref(),
+            )?;
         } else {
             let mut builder = spec.builder().fault_plan(chaos);
             if trace_fmt.is_some() {
                 builder = builder.telemetry(smache_sim::TelemetryConfig::default());
             }
             let mut system = builder.build()?;
-            let (report, engine_note): (_, String) = match mode {
-                ReplayMode::Off => (system.run(&input, instances)?, "engine=full_sim".into()),
-                ReplayMode::Auto | ReplayMode::On => {
-                    match system.run_captured(&input, instances) {
-                        // Replay the captured schedule for the final report:
-                        // same output, same cycle counts, engine=replay.
-                        Ok((_, schedule)) => {
-                            let replayed = schedule
-                                .replay(&AverageKernel, &input)
-                                .map_err(|e| CliError::Core(smache::CoreError::ReplayRefused(e)))?;
-                            (replayed, "engine=replay".into())
-                        }
-                        Err(smache::CoreError::ReplayRefused(r)) if mode == ReplayMode::Auto => {
-                            let report = system.run(&input, instances)?;
-                            (report, format!("engine=full_sim fallback={}", r.label()))
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-            };
+            let (report, engine_note) = run_with_replay(
+                mode,
+                &mut system,
+                &input,
+                |s| s.run(&input, instances),
+                |s| s.run_captured(&input, instances),
+            )?;
             if let Some(fmt) = trace_fmt {
                 export_trace(&system, fmt, args, &mut out)?;
             }
-            (
-                report.metrics,
-                report.output,
+            print_smache_run(
+                &mut out,
+                &report.metrics,
+                &report.output,
                 report.warmup_cycles,
-                engine_note,
-            )
-        };
-        let _ = writeln!(out, "{metrics}");
-        let _ = writeln!(
-            out,
-            "  warm-up {} cycles; resources: {}",
-            warmup, metrics.resources
-        );
-        let _ = writeln!(out, "  {engine_note} fp={}", output_fp(&output));
-        if chaos.is_active() {
-            let _ = writeln!(out, "  chaos (seed {}): {}", chaos.seed, metrics.faults);
-        }
-        if let Some(g) = &golden {
-            if &output == g {
-                let _ = writeln!(out, "  verified against golden reference");
-            } else {
-                return Err(smache::CoreError::Mismatch {
-                    index: output.iter().zip(g).position(|(a, b)| a != b).unwrap_or(0),
-                    expected: 0,
-                    actual: 0,
-                }
-                .into());
-            }
+                &engine_note,
+                &chaos,
+                golden.as_deref(),
+            )?;
         }
     }
     if design == "baseline" || design == "both" {
@@ -698,17 +751,9 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         let report = baseline.run(&input, instances)?;
         let _ = writeln!(out, "{}", report.metrics);
         let _ = writeln!(out, "  resources: {}", report.metrics.resources);
-        if let Some(g) = &golden {
-            if &report.output == g {
-                let _ = writeln!(out, "  verified against golden reference");
-            } else {
-                return Err(smache::CoreError::Mismatch {
-                    index: 0,
-                    expected: 0,
-                    actual: 0,
-                }
-                .into());
-            }
+        if let Some(golden) = &golden {
+            check_golden(&report.output, golden)?;
+            let _ = writeln!(out, "  verified against golden reference");
         }
     }
     Ok(out)
@@ -719,9 +764,12 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 /// `--instances` must be a multiple of the depth. Verification and replay
 /// work exactly as for the single-step system; `--batch`, `--lanes`,
 /// `--trace` and non-Smache designs are single-step-only.
-fn cmd_simulate_pipeline(args: &Args, spec: &ProblemSpec) -> Result<String, CliError> {
-    let instances: u64 = args.get_num("instances", 100)?;
-    let seed: u64 = args.get_num("seed", 1)?;
+fn cmd_simulate_pipeline(
+    args: &Args,
+    spec: &ProblemSpec,
+    instances: u64,
+    seed: u64,
+) -> Result<String, CliError> {
     let depth = spec.timesteps.max(1);
     for (key, unsupported) in [
         ("batch", args.get("batch").is_some()),
@@ -763,28 +811,14 @@ fn cmd_simulate_pipeline(args: &Args, spec: &ProblemSpec) -> Result<String, CliE
         ..Default::default()
     };
     let mut pipe = smache::TemporalPipeline::new(plan, Box::new(AverageKernel), config)?;
-
-    let n = spec.grid.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let input: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << 20)).collect();
-
-    use smache::system::ReplayMode;
-    let (report, engine_note): (_, String) = match mode {
-        ReplayMode::Off => (pipe.run(&input, passes)?, "engine=full_sim".into()),
-        ReplayMode::Auto | ReplayMode::On => match pipe.run_captured(&input, passes) {
-            Ok((_, schedule)) => {
-                let replayed = schedule
-                    .replay(&AverageKernel, &input)
-                    .map_err(|e| CliError::Core(smache::CoreError::ReplayRefused(e)))?;
-                (replayed, "engine=replay".into())
-            }
-            Err(smache::CoreError::ReplayRefused(r)) if mode == ReplayMode::Auto => {
-                let report = pipe.run(&input, passes)?;
-                (report, format!("engine=full_sim fallback={}", r.label()))
-            }
-            Err(e) => return Err(e.into()),
-        },
-    };
+    let input = seeded_input(spec.grid.len(), seed);
+    let (report, engine_note) = run_with_replay(
+        mode,
+        &mut pipe,
+        &input,
+        |p| p.run(&input, passes),
+        |p| p.run_captured(&input, passes),
+    )?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -792,45 +826,16 @@ fn cmd_simulate_pipeline(args: &Args, spec: &ProblemSpec) -> Result<String, CliE
         "pipeline: {depth} stage(s) x {passes} pass(es) = {instances} timestep(s), {} channel(s)",
         spec.channels
     );
-    let _ = writeln!(out, "{}", report.metrics);
-    let _ = writeln!(
-        out,
-        "  warm-up {} cycles; resources: {}",
-        report.warmup_cycles, report.metrics.resources
-    );
-    let _ = writeln!(out, "  {engine_note} fp={}", output_fp(&report.output));
-    if chaos.is_active() {
-        let _ = writeln!(
-            out,
-            "  chaos (seed {}): {}",
-            chaos.seed, report.metrics.faults
-        );
-    }
-    if args.flag("verify") {
-        let golden = golden_run(
-            &spec.grid,
-            &spec.bounds,
-            &spec.shape,
-            &AverageKernel,
-            &input,
-            instances,
-        )?;
-        if report.output == golden {
-            let _ = writeln!(out, "  verified against golden reference");
-        } else {
-            return Err(smache::CoreError::Mismatch {
-                index: report
-                    .output
-                    .iter()
-                    .zip(&golden)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(0),
-                expected: 0,
-                actual: 0,
-            }
-            .into());
-        }
-    }
+    let golden = golden_output(args, spec, &input, instances)?;
+    print_smache_run(
+        &mut out,
+        &report.metrics,
+        &report.output,
+        report.warmup_cycles,
+        &engine_note,
+        &chaos,
+        golden.as_deref(),
+    )?;
     Ok(out)
 }
 
@@ -855,21 +860,16 @@ fn cmd_simulate_batch(
         ..Default::default()
     };
     let plan = spec.builder().plan()?;
-    let n = spec.grid.len();
-
     let inputs: Vec<Vec<u64>> = (0..batch)
-        .map(|lane| {
-            let mut rng = SmallRng::seed_from_u64(seed + lane);
-            (0..n).map(|_| rng.gen_range(0..1u64 << 20)).collect()
-        })
+        .map(|lane| seeded_input(spec.grid.len(), seed + lane))
         .collect();
-    let kernel: smache::system::KernelFactory = std::sync::Arc::new(|| Box::new(AverageKernel));
+    let kernel: smache::system::KernelFactory = Arc::new(|| Box::new(AverageKernel));
     let lanes: Vec<smache::system::batch::BatchJob> = inputs
         .iter()
         .map(|input| {
             smache::system::batch::BatchJob::new(
                 plan.clone(),
-                std::sync::Arc::clone(&kernel),
+                Arc::clone(&kernel),
                 input.clone(),
                 instances,
             )
@@ -919,28 +919,8 @@ fn cmd_simulate_batch(
         if chaos.is_active() {
             let _ = writeln!(out, "    chaos: {}", lane_report.metrics.faults);
         }
-        if args.flag("verify") {
-            let golden = golden_run(
-                &spec.grid,
-                &spec.bounds,
-                &spec.shape,
-                &AverageKernel,
-                input,
-                instances,
-            )?;
-            if lane_report.output != golden {
-                return Err(smache::CoreError::Mismatch {
-                    index: lane_report
-                        .output
-                        .iter()
-                        .zip(&golden)
-                        .position(|(a, b)| a != b)
-                        .unwrap_or(0),
-                    expected: 0,
-                    actual: 0,
-                }
-                .into());
-            }
+        if let Some(golden) = golden_output(args, spec, input, instances)? {
+            check_golden(&lane_report.output, &golden)?;
         }
     }
     if args.flag("verify") {
@@ -1227,6 +1207,24 @@ mod tests {
         .unwrap();
         assert!(out.contains("verified against golden reference"), "{out}");
         assert!(out.contains("chaos (seed 7)"), "{out}");
+    }
+
+    #[test]
+    fn golden_mismatch_names_the_first_differing_word() {
+        let golden = [5, 6, 7, 8];
+        assert!(check_golden(&golden, &golden).is_ok());
+        match check_golden(&[5, 6, 9, 0], &golden) {
+            Err(smache::CoreError::Mismatch {
+                index,
+                expected,
+                actual,
+            }) => assert_eq!((index, expected, actual), (2, 7, 9)),
+            other => panic!("expected a mismatch, got {other:?}"),
+        }
+        assert!(matches!(
+            check_golden(&[5, 6, 7], &golden),
+            Err(smache::CoreError::Config(_))
+        ));
     }
 
     #[test]

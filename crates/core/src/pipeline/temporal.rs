@@ -55,7 +55,7 @@ use crate::cost::FreqModel;
 use crate::error::{CoreError, FaultDiagnostic};
 use crate::pipeline::link::StageLink;
 use crate::system::metrics::DesignMetrics;
-use crate::system::replay::{build_gather_table, schedule_key_text, ControlSchedule};
+use crate::system::replay::{schedule_key_text, seal_capture, ControlSchedule};
 use crate::system::report::{RunEngine, RunReport};
 use crate::system::smache_system::SystemConfig;
 use crate::CoreResult;
@@ -789,9 +789,8 @@ impl TemporalPipeline {
     /// attached and returns both the report and a captured
     /// [`ControlSchedule`] for `depth × passes` timesteps. The schedule
     /// replays through the unchanged single-step machinery
-    /// ([`ControlSchedule::replay`] / `replay_lanes`); capture
-    /// self-verifies trace totals and output bit-exactness before handing
-    /// it out, exactly like
+    /// ([`ControlSchedule::replay`] / `replay_lanes`) and is sealed and
+    /// self-verified by the same code as
     /// [`SmacheSystem::run_captured`](crate::system::SmacheSystem::run_captured).
     pub fn run_captured(
         &mut self,
@@ -800,59 +799,19 @@ impl TemporalPipeline {
     ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
         self.replay_eligibility()
             .map_err(CoreError::ReplayRefused)?;
-        let gather = build_gather_table(self.plan())?;
-        let instances = self.stages.len() as u64 * passes;
-        let key = fingerprint128(self.schedule_key_text(passes).as_bytes());
-
         self.recorder = Some(smache_sim::ControlTrace::new());
         let outcome = self.run(input, passes);
         let trace = self.recorder.take().unwrap_or_default();
-        let report = outcome?;
-
-        let totals = trace.totals();
-        let diverged = |detail: String| {
-            CoreError::ReplayRefused(ReplayUnsupported::ScheduleDivergence { detail })
-        };
-        if totals.cycles != report.stats.cycles
-            || totals.stall_cycles != report.stats.stall_cycles
-            || totals.transfers != report.stats.transfers
-            || totals.warmup_cycles != report.warmup_cycles
-        {
-            return Err(diverged(format!(
-                "trace totals {totals:?} disagree with run stats {:?} (warmup {})",
-                report.stats, report.warmup_cycles
-            )));
-        }
-
-        let mut template = report.clone();
-        template.output = Vec::new();
-        let schedule = ControlSchedule::from_parts(
+        let key = fingerprint128(self.schedule_key_text(passes).as_bytes());
+        seal_capture(
             key,
-            self.n,
-            instances,
-            self.kernel.name().to_string(),
-            self.kernel.latency(),
-            gather,
+            self.plan(),
+            self.kernel.as_ref(),
+            self.stages.len() as u64 * passes,
             trace,
-            template,
-        );
-
-        let replayed = schedule
-            .replay(self.kernel.as_ref(), input)
-            .map_err(|e| diverged(format!("self-replay refused: {e}")))?;
-        if replayed.output != report.output {
-            let idx = replayed
-                .output
-                .iter()
-                .zip(&report.output)
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            return Err(diverged(format!(
-                "self-replay output mismatch at element {idx}"
-            )));
-        }
-
-        Ok((report, Arc::new(schedule)))
+            outcome?,
+            input,
+        )
     }
 
     /// Synthesised resources of the full pipeline: every stage's module

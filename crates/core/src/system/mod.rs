@@ -14,7 +14,7 @@ pub use axi::{AxiSmache, StallFuzzSink, StallFuzzSource};
 pub use batch::{BatchJob, BatchOptions, BatchReport, KernelFactory, DEFAULT_LANE_BLOCK};
 pub use metrics::{DesignMetrics, NormalisedMetrics};
 pub use multilane::{MultilaneReport, MultilaneSystem};
-pub use replay::{schedule_key, ControlSchedule, ReplayMode};
+pub use replay::{schedule_key, CaptureOutcome, ControlSchedule, ReplayMode};
 pub use report::{RunEngine, RunReport};
 pub use report_json::REPORT_SCHEMA_VERSION;
 pub use smache_system::{SmacheSystem, SystemConfig};

@@ -32,12 +32,16 @@
 //! Replay **refuses** with a typed [`ReplayUnsupported`] whenever the
 //! control plane stops being data-independent: corrupting fault plans,
 //! stall schedules, external backpressure, or attached observers (tracer,
-//! telemetry, result tap). Callers in `auto` mode fall back to the full
-//! simulation; `on` mode surfaces [`CoreError::ReplayRefused`].
-//! **Latency-only** fault plans are the deliberate exception: their chaos
-//! draws are a pure function of (chaos-seed, cycle), so a schedule
-//! captured under one — keyed on (spec, chaos-seed) — replays across data
-//! seeds like any clean schedule.
+//! telemetry, result tap). **Latency-only** fault plans are the deliberate
+//! exception: their chaos draws are a pure function of (chaos-seed,
+//! cycle), so a schedule captured under one — keyed on (spec, chaos-seed)
+//! — replays across data seeds like any clean schedule.
+//!
+//! Both engines — [`SmacheSystem`] and the temporal pipeline — seal and
+//! self-verify their captures through the same function, and
+//! [`ReplayMode::capture_or_run`] is the one fallback policy every front
+//! end uses: `auto` falls back to the full simulation on a refusal, `on`
+//! surfaces it as [`CoreError::ReplayRefused`].
 //!
 //! Schedules are keyed by [`fingerprint128`] of a canonical, data-seed-
 //! independent rendering of the spec ([`schedule_key`]) and cached:
@@ -436,17 +440,121 @@ pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
     Ok(table)
 }
 
+/// Seals a recording run into a [`ControlSchedule`]: the one sealing path
+/// every capturing engine goes through.
+///
+/// `trace` is the control trace recorded while the engine ran `input`,
+/// `report` that run's report, and `instances` the timesteps the schedule
+/// must replay. Before the schedule is handed out, sealing checks that
+/// the trace totals reproduce the run's cycle accounting, clears the
+/// template's data, and replays the capture input through the fresh
+/// schedule, demanding bit-exactness. Any mismatch surfaces as
+/// [`CoreError::ReplayRefused`]`(`[`ReplayUnsupported::ScheduleDivergence`]`)`
+/// — a loud, typed failure instead of a silently wrong schedule.
+pub(crate) fn seal_capture(
+    key: (u64, u64),
+    plan: &BufferPlan,
+    kernel: &dyn Kernel,
+    instances: u64,
+    trace: ControlTrace,
+    report: RunReport,
+    input: &[Word],
+) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
+    let gather = build_gather_table(plan)?;
+    let totals = trace.totals();
+    let diverged =
+        |detail: String| CoreError::ReplayRefused(ReplayUnsupported::ScheduleDivergence { detail });
+    if totals.cycles != report.stats.cycles
+        || totals.stall_cycles != report.stats.stall_cycles
+        || totals.transfers != report.stats.transfers
+        || totals.warmup_cycles != report.warmup_cycles
+    {
+        return Err(diverged(format!(
+            "trace totals {totals:?} disagree with run stats {:?} (warmup {})",
+            report.stats, report.warmup_cycles
+        )));
+    }
+
+    let mut template = report.clone();
+    template.output = Vec::new();
+    let schedule = ControlSchedule {
+        key,
+        n: plan.grid.len(),
+        instances,
+        kernel_name: kernel.name().to_string(),
+        kernel_latency: kernel.latency(),
+        gather,
+        trace,
+        template,
+    };
+
+    // Replay the capture input through the fresh schedule and demand
+    // bit-exactness before anyone else trusts it.
+    let replayed = schedule
+        .replay(kernel, input)
+        .map_err(|e| diverged(format!("self-replay refused: {e}")))?;
+    if replayed.output != report.output {
+        let idx = replayed
+            .output
+            .iter()
+            .zip(&report.output)
+            .position(|(a, b)| a != b)
+            .unwrap_or(0);
+        return Err(diverged(format!(
+            "self-replay output mismatch at element {idx}"
+        )));
+    }
+
+    Ok((report, Arc::new(schedule)))
+}
+
+/// How [`ReplayMode::capture_or_run`] resolved one run.
+#[derive(Debug)]
+pub enum CaptureOutcome {
+    /// [`ReplayMode::Off`]: the plain full simulation ran.
+    FullSim(RunReport),
+    /// Capture succeeded: the capturing run's report and its sealed,
+    /// self-verified schedule.
+    Captured(RunReport, Arc<ControlSchedule>),
+    /// [`ReplayMode::Auto`]: capture refused with this typed reason, so
+    /// the plain full simulation ran instead.
+    Fallback(RunReport, ReplayUnsupported),
+}
+
+impl ReplayMode {
+    /// Runs one engine under this mode — the single place the replay
+    /// fallback policy is written, for every engine and front end.
+    ///
+    /// * `Off` calls `run`, the plain full simulation.
+    /// * `Auto` calls `capture`; on a typed [`CoreError::ReplayRefused`]
+    ///   it calls `run` on the same engine instead.
+    /// * `On` calls `capture` and returns a refusal as the error.
+    ///
+    /// Any other error is returned unchanged in every mode.
+    pub fn capture_or_run<E>(
+        self,
+        engine: &mut E,
+        run: impl FnOnce(&mut E) -> CoreResult<RunReport>,
+        capture: impl FnOnce(&mut E) -> CoreResult<(RunReport, Arc<ControlSchedule>)>,
+    ) -> CoreResult<CaptureOutcome> {
+        if self == ReplayMode::Off {
+            return run(engine).map(CaptureOutcome::FullSim);
+        }
+        match capture(engine) {
+            Ok((report, schedule)) => Ok(CaptureOutcome::Captured(report, schedule)),
+            Err(CoreError::ReplayRefused(why)) if self == ReplayMode::Auto => {
+                Ok(CaptureOutcome::Fallback(run(engine)?, why))
+            }
+            Err(e) => Err(e),
+        }
+    }
+}
+
 impl SmacheSystem {
     /// Runs the full cycle-accurate simulation *once* with the control
     /// recorder attached and returns both the run's report and the
-    /// captured [`ControlSchedule`].
-    ///
-    /// Before handing the schedule out, capture **self-verifies**: the
-    /// recorded trace totals must reproduce the run's cycle accounting,
-    /// and replaying the capture input must reproduce the run's output
-    /// bit-exactly. Any mismatch surfaces as
-    /// [`CoreError::ReplayRefused`]`(`[`ReplayUnsupported::ScheduleDivergence`]`)`
-    /// — a loud, typed failure instead of a silently wrong schedule.
+    /// captured [`ControlSchedule`], sealed and self-verified (see
+    /// [`ReplayUnsupported::ScheduleDivergence`]).
     ///
     /// Refuses (typed) when the system is not replay-eligible — see
     /// [`SmacheSystem::replay_eligibility`].
@@ -457,60 +565,19 @@ impl SmacheSystem {
     ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
         self.replay_eligibility()
             .map_err(CoreError::ReplayRefused)?;
-        let gather = build_gather_table(self.plan())?;
-        let key = schedule_key(self.plan(), self.config(), self.kernel(), instances);
-
         self.begin_capture();
         let outcome = self.run(input, instances);
         let trace = self.take_capture().unwrap_or_default();
-        let report = outcome?;
-
-        let totals = trace.totals();
-        let diverged = |detail: String| {
-            CoreError::ReplayRefused(ReplayUnsupported::ScheduleDivergence { detail })
-        };
-        if totals.cycles != report.stats.cycles
-            || totals.stall_cycles != report.stats.stall_cycles
-            || totals.transfers != report.stats.transfers
-            || totals.warmup_cycles != report.warmup_cycles
-        {
-            return Err(diverged(format!(
-                "trace totals {totals:?} disagree with run stats {:?} (warmup {})",
-                report.stats, report.warmup_cycles
-            )));
-        }
-
-        let mut template = report.clone();
-        template.output = Vec::new();
-        let schedule = ControlSchedule {
+        let key = schedule_key(self.plan(), self.config(), self.kernel(), instances);
+        seal_capture(
             key,
-            n: self.plan().grid.len(),
+            self.plan(),
+            self.kernel(),
             instances,
-            kernel_name: self.kernel().name().to_string(),
-            kernel_latency: self.kernel().latency(),
-            gather,
             trace,
-            template,
-        };
-
-        // Replay the capture input through the fresh schedule and demand
-        // bit-exactness before anyone else trusts it.
-        let replayed = schedule
-            .replay(self.kernel(), input)
-            .map_err(|e| diverged(format!("self-replay refused: {e}")))?;
-        if replayed.output != report.output {
-            let idx = replayed
-                .output
-                .iter()
-                .zip(&report.output)
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            return Err(diverged(format!(
-                "self-replay output mismatch at element {idx}"
-            )));
-        }
-
-        Ok((report, Arc::new(schedule)))
+            outcome?,
+            input,
+        )
     }
 }
 
@@ -605,6 +672,95 @@ mod tests {
             stalled.run_captured(&ramp(121), 1),
             Err(CoreError::ReplayRefused(ReplayUnsupported::StallSchedule))
         ));
+    }
+
+    /// The replay policy over engine × mode × {clean, corrupting chaos}:
+    /// `Off` always runs the full simulation, `Auto` captures or falls back
+    /// with the typed reason, `On` captures or refuses. Every report that
+    /// comes back is the plain run's.
+    #[test]
+    fn capture_or_run_applies_one_policy_to_both_engines() {
+        use crate::pipeline::{PipelineConfig, TemporalPipeline};
+        use smache_mem::{ChaosProfile, FaultPlan};
+
+        fn check<E>(
+            engine: impl Fn() -> E,
+            run: impl Fn(&mut E) -> CoreResult<RunReport>,
+            capture: impl FnOnce(&mut E) -> CoreResult<(RunReport, Arc<ControlSchedule>)>,
+            mode: ReplayMode,
+            corrupting: bool,
+            case: &str,
+        ) {
+            let plain = run(&mut engine()).expect("plain run").output;
+            let outcome = mode.capture_or_run(&mut engine(), run, capture);
+            match (mode, corrupting, outcome) {
+                (ReplayMode::Off, _, Ok(CaptureOutcome::FullSim(r))) => {
+                    assert_eq!(r.output, plain, "{case}");
+                }
+                (ReplayMode::Auto | ReplayMode::On, false, Ok(CaptureOutcome::Captured(r, s))) => {
+                    assert_eq!(r.output, plain, "{case}");
+                    assert_eq!(s.len(), plain.len(), "{case}");
+                }
+                (ReplayMode::Auto, true, Ok(CaptureOutcome::Fallback(r, why))) => {
+                    assert_eq!(why, ReplayUnsupported::FaultPlan, "{case}");
+                    assert_eq!(r.output, plain, "{case}");
+                }
+                (ReplayMode::On, true, Err(CoreError::ReplayRefused(why))) => {
+                    assert_eq!(why, ReplayUnsupported::FaultPlan, "{case}");
+                }
+                (_, _, other) => panic!("{case}: unexpected {other:?}"),
+            }
+        }
+
+        let input = ramp(121);
+        for corrupting in [false, true] {
+            // The flip targets a read this small run never reaches: the
+            // plan is corrupting, so capture refuses, yet the full
+            // simulation completes cleanly.
+            let fault_plan = if corrupting {
+                FaultPlan::new(3, ChaosProfile::flip(1 << 40))
+            } else {
+                FaultPlan::default()
+            };
+            for mode in [ReplayMode::Off, ReplayMode::Auto, ReplayMode::On] {
+                let case = format!("{} corrupting={corrupting}", mode.label());
+                check(
+                    || {
+                        SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
+                            .fault_plan(fault_plan)
+                            .build()
+                            .expect("build")
+                    },
+                    |s: &mut SmacheSystem| s.run(&input, 2),
+                    |s: &mut SmacheSystem| s.run_captured(&input, 2),
+                    mode,
+                    corrupting,
+                    &format!("system {case}"),
+                );
+                check(
+                    || {
+                        let plan = SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
+                            .plan()
+                            .expect("plan");
+                        let config = PipelineConfig {
+                            depth: 2,
+                            system: SystemConfig {
+                                fault_plan,
+                                ..SystemConfig::default()
+                            },
+                            ..PipelineConfig::default()
+                        };
+                        TemporalPipeline::new(plan, Box::new(AverageKernel), config)
+                            .expect("pipeline")
+                    },
+                    |p: &mut TemporalPipeline| p.run(&input, 1),
+                    |p: &mut TemporalPipeline| p.run_captured(&input, 1),
+                    mode,
+                    corrupting,
+                    &format!("pipeline {case}"),
+                );
+            }
+        }
     }
 
     #[test]

@@ -60,6 +60,6 @@ pub use bufpool::{BufPoolStats, BufferPool};
 pub use cache::{CacheStats, ResultCache};
 pub use client::Client;
 pub use metrics::ServerMetrics;
-pub use pool::{AdmissionQueue, BoundedQueue, JobClass, PushError};
+pub use pool::{AdmissionQueue, JobClass, PushError};
 pub use protocol::{Request, RequestBody, RunKind, RunRequest, PROTOCOL_VERSION};
 pub use server::{start, Listen, ServeConfig, ServerHandle};

@@ -4,7 +4,7 @@
 //! The queue is the server's only buffering: when it is full, new work is
 //! *rejected at admission* with a typed reason instead of queueing
 //! unboundedly — the client always gets an answer, never an invisible
-//! wait. On shutdown the queue [drains](BoundedQueue::drain): already
+//! wait. On shutdown the queue [drains](AdmissionQueue::drain): already
 //! admitted jobs still run, new pushes are refused, and poppers (the
 //! worker threads) unblock and exit once the backlog is gone.
 //!
@@ -40,81 +40,6 @@ impl<T> PushError<T> {
         match self {
             PushError::Full(t) | PushError::Draining(t) => t,
         }
-    }
-}
-
-struct State<T> {
-    queue: VecDeque<T>,
-    draining: bool,
-}
-
-/// A blocking MPMC queue with a hard capacity and a drain lifecycle.
-pub struct BoundedQueue<T> {
-    state: Mutex<State<T>>,
-    available: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue admitting at most `capacity` pending jobs
-    /// (clamped to at least 1).
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                draining: false,
-            }),
-            available: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Admits a job, or refuses immediately — never blocks.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        if state.draining {
-            return Err(PushError::Draining(item));
-        }
-        if state.queue.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.queue.push_back(item);
-        drop(state);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Takes the oldest job, blocking while the queue is empty. Returns
-    /// `None` once the queue is draining *and* empty — the worker's exit
-    /// signal.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                return Some(item);
-            }
-            if state.draining {
-                return None;
-            }
-            state = self.available.wait(state).expect("queue poisoned");
-        }
-    }
-
-    /// Begins the graceful drain: refuses new jobs, lets queued ones run,
-    /// and releases blocked poppers as the backlog empties.
-    pub fn drain(&self) {
-        self.state.lock().expect("queue poisoned").draining = true;
-        self.available.notify_all();
-    }
-
-    /// Jobs currently waiting (racy by nature; for metrics).
-    pub fn depth(&self) -> usize {
-        self.state.lock().expect("queue poisoned").queue.len()
-    }
-
-    /// True once [`drain`](Self::drain) has been called.
-    pub fn is_draining(&self) -> bool {
-        self.state.lock().expect("queue poisoned").draining
     }
 }
 
@@ -167,8 +92,6 @@ impl<T> ClassState<T> {
 ///   first (FIFO within each lane). Replays complete in microseconds,
 ///   so draining them first frees queue slots fastest and keeps
 ///   worst-case capture latency bounded by the capture backlog alone.
-///
-/// Lifecycle (drain semantics) matches [`BoundedQueue`].
 pub struct AdmissionQueue<T> {
     state: Mutex<ClassState<T>>,
     available: Condvar,
@@ -289,9 +212,9 @@ mod tests {
 
     #[test]
     fn fifo_order_and_depth() {
-        let q = BoundedQueue::new(8);
+        let q = AdmissionQueue::new();
         for n in 0..5 {
-            q.try_push(n).unwrap();
+            q.try_push(n, JobClass::Capture, 8).unwrap();
         }
         assert_eq!(q.depth(), 5);
         let popped: Vec<i32> = (0..5).map(|_| q.pop().unwrap()).collect();
@@ -300,57 +223,31 @@ mod tests {
 
     #[test]
     fn overload_is_an_immediate_typed_refusal() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        let err = q.try_push(3).unwrap_err();
+        let q = AdmissionQueue::new();
+        q.try_push(1, JobClass::Replay, 2).unwrap();
+        q.try_push(2, JobClass::Replay, 2).unwrap();
+        let err = q.try_push(3, JobClass::Replay, 2).unwrap_err();
         assert_eq!(err.reason(), "overloaded");
         assert_eq!(err.into_inner(), 3);
         // Popping frees a slot.
         assert_eq!(q.pop(), Some(1));
-        q.try_push(3).unwrap();
-    }
-
-    #[test]
-    fn drain_refuses_new_work_but_serves_the_backlog() {
-        let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.drain();
-        assert!(q.is_draining());
-        assert_eq!(q.try_push(3).unwrap_err().reason(), "draining");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None, "drained queue stays drained");
-    }
-
-    #[test]
-    fn drain_releases_blocked_poppers() {
-        let q = Arc::new(BoundedQueue::<u32>::new(4));
-        let waiters: Vec<_> = (0..3)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || q.pop())
-            })
-            .collect();
-        // Give the poppers a moment to block, then drain.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.drain();
-        for w in waiters {
-            assert_eq!(w.join().unwrap(), None);
-        }
+        q.try_push(3, JobClass::Replay, 2).unwrap();
     }
 
     #[test]
     fn many_producers_one_consumer_loses_nothing() {
-        let q = Arc::new(BoundedQueue::<u64>::new(1024));
+        let q = Arc::new(AdmissionQueue::<u64>::new());
         let producers: Vec<_> = (0..4u64)
             .map(|p| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     for n in 0..100 {
-                        q.try_push(p * 1000 + n).unwrap();
+                        let class = if n % 2 == 0 {
+                            JobClass::Replay
+                        } else {
+                            JobClass::Capture
+                        };
+                        q.try_push(p * 1000 + n, class, 1024).unwrap();
                     }
                 })
             })
@@ -371,9 +268,12 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped() {
-        let q = BoundedQueue::new(0);
-        q.try_push(1).unwrap();
-        assert_eq!(q.try_push(2).unwrap_err().reason(), "overloaded");
+        let q = AdmissionQueue::new();
+        q.try_push(1, JobClass::Replay, 0).unwrap();
+        assert_eq!(
+            q.try_push(2, JobClass::Replay, 0).unwrap_err().reason(),
+            "overloaded"
+        );
     }
 
     #[test]
@@ -460,6 +360,7 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None, "drained queue stays drained");
     }
 
     #[test]

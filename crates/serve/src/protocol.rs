@@ -35,9 +35,8 @@
 use std::sync::Arc;
 
 use smache::arch::kernel::AverageKernel;
-use smache::error::CoreError;
 use smache::spec::{seeded_input, ProblemSpec, SPEC_KEYS};
-use smache::system::{ControlSchedule, ReplayMode};
+use smache::system::{CaptureOutcome, ControlSchedule, ReplayMode};
 use smache::SmacheSystem;
 use smache_mem::{ChaosProfile, FaultPlan};
 use smache_sim::hash::fingerprint128;
@@ -325,26 +324,7 @@ impl RunRequest {
             ]));
         }
 
-        let input = seeded_input(self.spec.grid.len(), self.seed);
-        if self.spec.pipelined() {
-            let mut pipe = self.build_pipeline()?;
-            let report = pipe
-                .run(&input, self.instances / self.spec.timesteps)
-                .map_err(|e| e.to_string())?;
-            return Ok(report.to_json());
-        }
-        let mut builder = self.spec.builder();
-        if self.kind == RunKind::Chaos {
-            builder = builder.fault_plan(self.fault_plan()?);
-        }
-        if self.kind == RunKind::Trace {
-            builder = builder.telemetry(TelemetryConfig::default());
-        }
-        let mut system: SmacheSystem = builder.build().map_err(|e| e.to_string())?;
-        let report = system
-            .run(&input, self.instances)
-            .map_err(|e| e.to_string())?;
-        Ok(report.to_json())
+        self.run(ReplayMode::Off).map(|(report, _)| report)
     }
 
     /// The request's fault plan (inactive unless `kind` is `Chaos`).
@@ -418,37 +398,51 @@ impl RunRequest {
     /// run's [`ControlSchedule`] so later same-spec requests can replay it.
     /// Applies to every request with a
     /// [`schedule_canonical`](Self::schedule_canonical) — plain `simulate`
-    /// runs and latency-only `chaos` runs. A typed capture refusal falls
-    /// back to the plain run internally and returns `None` for the
-    /// schedule (unless the request forces `replay: on`, which surfaces
-    /// the refusal as an error); only genuine run failures error.
+    /// runs and latency-only `chaos` runs — under the request's `replay`
+    /// mode ([`ReplayMode::capture_or_run`]): a typed capture refusal falls
+    /// back to the plain run and returns `None` for the schedule, unless
+    /// the request forces `replay: on`, which surfaces the refusal as an
+    /// error; `replay: off` runs plainly. Only genuine run failures error
+    /// otherwise.
     pub fn execute_capture(&self) -> Result<(Json, Option<Arc<ControlSchedule>>), String> {
         if self.schedule_canonical().is_none() {
             return self.execute().map(|r| (r, None));
         }
+        self.run(self.replay)
+    }
+
+    /// Builds the request's engine once and runs it under `mode`: the
+    /// temporal pipeline for a pipelined spec, the single-step system
+    /// otherwise (with the request's fault plan, and telemetry for a
+    /// `trace` run).
+    fn run(&self, mode: ReplayMode) -> Result<(Json, Option<Arc<ControlSchedule>>), String> {
         let input = seeded_input(self.spec.grid.len(), self.seed);
-        if self.spec.pipelined() {
+        let outcome = if self.spec.pipelined() {
+            let passes = self.instances / self.spec.timesteps;
             let mut pipe = self.build_pipeline()?;
-            return match pipe.run_captured(&input, self.instances / self.spec.timesteps) {
-                Ok((report, schedule)) => Ok((report.to_json(), Some(schedule))),
-                Err(CoreError::ReplayRefused(_)) if self.replay != ReplayMode::On => {
-                    self.execute().map(|r| (r, None))
-                }
-                Err(e) => Err(e.to_string()),
-            };
-        }
-        let mut builder = self.spec.builder();
-        if self.kind == RunKind::Chaos {
-            builder = builder.fault_plan(self.fault_plan()?);
-        }
-        let mut system: SmacheSystem = builder.build().map_err(|e| e.to_string())?;
-        match system.run_captured(&input, self.instances) {
-            Ok((report, schedule)) => Ok((report.to_json(), Some(schedule))),
-            Err(CoreError::ReplayRefused(_)) if self.replay != ReplayMode::On => {
-                self.execute().map(|r| (r, None))
+            mode.capture_or_run(
+                &mut pipe,
+                |p| p.run(&input, passes),
+                |p| p.run_captured(&input, passes),
+            )
+        } else {
+            let mut builder = self.spec.builder().fault_plan(self.fault_plan()?);
+            if self.kind == RunKind::Trace {
+                builder = builder.telemetry(TelemetryConfig::default());
             }
-            Err(e) => Err(e.to_string()),
-        }
+            let mut system: SmacheSystem = builder.build().map_err(|e| e.to_string())?;
+            mode.capture_or_run(
+                &mut system,
+                |s| s.run(&input, self.instances),
+                |s| s.run_captured(&input, self.instances),
+            )
+        };
+        Ok(match outcome.map_err(|e| e.to_string())? {
+            CaptureOutcome::Captured(report, schedule) => (report.to_json(), Some(schedule)),
+            CaptureOutcome::FullSim(report) | CaptureOutcome::Fallback(report, _) => {
+                (report.to_json(), None)
+            }
+        })
     }
 
     /// Replays a cached schedule over this request's seeded input instead

@@ -259,6 +259,14 @@ impl Shared {
         }
     }
 
+    /// Makes a schedule resident in the in-memory schedule cache.
+    fn cache_schedule(&self, key: (u64, u64), schedule: &Arc<ControlSchedule>) {
+        let bytes = schedule.approx_bytes();
+        let mut schedules = self.schedules.lock().expect("schedules poisoned");
+        schedules.insert(key, Arc::clone(schedule), bytes);
+        self.metrics.schedule_cache_state(schedules.bytes() as u64);
+    }
+
     pub(crate) fn publish_bufpool_state(&self) {
         let stats = self.bufpool.stats();
         self.metrics
@@ -457,7 +465,32 @@ fn run_job(request: &RunRequest, shared: &Arc<Shared>) -> Result<smache_sim::Jso
     if !disabled {
         shared.metrics.schedule_cache_lookup(hit.is_some());
     }
-    if let Some(schedule) = hit {
+    // Third level: the persistent store.
+    let resident = hit.or_else(|| {
+        let store = shared.store.as_ref()?;
+        let loaded = store.lock().expect("store poisoned").load_or_evict(key);
+        match loaded {
+            Ok(Some(schedule)) => {
+                shared.metrics.store_lookup(true);
+                if !disabled {
+                    shared.cache_schedule(key, &schedule);
+                }
+                shared.publish_store_state();
+                Some(schedule)
+            }
+            Ok(None) => {
+                shared.metrics.store_lookup(false);
+                None
+            }
+            Err(_) => {
+                // Typed damage: the entry is already discarded; recapture.
+                shared.metrics.store_corrupt();
+                shared.publish_store_state();
+                None
+            }
+        }
+    });
+    if let Some(schedule) = resident {
         // A stale or mismatched schedule refuses cleanly; fall back to the
         // full simulation rather than failing the request — unless the
         // client forced `replay: on`, which surfaces the refusal.
@@ -468,45 +501,10 @@ fn run_job(request: &RunRequest, shared: &Arc<Shared>) -> Result<smache_sim::Jso
         };
     }
 
-    // Third level: the persistent store.
-    if let Some(store) = &shared.store {
-        let loaded = store.lock().expect("store poisoned").load_or_evict(key);
-        match loaded {
-            Ok(Some(schedule)) => {
-                shared.metrics.store_lookup(true);
-                if !disabled {
-                    let bytes = schedule.approx_bytes();
-                    let mut schedules = shared.schedules.lock().expect("schedules poisoned");
-                    schedules.insert(key, Arc::clone(&schedule), bytes);
-                    shared
-                        .metrics
-                        .schedule_cache_state(schedules.bytes() as u64);
-                }
-                shared.publish_store_state();
-                return match request.execute_replay(&schedule) {
-                    Err(e) if request.replay == ReplayMode::On => Err(e),
-                    Err(_) => request.execute(),
-                    ok => ok,
-                };
-            }
-            Ok(None) => shared.metrics.store_lookup(false),
-            Err(_) => {
-                // Typed damage: the entry is already discarded; recapture.
-                shared.metrics.store_corrupt();
-                shared.publish_store_state();
-            }
-        }
-    }
-
     let (doc, schedule) = request.execute_capture()?;
     if let Some(schedule) = schedule {
         if !disabled {
-            let bytes = schedule.approx_bytes();
-            let mut schedules = shared.schedules.lock().expect("schedules poisoned");
-            schedules.insert(key, Arc::clone(&schedule), bytes);
-            shared
-                .metrics
-                .schedule_cache_state(schedules.bytes() as u64);
+            shared.cache_schedule(key, &schedule);
         }
         if let Some(store) = &shared.store {
             let saved = store.lock().expect("store poisoned").save(key, &schedule);

@@ -22,13 +22,19 @@
 //!    once and replayed for the other lanes.
 //! 4. **Bit-exactness**: every replayed lane's output fingerprint must
 //!    equal the full simulation's — asserted, not sampled.
+//! 5. **Replay loops**: nanoseconds per cell update of
+//!    `ControlSchedule::replay` (one lane) and `replay_lanes` (1 and 16
+//!    lanes) on the four specs of the benchmark's seed sweep, each the
+//!    minimum of 60 timed calls after capture.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
+use smache::arch::kernel::AverageKernel;
 use smache::system::batch::{BatchJob, BatchOptions};
 use smache::system::smache_system::SystemConfig;
 use smache::system::{BatchReport, ReplayMode, RunEngine, SmacheSystem};
-use smache::HybridMode;
+use smache::{HybridMode, PipelineConfig, ProblemSpec, TemporalPipeline};
 use smache_bench::flags::{arg_value, BatchFlags};
 use smache_bench::json::Json;
 use smache_bench::workloads::paper_problem;
@@ -57,6 +63,114 @@ fn assert_bit_exact(full: &BatchReport, fast: &BatchReport) -> usize {
     }
     assert_eq!(full.aggregate, fast.aggregate, "aggregates differ");
     replayed_lanes
+}
+
+/// Fastest of `reps` calls of `f`, in seconds.
+fn min_time<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A seed-sweep spec: label, spec words, grid updates, and the
+/// latency-only chaos profile it runs under (chaos seed 7), if any.
+type SweepSpec = (
+    &'static str,
+    &'static [(&'static str, &'static str)],
+    u64,
+    Option<&'static str>,
+);
+
+/// Section 5: one row per seed-sweep spec — captured once, then timed
+/// through both replay loops.
+fn loop_rows() -> Vec<Json> {
+    const REPS: usize = 60;
+    const LANES: usize = 16;
+    let specs: [SweepSpec; 4] = [
+        ("paper-11x11", &[("grid", "11x11")], 4, None),
+        (
+            "nine-40x40",
+            &[("grid", "40x40"), ("shape", "nine"), ("rows", "mirror")],
+            2,
+            None,
+        ),
+        (
+            "pipe-16x16-t2c2",
+            &[
+                ("grid", "16x16"),
+                ("shape", "five"),
+                ("timesteps", "2"),
+                ("channels", "2"),
+            ],
+            2,
+            None,
+        ),
+        ("chaos-16x16", &[("grid", "16x16")], 4, Some("jitter")),
+    ];
+    println!("== replay loops: ns per cell update, min of {REPS} calls ==");
+    println!("  spec                single   lanes x1   lanes x{LANES}");
+    let mut rows = Vec::new();
+    for (label, words, instances, chaos) in specs {
+        let words: BTreeMap<String, String> = words
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let spec = ProblemSpec::from_source(&words).expect("valid spec");
+        let plan = spec.builder().plan().expect("plan");
+        let system = SystemConfig {
+            fault_plan: chaos.map_or_else(FaultPlan::default, |name| {
+                FaultPlan::new(7, ChaosProfile::from_name(name).expect("profile"))
+            }),
+            ..SystemConfig::default()
+        };
+        let n = spec.grid.len();
+        let inputs: Vec<Vec<u64>> = (0..LANES as u64)
+            .map(|s| smache::spec::seeded_input(n, s))
+            .collect();
+        let (_, schedule) = if spec.pipelined() {
+            let config = PipelineConfig {
+                depth: spec.timesteps as usize,
+                channels: spec.channels,
+                system,
+                ..PipelineConfig::default()
+            };
+            TemporalPipeline::new(plan, Box::new(AverageKernel), config)
+                .and_then(|mut p| p.run_captured(&inputs[0], instances / spec.timesteps))
+        } else {
+            SmacheSystem::new(plan, Box::new(AverageKernel), system)
+                .and_then(|mut s| s.run_captured(&inputs[0], instances))
+        }
+        .expect("sweep specs capture");
+        let views: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+        let cell_updates = (n as u64 * instances) as f64;
+        let ns = |secs: f64, lanes: usize| secs * 1e9 / (cell_updates * lanes as f64);
+        let single = ns(
+            min_time(REPS, || schedule.replay(&AverageKernel, &inputs[0])),
+            1,
+        );
+        let lanes1 = ns(
+            min_time(REPS, || schedule.replay_lanes(&AverageKernel, &views[..1])),
+            1,
+        );
+        let lanes16 = ns(
+            min_time(REPS, || schedule.replay_lanes(&AverageKernel, &views)),
+            LANES,
+        );
+        println!("  {label:<16} {single:8.2}   {lanes1:8.2}   {lanes16:8.2}");
+        rows.push(Json::obj(vec![
+            ("spec", Json::str(label)),
+            ("cell_updates", Json::Int(cell_updates as i64)),
+            ("single_ns_per_cell", Json::Num(single)),
+            ("lanes1_ns_per_cell", Json::Num(lanes1)),
+            ("lanes16_ns_per_cell", Json::Num(lanes16)),
+        ]));
+    }
+    println!();
+    rows
 }
 
 fn main() {
@@ -194,6 +308,9 @@ fn main() {
          {chaos_speedup:5.2}x   {chaos_replayed}/{CHAOS_LANES} replayed (bit-exact)\n"
     );
 
+    // --- 5. Replay loops on the seed-sweep specs --------------------------
+    let loops = loop_rows();
+
     let doc = Json::obj(vec![
         ("artefact", Json::str("replay")),
         ("grid", Json::str("11x11")),
@@ -225,6 +342,7 @@ fn main() {
                 ("fingerprints_match", Json::Bool(true)),
             ]),
         ),
+        ("loops", Json::Arr(loops)),
     ]);
     std::fs::write(&json_path, doc.pretty()).expect("write replay summary");
     println!("replay summary written to {json_path}");

@@ -323,7 +323,7 @@ impl<'a> VerilogGen<'a> {
         // (within an exact range every element resolves identically).
         let mut branches: Vec<(String, Vec<Option<String>>)> = Vec::new();
         let mut scratch = Vec::new();
-        for d in &self.plan.decisions {
+        for d in self.plan.decisions.iter() {
             let lo = d.range.start;
             let hi = d.range.end() - 1;
             let cond = if lo == hi {

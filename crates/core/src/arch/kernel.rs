@@ -21,6 +21,32 @@ pub trait Kernel {
     /// Computes the output word for one gathered tuple.
     fn apply(&self, values: &[Word], mask: u64) -> Word;
 
+    /// Computes `out.len()` lanes of one gathered row at once: lane `l`'s
+    /// tuple is `slots[p][l]` for every shape point `p`, so each
+    /// `slots[p]` is point `p`'s contiguous lane slice of a
+    /// structure-of-arrays block and holds at least `out.len()` words.
+    /// All lanes share `mask`.
+    ///
+    /// Must equal calling [`Kernel::apply`] once per lane, which is what
+    /// the default does; a kernel overrides it to drop the per-lane
+    /// dispatch from its inner loop.
+    fn apply_lanes(&self, slots: &[&[Word]], mask: u64, out: &mut [Word]) {
+        let mut stack = [0; MASK_BITS];
+        let mut heap = Vec::new();
+        let values = if slots.len() <= MASK_BITS {
+            &mut stack[..slots.len()]
+        } else {
+            heap.resize(slots.len(), 0);
+            &mut heap[..]
+        };
+        for (l, o) in out.iter_mut().enumerate() {
+            for (v, s) in values.iter_mut().zip(slots) {
+                *v = s[l];
+            }
+            *o = self.apply(values, mask);
+        }
+    }
+
     /// Pipeline latency in cycles between tuple input and result output.
     fn latency(&self) -> u64 {
         1
@@ -28,6 +54,90 @@ pub trait Kernel {
 
     /// Synthesised footprint of the kernel datapath.
     fn resources(&self) -> ResourceUsage;
+}
+
+/// Points a `u64` mask can name: the most slots a tuple's present points
+/// come from, and the slots the default [`Kernel::apply_lanes`] gathers
+/// on the stack.
+const MASK_BITS: usize = 64;
+
+/// Exact division by a point count `d` in `1..=64` without a divide
+/// instruction: a multiply-high by `c = ⌈2^128 / d⌉`. With a 128-bit
+/// fraction the quotient is exact for every 64-bit dividend (Lemire, Kaser
+/// & Kurz, "Faster remainder by direct computation", 2019: exactness needs
+/// `64 + log2 d` fraction bits). `c = 0` encodes `d = 1`.
+#[derive(Debug, Clone, Copy)]
+struct Reciprocal {
+    c: u128,
+    d: u64,
+}
+
+/// [`Reciprocal`] of every count a `u64` mask can hold, index = count.
+/// Entry 0 is never divided by: callers return 0 for an empty tuple.
+const RECIPROCALS: [Reciprocal; MASK_BITS + 1] = {
+    let mut table = [Reciprocal { c: 0, d: 1 }; MASK_BITS + 1];
+    let mut d = 2;
+    while d <= MASK_BITS {
+        table[d] = Reciprocal {
+            c: u128::MAX / d as u128 + 1,
+            d: d as u64,
+        };
+        d += 1;
+    }
+    table
+};
+
+impl Reciprocal {
+    /// `n / d`.
+    #[inline]
+    fn div(self, n: u64) -> u64 {
+        if self.c == 0 {
+            return n;
+        }
+        // ⌊c·n / 2^128⌋ from two 64×64 products.
+        let n = n as u128;
+        let hi = (self.c >> 64) * n;
+        let lo = (self.c as u64 as u128 * n) >> 64;
+        ((hi + lo) >> 64) as u64
+    }
+
+    /// `sum / d` for a `u128` sum: the multiply-high when the sum fits 64
+    /// bits, `u128` division when it carries past them.
+    #[inline]
+    fn div_wide(self, sum: u128) -> u64 {
+        match u64::try_from(sum) {
+            Ok(sum) => self.div(sum),
+            Err(_) => (sum / self.d as u128) as u64,
+        }
+    }
+}
+
+/// [`AverageKernel::apply_lanes`] for exactly `K` present points: the
+/// fixed-size slot array lets the compiler unroll the sum and drop the
+/// per-lane bounds checks.
+#[inline(always)]
+fn average_fixed<'a, const K: usize>(
+    mut present: impl Iterator<Item = &'a [Word]>,
+    out: &mut [Word],
+) {
+    let p: [&[Word]; K] = std::array::from_fn(|_| present.next().expect("K present points"));
+    let recip = RECIPROCALS[K];
+    for (l, o) in out.iter_mut().enumerate() {
+        let mut sum = 0u128;
+        for s in &p {
+            sum += s[l] as u128;
+        }
+        *o = recip.div_wide(sum);
+    }
+}
+
+/// A mask with the low `bits` bits set.
+fn low_bits(bits: usize) -> u64 {
+    if bits >= MASK_BITS {
+        u64::MAX
+    } else {
+        (1 << bits) - 1
+    }
 }
 
 /// Iterates the present values of a masked tuple.
@@ -51,17 +161,50 @@ impl Kernel for AverageKernel {
     }
 
     fn apply(&self, values: &[Word], mask: u64) -> Word {
-        let lim = if values.len() >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << values.len()) - 1
-        };
-        let count = (mask & lim).count_ones() as u128;
+        let count = (mask & low_bits(values.len())).count_ones() as usize;
         if count == 0 {
             return 0;
         }
         let sum: u128 = present(values, mask).map(|v| v as u128).sum();
-        (sum / count) as Word
+        RECIPROCALS[count].div_wide(sum)
+    }
+
+    /// Lane-outer: each lane sums its present points in a `u128` register
+    /// and divides by the row's point count through an exact
+    /// multiply-high reciprocal (`u128` division only when the sum carries
+    /// past 64 bits).
+    fn apply_lanes(&self, slots: &[&[Word]], mask: u64, out: &mut [Word]) {
+        let lanes = out.len();
+        let slots = &slots[..slots.len().min(MASK_BITS)];
+        let count = (mask & low_bits(slots.len())).count_ones() as usize;
+        let present = slots
+            .iter()
+            .enumerate()
+            .filter(|&(p, _)| mask & (1 << p) != 0)
+            .map(|(_, s)| &s[..lanes]);
+        // One monomorphised loop per count of present points covers every
+        // built-in 2D/3D shape up to nine points; wider rows take the
+        // general loop.
+        match count {
+            0 => out.fill(0),
+            1 => average_fixed::<1>(present, out),
+            2 => average_fixed::<2>(present, out),
+            3 => average_fixed::<3>(present, out),
+            4 => average_fixed::<4>(present, out),
+            5 => average_fixed::<5>(present, out),
+            6 => average_fixed::<6>(present, out),
+            7 => average_fixed::<7>(present, out),
+            8 => average_fixed::<8>(present, out),
+            9 => average_fixed::<9>(present, out),
+            _ => {
+                let present: Vec<&[Word]> = present.collect();
+                let recip = RECIPROCALS[count];
+                for (l, o) in out.iter_mut().enumerate() {
+                    let sum: u128 = present.iter().map(|s| s[l] as u128).sum();
+                    *o = recip.div_wide(sum);
+                }
+            }
+        }
     }
 
     fn latency(&self) -> u64 {
@@ -258,6 +401,37 @@ mod tests {
         let vals = [5u64, 6, 7, 8];
         let got: Vec<u64> = present(&vals, 0b1010).collect();
         assert_eq!(got, vec![6, 8]);
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact_for_every_row_count() {
+        for d in 1..=64u64 {
+            let r = RECIPROCALS[d as usize];
+            assert_eq!(r.d, d);
+            let mut dividends = vec![0, d - 1, d, u64::MAX, u64::MAX - 1];
+            for k in [2, 3, 1000, u64::MAX / d - 1, u64::MAX / d] {
+                dividends.push(k * d);
+                dividends.push(k * d - 1);
+                dividends.push((k * d).saturating_add(1));
+            }
+            for n in dividends {
+                assert_eq!(r.div(n), n / d, "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn average_lanes_take_the_carry_path_past_64_bits() {
+        let big = [u64::MAX; 3];
+        let small = [6u64, 9, 1];
+        let slots: Vec<&[u64]> = vec![&big, &small, &big];
+        let mut out = [0u64; 3];
+        AverageKernel.apply_lanes(&slots, 0b111, &mut out);
+        for (l, &o) in out.iter().enumerate() {
+            assert_eq!(o, AverageKernel.apply(&[big[l], small[l], big[l]], 0b111));
+        }
+        AverageKernel.apply_lanes(&slots, 0, &mut out);
+        assert_eq!(out, [0; 3]);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! the stencil code) and the *parameters* (window geometry, tap positions,
 //! hybrid segmentation, buffer regions).
 
+use std::sync::Arc;
+
 use smache_mem::MemKind;
 use smache_stencil::{access, split_ranges, BoundarySpec, GridSpec, LinearAccess, StencilShape};
 
@@ -289,8 +291,10 @@ pub struct BufferPlan {
     pub bounds: BoundarySpec,
     /// Logical word width in bits.
     pub word_bits: u32,
-    /// Per-range split decisions (post refinement).
-    pub decisions: Vec<RangeDecision>,
+    /// Per-range split decisions (post refinement). Shared behind an
+    /// [`Arc`] so cloned plans reuse one table, and comparing two clones
+    /// short-circuits on pointer identity instead of walking every range.
+    pub decisions: Arc<Vec<RangeDecision>>,
     /// Largest stream offset ahead of the element (window reach forward).
     pub lookahead: usize,
     /// Largest stream offset behind the element.
@@ -466,7 +470,7 @@ impl BufferPlan {
             shape,
             bounds,
             word_bits,
-            decisions,
+            decisions: Arc::new(decisions),
             lookahead,
             lookback,
             capacity,

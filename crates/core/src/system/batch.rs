@@ -20,8 +20,8 @@
 //! guarantee [`smache_sim::run_batch`] gives at the simulator level, which
 //! this module builds on. Replay-eligible lanes that share a
 //! [`schedule_key`] are grouped into structure-of-arrays lane blocks and
-//! driven through [`ControlSchedule::replay_lanes`], one gather-row decode
-//! per element for the whole block.
+//! driven through [`ControlSchedule::replay_lanes`], one kernel call per
+//! gather row for the whole block.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,8 +45,8 @@ pub type KernelFactory = Arc<dyn Fn() -> Box<dyn Kernel> + Send + Sync>;
 
 /// Default number of lanes replayed per structure-of-arrays block.
 ///
-/// Big enough to amortise the per-element gather-row decode across many
-/// lanes, small enough that a block's interleaved grids stay cache-resident
+/// Big enough to amortise the per-row kernel call across many lanes,
+/// small enough that a block's interleaved grids stay cache-resident
 /// and blocks still spread across worker threads.
 pub const DEFAULT_LANE_BLOCK: usize = 16;
 
@@ -270,8 +270,8 @@ impl SmacheSystem {
     /// and replay it for every other lane, bit-exact with the full
     /// simulation. Replay lanes are grouped into structure-of-arrays
     /// blocks of [`BatchOptions::lane_block`] lanes and driven through
-    /// [`ControlSchedule::replay_lanes`], so the gather row is decoded
-    /// once per element for the whole block.
+    /// [`ControlSchedule::replay_lanes`], so the kernel runs once per
+    /// gather row for the whole block.
     ///
     /// * [`ReplayMode::Off`] — every lane runs the full simulation.
     /// * [`ReplayMode::Auto`] — one lane per distinct key runs the full
@@ -606,6 +606,50 @@ mod tests {
             assert_eq!(w.stats, f.stats, "lane {i}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Grouping compares plans by value: separately built equal plans share
+    /// one capture, while a plan that differs only in its range decisions
+    /// is a different spec with a capture of its own.
+    #[test]
+    fn spec_grouping_is_by_plan_value_not_identity() {
+        let (a, b) = (paper_plan(), paper_plan());
+        assert!(!Arc::ptr_eq(&a.decisions, &b.decisions));
+        assert_eq!(a, b);
+        let mut c = paper_plan();
+        let last = Arc::make_mut(&mut c.decisions)
+            .last_mut()
+            .expect("decisions");
+        last.cost.stream_words += 1;
+        assert_ne!(a, c);
+
+        let kernel = average_factory();
+        let job = |plan: BufferPlan, s: u64| {
+            let input: Vec<u64> = (0..121).map(|i| i * 7 + s).collect();
+            BatchJob::new(plan, Arc::clone(&kernel), input, 2)
+        };
+        let jobs = vec![
+            job(a.clone(), 1),
+            job(b, 2),
+            job(c.clone(), 3),
+            job(a, 4),
+            job(c, 5),
+        ];
+        let report = SmacheSystem::run_batch(jobs, BatchOptions::new());
+        let engines: Vec<RunEngine> = report
+            .lanes
+            .iter()
+            .map(|l| l.as_ref().expect("ok").engine)
+            .collect();
+        use RunEngine::{FullSim, Replay};
+        assert_eq!(engines, [FullSim, Replay, FullSim, Replay, Replay]);
+        let full = full_sim(&[1, 2, 3, 4, 5]);
+        for (f, r) in full.lanes.iter().zip(&report.lanes) {
+            assert_eq!(
+                f.as_ref().expect("ok").output,
+                r.as_ref().expect("ok").output
+            );
+        }
     }
 
     #[test]

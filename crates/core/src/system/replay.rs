@@ -273,23 +273,23 @@ impl ControlSchedule {
                 actual: input.len(),
             });
         }
-        let mut cur = input.to_vec();
-        let mut next = vec![0u64; self.n];
-        let mut values: Vec<Word> = Vec::with_capacity(8);
+        // Both buffers carry the extended grid's constant and hole rows;
+        // only the first `n` rows are ever rewritten.
+        let mut cur = self.gather.extend(&[input]);
+        let mut next = cur.clone();
+        let mut stack = [0 as Word; GatherTable::MAX_ARITY];
+        let values = &mut stack[..self.gather.arity()];
         for _ in 0..self.instances {
-            for (e, out) in next.iter_mut().enumerate() {
-                values.clear();
-                for s in self.gather.slots(e) {
-                    values.push(match *s {
-                        SlotSource::Grid(i) => cur[i as usize],
-                        SlotSource::Const(v) => v,
-                        SlotSource::Hole => 0,
-                    });
+            for (e, out) in next[..self.n].iter_mut().enumerate() {
+                let (row, mask) = self.gather.row(e);
+                for (v, &r) in values.iter_mut().zip(row) {
+                    *v = cur[r as usize];
                 }
-                *out = kernel.apply(&values, self.gather.masks[e]);
+                *out = kernel.apply(values, mask);
             }
             std::mem::swap(&mut cur, &mut next);
         }
+        cur.truncate(self.n);
         let mut report = self.template.clone();
         report.output = cur;
         report.engine = RunEngine::Replay;
@@ -301,10 +301,10 @@ impl ControlSchedule {
     ///
     /// The grids are interleaved into a structure-of-arrays block — the
     /// word for (element `e`, lane `l`) lives at `e * lanes + l` — so each
-    /// element's gather row is decoded *once* and applied across every
-    /// lane. Constants and boundary holes are lane-invariant and resolved
-    /// outside the lane loop; only grid reads differ per lane, and those
-    /// land on consecutive words of the block. Per lane the result is
+    /// element's lowered gather row becomes `arity` contiguous lane slices
+    /// and the kernel runs once per row through [`Kernel::apply_lanes`].
+    /// Constants and boundary holes are extra lane-invariant rows of the
+    /// block, filled once per call. Per lane the result is
     /// bit-exact with [`ControlSchedule::replay`] of that lane's input
     /// (and therefore with the full simulation).
     ///
@@ -334,41 +334,20 @@ impl ControlSchedule {
         if lanes == 0 {
             return Ok(Vec::new());
         }
-        // Interleave: lane l's element e goes to cur[e * lanes + l].
-        let mut cur = vec![0u64; self.n * lanes];
-        for (l, input) in inputs.iter().enumerate() {
-            for (e, &w) in input.iter().enumerate() {
-                cur[e * lanes + l] = w;
-            }
-        }
-        let mut next = vec![0u64; self.n * lanes];
-        let mut values: Vec<Word> = Vec::with_capacity(8);
-        let mut grid_slots: Vec<(usize, usize)> = Vec::with_capacity(8);
+        // Both buffers carry the constant and hole rows; only the first
+        // `n` rows are ever rewritten.
+        let mut cur = self.gather.extend(inputs);
+        let mut next = cur.clone();
         for _ in 0..self.instances {
-            for e in 0..self.n {
-                // Decode the CSR row once per element: constants and holes
-                // fill `values` up front, grid slots are kept as (position,
-                // interleaved base index) for the per-lane overwrite.
-                let (slots, mask) = self.gather.row(e);
-                values.clear();
-                grid_slots.clear();
-                for (p, s) in slots.iter().enumerate() {
-                    values.push(match *s {
-                        SlotSource::Grid(i) => {
-                            grid_slots.push((p, i as usize * lanes));
-                            0
-                        }
-                        SlotSource::Const(v) => v,
-                        SlotSource::Hole => 0,
-                    });
+            let mut slots: [&[Word]; GatherTable::MAX_ARITY] = [&[]; GatherTable::MAX_ARITY];
+            let slots = &mut slots[..self.gather.arity()];
+            for (e, out) in next[..self.n * lanes].chunks_exact_mut(lanes).enumerate() {
+                let (row, mask) = self.gather.row(e);
+                for (s, &r) in slots.iter_mut().zip(row) {
+                    let base = r as usize * lanes;
+                    *s = &cur[base..base + lanes];
                 }
-                let row = &mut next[e * lanes..(e + 1) * lanes];
-                for (l, out) in row.iter_mut().enumerate() {
-                    for &(p, base) in &grid_slots {
-                        values[p] = cur[base + l];
-                    }
-                    *out = kernel.apply(&values, mask);
-                }
+                kernel.apply_lanes(slots, mask, out);
             }
             std::mem::swap(&mut cur, &mut next);
         }
@@ -383,22 +362,26 @@ impl ControlSchedule {
     }
 }
 
-/// Derives the per-element gather table from the plan. Every architectural
-/// source resolves to a current-instance grid index: a stream tap at window
-/// position `p` serves offset `lookahead + 1 − p`, i.e. grid index
-/// `e + o`; a static-bank slot holds grid index `region_start + slot` of
-/// the current input (the previous instance's captured output).
+/// Derives the per-element gather table from the plan and lowers it to
+/// fixed-arity rows. Every architectural source resolves to a
+/// current-instance grid index: a stream tap at window position `p` serves
+/// offset `lookahead + 1 − p`, i.e. grid index `e + o`; a static-bank slot
+/// holds grid index `region_start + slot` of the current input (the
+/// previous instance's captured output).
 pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
     let n = plan.grid.len();
-    let mut table = GatherTable {
-        starts: Vec::with_capacity(n + 1),
-        sources: Vec::new(),
-        masks: Vec::with_capacity(n),
-    };
+    let arity = plan.shape.len();
+    let mut sources = Vec::with_capacity(n * arity);
+    let mut masks = Vec::with_capacity(n);
     let mut srcs: Vec<Option<SourceRef>> = Vec::new();
     for e in 0..n {
-        table.starts.push(table.sources.len() as u32);
         plan.sources_for(e, &mut srcs)?;
+        if srcs.len() != arity {
+            return Err(CoreError::Config(format!(
+                "gather: element {e} has {} slots, the shape has {arity}",
+                srcs.len()
+            )));
+        }
         let mut mask = 0u64;
         for (p, src) in srcs.iter().enumerate() {
             let slot = match *src {
@@ -432,12 +415,12 @@ pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
                     SlotSource::Grid(g as u32)
                 }
             };
-            table.sources.push(slot);
+            sources.push(slot);
         }
-        table.masks.push(mask);
+        masks.push(mask);
     }
-    table.starts.push(table.sources.len() as u32);
-    Ok(table)
+    GatherTable::lower(arity, &sources, masks)
+        .map_err(|e| CoreError::Config(format!("gather: {e}")))
 }
 
 /// Seals a recording run into a [`ControlSchedule`]: the one sealing path
@@ -448,7 +431,9 @@ pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
 /// must replay. Before the schedule is handed out, sealing checks that
 /// the trace totals reproduce the run's cycle accounting, clears the
 /// template's data, and replays the capture input through the fresh
-/// schedule, demanding bit-exactness. Any mismatch surfaces as
+/// schedule — once down [`ControlSchedule::replay`] and once as a single
+/// lane of [`ControlSchedule::replay_lanes`] — demanding bit-exactness
+/// from both. Any mismatch surfaces as
 /// [`CoreError::ReplayRefused`]`(`[`ReplayUnsupported::ScheduleDivergence`]`)`
 /// — a loud, typed failure instead of a silently wrong schedule.
 pub(crate) fn seal_capture(
@@ -488,21 +473,28 @@ pub(crate) fn seal_capture(
         template,
     };
 
-    // Replay the capture input through the fresh schedule and demand
-    // bit-exactness before anyone else trusts it.
-    let replayed = schedule
+    // Replay the capture input through the fresh schedule, down both
+    // replay loops, and demand bit-exactness before anyone else trusts it:
+    // a kernel's `apply_lanes` is a fast path with the full simulation as
+    // its oracle, just like `apply`.
+    let single = schedule
         .replay(kernel, input)
         .map_err(|e| diverged(format!("self-replay refused: {e}")))?;
-    if replayed.output != report.output {
-        let idx = replayed
-            .output
-            .iter()
-            .zip(&report.output)
-            .position(|(a, b)| a != b)
-            .unwrap_or(0);
-        return Err(diverged(format!(
-            "self-replay output mismatch at element {idx}"
-        )));
+    let lanes = schedule
+        .replay_lanes(kernel, &[input])
+        .map_err(|e| diverged(format!("lane self-replay refused: {e}")))?;
+    for (path, output) in [
+        ("self-replay", &single.output),
+        ("lane self-replay", &lanes[0].output),
+    ] {
+        if *output != report.output {
+            let idx = output
+                .iter()
+                .zip(&report.output)
+                .position(|(a, b)| a != b)
+                .unwrap_or(0);
+            return Err(diverged(format!("{path} output mismatch at element {idx}")));
+        }
     }
 
     Ok((report, Arc::new(schedule)))
@@ -644,6 +636,38 @@ mod tests {
                 actual: 64
             })
         ));
+    }
+
+    /// Sealing checks `apply_lanes` as well as `apply`: a kernel whose lane
+    /// entry point disagrees with its per-tuple one refuses to capture.
+    #[test]
+    fn seal_refuses_a_kernel_whose_lanes_disagree() {
+        struct SkewedLanes;
+        impl Kernel for SkewedLanes {
+            fn name(&self) -> &str {
+                "skewed"
+            }
+            fn apply(&self, values: &[Word], mask: u64) -> Word {
+                AverageKernel.apply(values, mask)
+            }
+            fn apply_lanes(&self, slots: &[&[Word]], mask: u64, out: &mut [Word]) {
+                AverageKernel.apply_lanes(slots, mask, out);
+                out[0] ^= 1;
+            }
+            fn resources(&self) -> smache_sim::ResourceUsage {
+                AverageKernel.resources()
+            }
+        }
+        let mut sys = SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
+            .kernel(Box::new(SkewedLanes))
+            .build()
+            .expect("build");
+        match sys.run_captured(&ramp(121), 2) {
+            Err(CoreError::ReplayRefused(ReplayUnsupported::ScheduleDivergence { detail })) => {
+                assert!(detail.starts_with("lane self-replay"), "{detail}");
+            }
+            other => panic!("expected a divergence refusal, got {other:?}"),
+        }
     }
 
     #[test]
@@ -883,11 +907,11 @@ mod tests {
         let table = build_gather_table(sys.plan()).expect("gather");
         assert_eq!(table.len(), 121);
         // Interior element: four grid sources, full mask.
-        assert_eq!(table.slots(60).len(), 4);
-        assert_eq!(table.masks[60], 0b1111);
+        assert_eq!(table.arity(), 4);
+        assert_eq!(table.row(60).1, 0b1111);
         assert_eq!(
-            table.slots(60),
-            &[
+            table.slots(60).collect::<Vec<_>>(),
+            [
                 SlotSource::Grid(49),
                 SlotSource::Grid(59),
                 SlotSource::Grid(61),
@@ -895,8 +919,8 @@ mod tests {
             ]
         );
         // NW corner: west point is a hole, north wraps to the bottom row.
-        assert_eq!(table.masks[0], 0b1101);
-        assert_eq!(table.slots(0)[0], SlotSource::Grid(110));
-        assert_eq!(table.slots(0)[1], SlotSource::Hole);
+        assert_eq!(table.row(0).1, 0b1101);
+        assert_eq!(table.source(0, 0), SlotSource::Grid(110));
+        assert_eq!(table.source(0, 1), SlotSource::Hole);
     }
 }

@@ -12,10 +12,11 @@
 //!
 //! 1. **Byte-identity.** A schedule loaded from disk replays bit-exact
 //!    with the in-memory capture it was saved from. The entry encodes the
-//!    packed [`ControlTrace`], the [`GatherTable`] and the canonical-JSON
-//!    report template verbatim; decode revalidates every structural
-//!    invariant (CSR shape, grid-index bounds, trace totals vs template
-//!    stats) before handing a schedule out.
+//!    packed [`ControlTrace`], the [`GatherTable`] (in CSR form) and the
+//!    canonical-JSON report template verbatim; decode revalidates every
+//!    structural invariant (CSR shape, equal-length rows of at most 64
+//!    slots, grid-index bounds, trace totals vs template stats) and lowers
+//!    the table to fixed-arity rows before handing a schedule out.
 //! 2. **Corruption is a typed miss, never a wrong answer.** Every entry
 //!    carries a [`fingerprint128`] checksum over all of its other bytes;
 //!    any single bit flip, truncation or version skew surfaces as a
@@ -615,24 +616,29 @@ pub fn encode_entry(key: (u64, u64), schedule: &ControlSchedule) -> Vec<u8> {
     payload.extend_from_slice(&(schedule.len() as u64).to_le_bytes());
     payload.extend_from_slice(&schedule.instances().to_le_bytes());
 
+    // The gather table goes to disk in the v1 CSR layout: row starts, the
+    // un-lowered slot sources, then the masks.
     let gather = schedule.gather();
-    payload.extend_from_slice(&(gather.starts.len() as u64).to_le_bytes());
-    for &s in &gather.starts {
-        payload.extend_from_slice(&s.to_le_bytes());
+    let (n, arity) = (gather.len(), gather.arity());
+    payload.extend_from_slice(&(n as u64 + 1).to_le_bytes());
+    for e in 0..=n {
+        payload.extend_from_slice(&((e * arity) as u32).to_le_bytes());
     }
-    payload.extend_from_slice(&(gather.sources.len() as u64).to_le_bytes());
-    for &s in &gather.sources {
-        let (tag, value): (u8, u64) = match s {
-            SlotSource::Grid(i) => (0, i as u64),
-            SlotSource::Const(v) => (1, v),
-            SlotSource::Hole => (2, 0),
-        };
-        payload.push(tag);
-        payload.extend_from_slice(&value.to_le_bytes());
+    payload.extend_from_slice(&((n * arity) as u64).to_le_bytes());
+    for e in 0..n {
+        for s in gather.slots(e) {
+            let (tag, value): (u8, u64) = match s {
+                SlotSource::Grid(i) => (0, i as u64),
+                SlotSource::Const(v) => (1, v),
+                SlotSource::Hole => (2, 0),
+            };
+            payload.push(tag);
+            payload.extend_from_slice(&value.to_le_bytes());
+        }
     }
-    payload.extend_from_slice(&(gather.masks.len() as u64).to_le_bytes());
-    for &m in &gather.masks {
-        payload.extend_from_slice(&m.to_le_bytes());
+    payload.extend_from_slice(&(n as u64).to_le_bytes());
+    for e in 0..n {
+        payload.extend_from_slice(&gather.row(e).1.to_le_bytes());
     }
 
     let records = schedule.trace().records();
@@ -748,16 +754,9 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
         let tag = cur.read_u8()?;
         let value = cur.read_u64()?;
         sources.push(match tag {
-            0 => {
-                let i =
-                    u32::try_from(value).map_err(|_| malformed("grid index exceeds u32 range"))?;
-                if (i as usize) >= n {
-                    return Err(malformed(format!(
-                        "grid index {i} escapes the {n}-element grid"
-                    )));
-                }
-                SlotSource::Grid(i)
-            }
+            0 => SlotSource::Grid(
+                u32::try_from(value).map_err(|_| malformed("grid index exceeds u32 range"))?,
+            ),
             1 => SlotSource::Const(value),
             2 => SlotSource::Hole,
             t => return Err(malformed(format!("unknown slot-source tag {t}"))),
@@ -806,6 +805,19 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
     if starts.last().copied() != Some(sources.len() as u32) {
         return Err(malformed("CSR sentinel does not cover the source table"));
     }
+    // Replay reads fixed-arity rows: every element must have as many
+    // slots as the first.
+    let arity = starts.get(1).map_or(0, |&s| s as usize);
+    if let Some(e) = starts
+        .windows(2)
+        .position(|w| (w[1] - w[0]) as usize != arity)
+    {
+        return Err(malformed(format!(
+            "ragged gather rows: element {e} has {} slots, element 0 has {arity}",
+            starts[e + 1] - starts[e]
+        )));
+    }
+    let gather = GatherTable::lower(arity, &sources, masks).map_err(malformed)?;
     if !template.output.is_empty() {
         return Err(malformed("report template must carry no output"));
     }
@@ -829,11 +841,7 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
         instances,
         kernel_name,
         kernel_latency,
-        GatherTable {
-            starts,
-            sources,
-            masks,
-        },
+        gather,
         trace,
         template,
     ))

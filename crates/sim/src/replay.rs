@@ -14,10 +14,11 @@
 //!
 //! This module holds the engine-agnostic pieces:
 //!
-//! * [`SlotSource`] / [`GatherTable`] — the per-element read pattern in CSR
-//!   form: for each output element, where each stencil-shape value comes
-//!   from (a current-instance grid index, a boundary constant, or a hole
-//!   masked out of the kernel).
+//! * [`SlotSource`] / [`GatherTable`] — the per-element read pattern: for
+//!   each output element, where each stencil-shape value comes from (a
+//!   current-instance grid index, a boundary constant, or a hole masked out
+//!   of the kernel), lowered once into fixed-arity rows of indices into an
+//!   extended grid.
 //! * [`ControlTrace`] — the packed per-cycle control-plane record
 //!   ([`CycleRecord`]: FSM phase plus handshake/stall flags) with the
 //!   derived totals that replay reports instead of re-simulating.
@@ -55,20 +56,92 @@ pub enum SlotSource {
     Hole,
 }
 
-/// The per-element gather pattern in compressed sparse row form:
-/// element `e`'s slots are `sources[starts[e]..starts[e + 1]]`, and
-/// `masks[e]` is the kernel mask (bit `i` set when slot `i` is present).
-#[derive(Debug, Clone, Default)]
+/// The per-element gather pattern, lowered once into fixed-arity rows.
+///
+/// Replay reads every slot from one row of an *extended grid*: rows
+/// `0..n` are the current instance's grid cells, then comes one row per
+/// distinct boundary constant, then a final zero row that boundary holes
+/// read. Element `e`'s slots are the `arity` row indices
+/// [`GatherTable::row`] returns, and its kernel mask keeps bit `p` set
+/// when slot `p` is present. The lowering happens when a schedule is
+/// sealed or loaded from the store, so a replay indexes and never matches
+/// on a [`SlotSource`]. [`GatherTable::source`] recovers the source a row
+/// index stands for.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GatherTable {
-    /// CSR row starts, one per element plus a final sentinel.
-    pub starts: Vec<u32>,
-    /// Flattened slot sources for all elements.
-    pub sources: Vec<SlotSource>,
+    arity: usize,
+    /// `arity` extended-grid row indices per element, element-major.
+    rows: Vec<u32>,
     /// Kernel mask per element.
-    pub masks: Vec<u64>,
+    masks: Vec<u64>,
+    /// The distinct boundary constants, in first-use order; constant `c`
+    /// lives in extended row `n + c`.
+    consts: Vec<Word>,
 }
 
 impl GatherTable {
+    /// Most slots a row may have: kernel masks are `u64`.
+    pub const MAX_ARITY: usize = 64;
+
+    /// Lowers a per-element gather pattern: element `e`'s slots are
+    /// `sources[e * arity..(e + 1) * arity]` and its kernel mask is
+    /// `masks[e]`, so `masks.len()` is the element count `n`.
+    ///
+    /// Fails, naming the fault, when `arity` exceeds
+    /// [`GatherTable::MAX_ARITY`], `sources` is not `n * arity` long, a
+    /// grid index escapes the grid, or the extended grid outgrows `u32`
+    /// row indices.
+    pub fn lower(
+        arity: usize,
+        sources: &[SlotSource],
+        masks: Vec<u64>,
+    ) -> Result<GatherTable, String> {
+        let n = masks.len();
+        if arity > Self::MAX_ARITY {
+            return Err(format!("gather arity {arity} exceeds {}", Self::MAX_ARITY));
+        }
+        if Some(sources.len()) != n.checked_mul(arity) {
+            return Err(format!(
+                "{} slot sources do not form {n} rows of {arity}",
+                sources.len()
+            ));
+        }
+        let mut consts: Vec<Word> = Vec::new();
+        let mut const_rows: BTreeMap<Word, usize> = BTreeMap::new();
+        for s in sources {
+            if let SlotSource::Const(v) = *s {
+                const_rows.entry(v).or_insert_with(|| {
+                    consts.push(v);
+                    n + consts.len() - 1
+                });
+            }
+        }
+        let hole = n + consts.len();
+        if hole > u32::MAX as usize {
+            return Err(format!(
+                "extended grid of {} rows exceeds u32 indices",
+                hole + 1
+            ));
+        }
+        let mut rows = Vec::with_capacity(sources.len());
+        for s in sources {
+            rows.push(match *s {
+                SlotSource::Grid(i) if (i as usize) < n => i,
+                SlotSource::Grid(i) => {
+                    return Err(format!("grid index {i} escapes the {n}-element grid"))
+                }
+                SlotSource::Const(v) => const_rows[&v] as u32,
+                SlotSource::Hole => hole as u32,
+            });
+        }
+        Ok(GatherTable {
+            arity,
+            rows,
+            masks,
+            consts,
+        })
+    }
+
     /// Number of elements covered by the table.
     pub fn len(&self) -> usize {
         self.masks.len()
@@ -79,25 +152,65 @@ impl GatherTable {
         self.masks.is_empty()
     }
 
-    /// The slot sources of element `e`.
-    #[inline]
-    pub fn slots(&self, e: usize) -> &[SlotSource] {
-        &self.sources[self.starts[e] as usize..self.starts[e + 1] as usize]
+    /// Slots per element.
+    pub fn arity(&self) -> usize {
+        self.arity
     }
 
-    /// The full gather row of element `e`: slot sources plus kernel mask,
-    /// fetched together — the one decode a lane-batched replay performs
-    /// per element before fanning out across lanes.
+    /// Rows of the extended grid: the grid cells, one row per constant,
+    /// and the zero row holes read.
+    fn extended_len(&self) -> usize {
+        self.len() + self.consts.len() + 1
+    }
+
+    /// Lays the lanes' grids (one value per element each) out as the
+    /// extended grid in structure-of-arrays form: row `r`'s word for lane
+    /// `l` lives at `r * lanes + l`. Each constant row holds its constant
+    /// in every lane and the hole row is zero. With one lane this is the
+    /// grid, the constants, then a zero.
+    pub fn extend(&self, grids: &[&[Word]]) -> Vec<Word> {
+        let (n, lanes) = (self.len(), grids.len());
+        let mut ext = vec![0; self.extended_len() * lanes];
+        for (l, grid) in grids.iter().enumerate() {
+            for (e, &w) in grid[..n].iter().enumerate() {
+                ext[e * lanes + l] = w;
+            }
+        }
+        for (c, &v) in self.consts.iter().enumerate() {
+            ext[(n + c) * lanes..(n + c + 1) * lanes].fill(v);
+        }
+        ext
+    }
+
+    /// The gather row of element `e`: its `arity` extended-grid row
+    /// indices and its kernel mask.
     #[inline]
-    pub fn row(&self, e: usize) -> (&[SlotSource], u64) {
-        (self.slots(e), self.masks[e])
+    pub fn row(&self, e: usize) -> (&[u32], u64) {
+        (
+            &self.rows[e * self.arity..(e + 1) * self.arity],
+            self.masks[e],
+        )
+    }
+
+    /// The source slot `p` of element `e` reads, recovered from its row
+    /// index.
+    pub fn source(&self, e: usize, p: usize) -> SlotSource {
+        let r = self.rows[e * self.arity + p] as usize;
+        match r.checked_sub(self.len()) {
+            None => SlotSource::Grid(r as u32),
+            Some(c) if c < self.consts.len() => SlotSource::Const(self.consts[c]),
+            Some(_) => SlotSource::Hole,
+        }
+    }
+
+    /// The sources of element `e`'s slots, in slot order.
+    pub fn slots(&self, e: usize) -> impl Iterator<Item = SlotSource> + '_ {
+        (0..self.arity).map(move |p| self.source(e, p))
     }
 
     /// Approximate heap footprint in bytes (cache accounting).
     pub fn approx_bytes(&self) -> usize {
-        self.starts.len() * 4
-            + self.sources.len() * std::mem::size_of::<SlotSource>()
-            + self.masks.len() * 8
+        self.rows.len() * 4 + self.masks.len() * 8 + self.consts.len() * 8
     }
 }
 
@@ -493,15 +606,46 @@ mod tests {
     }
 
     #[test]
-    fn gather_table_csr_rows() {
-        let table = GatherTable {
-            starts: vec![0, 2, 3],
-            sources: vec![SlotSource::Grid(4), SlotSource::Hole, SlotSource::Const(9)],
-            masks: vec![0b01, 0b1],
-        };
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.slots(0), &[SlotSource::Grid(4), SlotSource::Hole]);
-        assert_eq!(table.slots(1), &[SlotSource::Const(9)]);
+    fn gather_table_lowers_to_fixed_arity_rows() {
+        let sources = [
+            SlotSource::Grid(2),
+            SlotSource::Hole,
+            SlotSource::Const(9),
+            SlotSource::Const(0),
+            SlotSource::Const(9),
+            SlotSource::Grid(0),
+        ];
+        let table = GatherTable::lower(2, &sources, vec![0b01, 0b11, 0b11]).expect("lower");
+        assert_eq!(table.len(), 3);
+        assert_eq!(table.arity(), 2);
+        // Extended grid: 3 cells, constants 9 and 0, then the hole row.
+        assert_eq!(table.extended_len(), 6);
+        assert_eq!(table.extend(&[&[7, 8, 6]]), vec![7, 8, 6, 9, 0, 0]);
+        assert_eq!(
+            table.extend(&[&[7, 8, 6], &[1, 2, 3]]),
+            vec![7, 1, 8, 2, 6, 3, 9, 9, 0, 0, 0, 0]
+        );
+        assert_eq!(table.row(0), (&[2, 5][..], 0b01));
+        assert_eq!(table.row(1), (&[3, 4][..], 0b11));
+        assert_eq!(table.row(2), (&[3, 0][..], 0b11));
+        // Every slot un-lowers to the source it came from; `Const(0)` and
+        // `Hole` stay distinct although both read a zero.
+        let back: Vec<SlotSource> = (0..3).flat_map(|e| table.slots(e)).collect();
+        assert_eq!(back, sources);
+        assert_eq!(table.approx_bytes(), 6 * 4 + 3 * 8 + 2 * 8);
+    }
+
+    #[test]
+    fn gather_table_refuses_unlowerable_patterns() {
+        let grid = |n: usize| vec![SlotSource::Grid(0); n];
+        assert!(GatherTable::lower(65, &grid(65), vec![0]).is_err());
+        assert!(GatherTable::lower(64, &grid(64), vec![0]).is_ok());
+        assert!(GatherTable::lower(2, &grid(3), vec![0, 0]).is_err());
+        let escapes = [SlotSource::Grid(1)];
+        assert!(GatherTable::lower(1, &escapes, vec![1]).is_err());
+        let empty = GatherTable::lower(0, &[], Vec::new()).expect("empty");
+        assert!(empty.is_empty());
+        assert_eq!(empty.extended_len(), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! data seeds.
 
 use proptest::prelude::*;
-use smache::arch::kernel::{AverageKernel, Kernel, MaxKernel, SumKernel};
+use smache::arch::kernel::{AverageKernel, Kernel, MaxKernel, SumKernel, WeightedKernel};
 use smache::system::batch::{BatchJob, BatchOptions};
 use smache::system::{ReplayMode, RunEngine, SmacheSystem};
 use smache::{CoreError, HybridMode, SmacheBuilder};
@@ -165,7 +165,10 @@ fn kernel_of(id: usize) -> Box<dyn Kernel> {
     match id {
         0 => Box::new(AverageKernel),
         1 => Box::new(SumKernel),
-        _ => Box::new(MaxKernel),
+        2 => Box::new(MaxKernel),
+        // Distinct weight per shape point: a slot-order mistake in the
+        // lowered gather rows changes the result.
+        _ => Box::new(WeightedKernel::new("positional", (1..=9).collect()).expect("weights")),
     }
 }
 
@@ -181,7 +184,7 @@ proptest! {
         w in 4usize..10,
         bounds in arb_bounds(),
         shape in arb_shape(),
-        kernel_id in 0usize..3,
+        kernel_id in 0usize..4,
         hybrid_h in any::<bool>(),
         instances in 1u64..4,
         seed in any::<u64>(),
@@ -491,6 +494,125 @@ proptest! {
             "unexpected error class {} at cut {cut}", err.label()
         );
     }
+}
+
+/// `encoded_entry` with its gather section replaced by a hand-made CSR
+/// table — `starts`, `(tag, value)` slot sources, `masks` — and the header
+/// re-sealed (payload length and checksum), so only the decoder's
+/// structural checks stand between the entry and a schedule.
+fn with_gather(starts: &[u32], sources: &[(u8, u64)], masks: &[u64]) -> Vec<u8> {
+    const HEADER_LEN: usize = 56;
+    const CHECKSUM_OFFSET: usize = 40;
+    let entry = encoded_entry();
+    let payload = &entry[HEADER_LEN..];
+    let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    // key, kernel name, latency, n, instances — then the gather section.
+    let name_len = u32::from_le_bytes(payload[16..20].try_into().unwrap()) as usize;
+    let gather_at = 20 + name_len + 24;
+    let mut end = gather_at;
+    end += 8 + 4 * u64_at(end) as usize;
+    end += 8 + 9 * u64_at(end) as usize;
+    end += 8 + 8 * u64_at(end) as usize;
+
+    let mut body = payload[..gather_at].to_vec();
+    body.extend_from_slice(&(starts.len() as u64).to_le_bytes());
+    starts
+        .iter()
+        .for_each(|s| body.extend_from_slice(&s.to_le_bytes()));
+    body.extend_from_slice(&(sources.len() as u64).to_le_bytes());
+    for &(tag, value) in sources {
+        body.push(tag);
+        body.extend_from_slice(&value.to_le_bytes());
+    }
+    body.extend_from_slice(&(masks.len() as u64).to_le_bytes());
+    masks
+        .iter()
+        .for_each(|m| body.extend_from_slice(&m.to_le_bytes()));
+    body.extend_from_slice(&payload[end..]);
+
+    let mut out = entry[..CHECKSUM_OFFSET].to_vec();
+    out[32..40].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    let mut covered = out.clone();
+    covered.extend_from_slice(&body);
+    let (hi, lo) = smache_sim::hash::fingerprint128(&covered);
+    out.extend_from_slice(&hi.to_le_bytes());
+    out.extend_from_slice(&lo.to_le_bytes());
+    out.extend_from_slice(&body);
+    out
+}
+
+/// A hand-made uniform table of `arity`-slot rows, every slot `Grid(0)`.
+fn uniform_gather(arity: usize) -> (Vec<u32>, Vec<(u8, u64)>, Vec<u64>) {
+    let n = W * W;
+    let starts = (0..=n).map(|e| (e * arity) as u32).collect();
+    (starts, vec![(0, 0); n * arity], vec![1; n])
+}
+
+/// Gather tables replay cannot lower to fixed-arity rows are typed
+/// `malformed` errors at load: ragged rows and rows wider than a `u64`
+/// kernel mask.
+#[test]
+fn unlowerable_gather_tables_are_malformed() {
+    use smache::system::store::decode_entry;
+    let (starts, sources, masks) = uniform_gather(4);
+    assert!(decode_entry(&with_gather(&starts, &sources, &masks)).is_ok());
+
+    // Element 0 has 3 slots, element 1 has 5: same total, ragged rows.
+    let mut ragged = starts.clone();
+    ragged[1] = 3;
+    let err = decode_entry(&with_gather(&ragged, &sources, &masks)).unwrap_err();
+    assert_eq!(err.label(), "malformed");
+    assert!(err.to_string().contains("ragged"), "{err}");
+
+    let (starts, sources, masks) = uniform_gather(65);
+    let err = decode_entry(&with_gather(&starts, &sources, &masks)).unwrap_err();
+    assert_eq!(err.label(), "malformed");
+    assert!(err.to_string().contains("arity 65"), "{err}");
+    let (starts, sources, masks) = uniform_gather(64);
+    assert!(decode_entry(&with_gather(&starts, &sources, &masks)).is_ok());
+
+    // A grid index outside the grid is malformed too.
+    let (starts, mut sources, masks) = uniform_gather(4);
+    sources[7] = (0, (W * W) as u64);
+    let err = decode_entry(&with_gather(&starts, &sources, &masks)).unwrap_err();
+    assert_eq!(err.label(), "malformed");
+}
+
+/// `Const(0)` and `Hole` both read a zero, but a constant counts in the
+/// kernel and a hole does not: they must survive the store as distinct
+/// sources, re-encode to the same bytes, and replay differently.
+#[test]
+fn const_zero_and_hole_round_trip_as_distinct_sources() {
+    use smache::system::store::{decode_entry, encode_entry};
+    use smache_sim::SlotSource;
+    let n = W * W;
+    let starts: Vec<u32> = (0..=n).map(|e| (e * 4) as u32).collect();
+    // Slots: self, Const(0), Hole, Const(7); the hole is masked out.
+    let sources: Vec<(u8, u64)> = (0..n)
+        .flat_map(|e| [(0, e as u64), (1, 0), (2, 0), (1, 7)])
+        .collect();
+    let bytes = with_gather(&starts, &sources, &vec![0b1011; n]);
+    let (key, schedule) = decode_entry(&bytes).expect("decode");
+    assert_eq!(
+        schedule.gather().slots(5).collect::<Vec<_>>(),
+        [
+            SlotSource::Grid(5),
+            SlotSource::Const(0),
+            SlotSource::Hole,
+            SlotSource::Const(7),
+        ]
+    );
+    assert_eq!(encode_entry(key, &schedule), bytes);
+
+    // Two instances of out[e] = (cur[e] + 0 + 7) / 3, on both loops.
+    let input = seeded(n, 3);
+    let expect: Vec<u64> = input.iter().map(|&v| ((v + 7) / 3 + 7) / 3).collect();
+    let single = schedule.replay(&AverageKernel, &input).expect("replay");
+    assert_eq!(single.output, expect);
+    let lanes = schedule
+        .replay_lanes(&AverageKernel, &[&input, &input])
+        .expect("lanes");
+    assert_eq!(lanes[1].output, expect);
 }
 
 /// A schedule refuses inputs and kernels it was not captured for, with

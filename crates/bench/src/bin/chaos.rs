@@ -79,18 +79,12 @@ fn main() {
     // `--timesteps T [--channels C]`: run the ladder through the temporal
     // pipeline instead of the single-step system — chaos is absorbed (and
     // attributed per channel) exactly the same way.
-    let pipe_geometry = pipeline_args(&args);
-    if let Some((depth, _)) = pipe_geometry {
-        assert!(
-            trace_fmt.is_none(),
-            "--trace drives the single-step system; drop it for --timesteps runs"
-        );
-        assert_eq!(
-            instances % depth as u64,
-            0,
-            "--timesteps must divide --instances ({instances})"
-        );
-    }
+    let (depth, channels) = pipeline_args(&args).unwrap_or((1, 1));
+    assert_eq!(
+        instances % depth as u64,
+        0,
+        "--timesteps must divide --instances ({instances})"
+    );
 
     let workload = paper_problem(11, 11, instances);
     let input = workload.ramp_input();
@@ -141,34 +135,15 @@ fn main() {
             fault_plan: plan,
             ..SystemConfig::default()
         };
-        if let Some((depth, channels)) = pipe_geometry {
-            let mut pipe = workload.pipeline(
-                HybridMode::default(),
-                smache::PipelineConfig {
-                    depth,
-                    channels,
-                    system: config,
-                    ..Default::default()
-                },
-            );
-            pipe.attach_telemetry(smache_sim::TelemetryConfig::default());
-            if let Some(tel) = pipe.telemetry_mut() {
-                tel.probes.set_enabled(false);
-            }
-            let report = pipe
-                .run(&input, instances / depth as u64)
-                .expect("latency-only chaos must be absorbed");
-            push_point(
-                label,
-                &report,
-                &golden,
-                &mut baseline_cycles,
-                &mut t,
-                &mut rows,
-            );
-            continue;
-        }
-        let mut system = workload.smache_with(HybridMode::default(), config);
+        let mut system = workload.pipeline(
+            HybridMode::default(),
+            smache::PipelineConfig {
+                depth,
+                channels,
+                system: config,
+                ..Default::default()
+            },
+        );
         // Counters (stall attribution per fault kind) are always recorded;
         // the per-cycle probe event stream only when a trace was requested.
         system.attach_telemetry(smache_sim::TelemetryConfig::default());
@@ -178,7 +153,7 @@ fn main() {
             }
         }
         let report = system
-            .run(&input, instances)
+            .run(&input, instances / depth as u64)
             .expect("latency-only chaos must be absorbed");
         push_point(
             label,

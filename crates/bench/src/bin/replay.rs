@@ -34,7 +34,7 @@ use smache::arch::kernel::AverageKernel;
 use smache::system::batch::{BatchJob, BatchOptions};
 use smache::system::smache_system::SystemConfig;
 use smache::system::{BatchReport, ReplayMode, RunEngine, SmacheSystem};
-use smache::{HybridMode, PipelineConfig, ProblemSpec, TemporalPipeline};
+use smache::{HybridMode, ProblemSpec};
 use smache_bench::flags::{arg_value, BatchFlags};
 use smache_bench::json::Json;
 use smache_bench::workloads::paper_problem;
@@ -120,31 +120,19 @@ fn loop_rows() -> Vec<Json> {
             .map(|&(k, v)| (k.to_string(), v.to_string()))
             .collect();
         let spec = ProblemSpec::from_source(&words).expect("valid spec");
-        let plan = spec.builder().plan().expect("plan");
-        let system = SystemConfig {
-            fault_plan: chaos.map_or_else(FaultPlan::default, |name| {
-                FaultPlan::new(7, ChaosProfile::from_name(name).expect("profile"))
-            }),
-            ..SystemConfig::default()
-        };
+        let fault_plan = chaos.map_or_else(FaultPlan::default, |name| {
+            FaultPlan::new(7, ChaosProfile::from_name(name).expect("profile"))
+        });
         let n = spec.grid.len();
         let inputs: Vec<Vec<u64>> = (0..LANES as u64)
             .map(|s| smache::spec::seeded_input(n, s))
             .collect();
-        let (_, schedule) = if spec.pipelined() {
-            let config = PipelineConfig {
-                depth: spec.timesteps as usize,
-                channels: spec.channels,
-                system,
-                ..PipelineConfig::default()
-            };
-            TemporalPipeline::new(plan, Box::new(AverageKernel), config)
-                .and_then(|mut p| p.run_captured(&inputs[0], instances / spec.timesteps))
-        } else {
-            SmacheSystem::new(plan, Box::new(AverageKernel), system)
-                .and_then(|mut s| s.run_captured(&inputs[0], instances))
-        }
-        .expect("sweep specs capture");
+        let (_, schedule) = spec
+            .builder()
+            .fault_plan(fault_plan)
+            .build()
+            .and_then(|mut engine| engine.run_captured(&inputs[0], instances / spec.timesteps))
+            .expect("sweep specs capture");
         let views: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
         let cell_updates = (n as u64 * instances) as f64;
         let ns = |secs: f64, lanes: usize| secs * 1e9 / (cell_updates * lanes as f64);

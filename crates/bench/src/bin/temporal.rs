@@ -71,10 +71,16 @@ fn main() {
     let mut traffic = Vec::new();
     for &depth in &depths {
         let passes = updates / depth as u64;
+        // Every depth re-prefetches at each pass, depth 1 included, so the
+        // traffic ratio counts passes alone.
         let mut pipe = workload.pipeline(
             HybridMode::default(),
             PipelineConfig {
                 depth,
+                system: SystemConfig {
+                    double_buffering: false,
+                    ..SystemConfig::default()
+                },
                 ..Default::default()
             },
         );

@@ -9,7 +9,8 @@ use smache::arch::kernel::Kernel as _;
 use smache::cost::{CostEstimate, CycleModel, FreqModel, SynthesisModel};
 use smache::functional::golden::golden_run;
 use smache::spec::seeded_input;
-use smache::system::{CaptureOutcome, ControlSchedule, DesignMetrics, ReplayMode, RunReport};
+use smache::system::{CaptureOutcome, DesignMetrics, ReplayMode, RunReport};
+use smache::SmacheSystem;
 use smache_baseline::{BaselineConfig, BaselineSystem};
 use smache_codegen::{lint_verilog, VerilogGen};
 
@@ -581,17 +582,16 @@ fn check_golden(output: &[u64], golden: &[u64]) -> Result<(), smache::CoreError>
     }
 }
 
-/// Runs one engine under the `--replay` policy. A captured schedule is
-/// replayed over the same input, so `engine=replay` prints the replay
-/// path's own output; a fallback names its typed reason.
-fn run_with_replay<E>(
+/// Runs `engine` for `passes` passes under the `--replay` policy. A
+/// captured schedule is replayed over the same input, so `engine=replay`
+/// prints the replay path's own output; a fallback names its typed reason.
+fn run_with_replay(
     mode: ReplayMode,
-    engine: &mut E,
+    engine: &mut SmacheSystem,
     input: &[u64],
-    run: impl FnOnce(&mut E) -> smache::CoreResult<RunReport>,
-    capture: impl FnOnce(&mut E) -> smache::CoreResult<(RunReport, Arc<ControlSchedule>)>,
+    passes: u64,
 ) -> Result<(RunReport, String), CliError> {
-    Ok(match mode.capture_or_run(engine, run, capture)? {
+    Ok(match mode.capture_or_run(engine, input, passes)? {
         CaptureOutcome::FullSim(report) => (report, "engine=full_sim".into()),
         CaptureOutcome::Captured(_, schedule) => (
             schedule
@@ -719,13 +719,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
                 builder = builder.telemetry(smache_sim::TelemetryConfig::default());
             }
             let mut system = builder.build()?;
-            let (report, engine_note) = run_with_replay(
-                mode,
-                &mut system,
-                &input,
-                |s| s.run(&input, instances),
-                |s| s.run_captured(&input, instances),
-            )?;
+            let (report, engine_note) = run_with_replay(mode, &mut system, &input, instances)?;
             if let Some(fmt) = trace_fmt {
                 export_trace(&system, fmt, args, &mut out)?;
             }
@@ -800,25 +794,9 @@ fn cmd_simulate_pipeline(
 
     let chaos = chaos_plan(args)?;
     let mode = replay_mode(args)?;
-    let plan = spec.builder().plan()?;
-    let config = smache::PipelineConfig {
-        depth: depth as usize,
-        channels: spec.channels,
-        system: smache::system::smache_system::SystemConfig {
-            fault_plan: chaos,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut pipe = smache::TemporalPipeline::new(plan, Box::new(AverageKernel), config)?;
+    let mut pipe = spec.builder().fault_plan(chaos).build()?;
     let input = seeded_input(spec.grid.len(), seed);
-    let (report, engine_note) = run_with_replay(
-        mode,
-        &mut pipe,
-        &input,
-        |p| p.run(&input, passes),
-        |p| p.run_captured(&input, passes),
-    )?;
+    let (report, engine_note) = run_with_replay(mode, &mut pipe, &input, passes)?;
 
     let mut out = String::new();
     let _ = writeln!(

@@ -6,6 +6,7 @@ use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
 use crate::arch::kernel::{AverageKernel, Kernel};
 use crate::config::{BufferPlan, HybridMode, PlanStrategy};
 use crate::error::CoreError;
+use crate::pipeline::PipelineConfig;
 use crate::system::smache_system::{SmacheSystem, SystemConfig};
 use crate::{CoreResult, WORD_BITS};
 
@@ -36,7 +37,7 @@ pub struct SmacheBuilder {
     static_kind: MemKind,
     word_bits: u32,
     kernel: Box<dyn Kernel>,
-    system: SystemConfig,
+    config: PipelineConfig,
     budget_bits: Option<u64>,
     dedupe_statics: bool,
     telemetry: Option<smache_sim::TelemetryConfig>,
@@ -60,7 +61,7 @@ impl SmacheBuilder {
             static_kind: MemKind::Bram,
             word_bits: WORD_BITS,
             kernel: Box::new(AverageKernel),
-            system: SystemConfig::default(),
+            config: PipelineConfig::default(),
             budget_bits: None,
             dedupe_statics: false,
             telemetry: None,
@@ -111,7 +112,16 @@ impl SmacheBuilder {
 
     /// Sets the simulated system tunables (DRAM timing etc.).
     pub fn system_config(mut self, config: SystemConfig) -> Self {
-        self.system = config;
+        self.config.system = config;
+        self
+    }
+
+    /// Chains `depth` Smache stages over `channels` DRAM channels — the
+    /// temporal pipeline of [`crate::pipeline`]. `(1, 1)`, the default,
+    /// is the paper's single-step system.
+    pub fn pipeline(mut self, depth: usize, channels: usize) -> Self {
+        self.config.depth = depth;
+        self.config.channels = channels;
         self
     }
 
@@ -121,7 +131,7 @@ impl SmacheBuilder {
     /// surface as [`CoreError::FaultDetected`]
     /// (see [`crate::error::FaultDiagnostic`]).
     pub fn fault_plan(mut self, plan: smache_mem::FaultPlan) -> Self {
-        self.system.fault_plan = plan;
+        self.config.system.fault_plan = plan;
         self
     }
 
@@ -182,7 +192,7 @@ impl SmacheBuilder {
     /// Builds the runnable cycle-accurate system.
     pub fn build(self) -> CoreResult<SmacheSystem> {
         let plan = self.plan()?;
-        let mut system = SmacheSystem::new(plan, self.kernel, self.system)?;
+        let mut system = SmacheSystem::new(plan, self.kernel, self.config)?;
         if let Some(config) = self.telemetry {
             system.attach_telemetry(config);
         }

@@ -23,8 +23,8 @@
 //! | [`config`] | §II Algorithm 1 — optimal stream/static buffer split, and the resulting [`config::BufferPlan`] |
 //! | [`cost`] | the memory-utilisation cost model (Table I estimates), the simulated-synthesis "actual" model, and the Fmax model |
 //! | [`arch`] | §III — stream buffer (Case-R/Case-H), static buffers, kernel, the 3-FSM controller |
-//! | [`system`] | the full cycle-accurate Smache system (DRAM → Smache → kernel → DRAM), its metrics, and the batched sweep driver [`SmacheSystem::run_batch`](system::SmacheSystem::run_batch) |
-//! | [`pipeline`] | beyond the paper: temporal blocking — `depth` chained Smache stages over multi-channel DRAM ([`pipeline::TemporalPipeline`]) |
+//! | [`system`] | the one cycle-accurate engine (DRAM → Smache stage(s) → kernel → DRAM), its metrics, and the batched sweep driver [`SmacheSystem::run_batch`](system::SmacheSystem::run_batch) |
+//! | [`pipeline`] | beyond the paper: temporal blocking — the same engine with `depth` chained Smache stages over multi-channel DRAM ([`pipeline::TemporalPipeline`]) |
 //! | [`functional`] | the fast golden/functional models used for verification |
 //! | [`builder`] | the high-level public API: [`builder::SmacheBuilder`] |
 //! | [`spec`] | the textual problem schema shared by the CLI and `smache serve` |

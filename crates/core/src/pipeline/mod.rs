@@ -7,14 +7,16 @@
 //! the intermediate timesteps never touch memory. This module is that
 //! composition for Smache:
 //!
-//! * [`TemporalPipeline`] — `depth` full Smache stage instances (each with
-//!   its own stream window, static buffers and 3-FSM controller, so every
-//!   boundary case works at every timestep) chained through on-chip
-//!   [`StageLink`] buffers, fed by a
+//! * [`TemporalPipeline`] — the cycle engine
+//!   [`SmacheSystem`](crate::system::SmacheSystem) with `depth` full Smache
+//!   stage instances (each with its own stream window, static buffers and
+//!   3-FSM controller, so every boundary case works at every timestep)
+//!   chained through on-chip [`StageLink`] buffers, fed by a
 //!   [`MultiChannelDram`](smache_mem::MultiChannelDram);
 //! * [`PipelineConfig`] — depth, channel count, interleave granularity and
 //!   per-channel command-rate limit on top of the familiar
-//!   [`SystemConfig`](crate::system::SystemConfig);
+//!   [`SystemConfig`](crate::system::SystemConfig); its one-stage,
+//!   one-channel case is the paper's single-step system;
 //! * capture/replay integration: a pipelined run captures one
 //!   [`ControlSchedule`](crate::system::ControlSchedule) covering
 //!   `depth × passes` timesteps, keyed on spec *and* pipeline geometry, and

@@ -279,7 +279,10 @@ impl ProblemSpec {
         })
     }
 
-    /// Applies the spec to a builder.
+    /// Applies the spec to a builder, pipeline geometry included: a
+    /// [`pipelined`](Self::pipelined) spec builds a `timesteps`-stage
+    /// pipeline over `channels` DRAM channels, whose `run` counts passes
+    /// of `timesteps` updates each.
     pub fn builder(&self) -> crate::SmacheBuilder {
         crate::SmacheBuilder::new(self.grid.clone())
             .shape(self.shape.clone())
@@ -288,6 +291,7 @@ impl ProblemSpec {
             .strategy(self.strategy)
             .static_kind(self.static_kind)
             .word_bits(self.word_bits)
+            .pipeline(self.timesteps as usize, self.channels)
     }
 
     /// The canonical, normalised rendering of this specification.

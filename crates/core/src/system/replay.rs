@@ -37,8 +37,8 @@
 //! cycle), so a schedule captured under one — keyed on (spec, chaos-seed)
 //! — replays across data seeds like any clean schedule.
 //!
-//! Both engines — [`SmacheSystem`] and the temporal pipeline — seal and
-//! self-verify their captures through the same function, and
+//! The one cycle engine — single-step or pipelined — seals and
+//! self-verifies its captures through one function, and
 //! [`ReplayMode::capture_or_run`] is the one fallback policy every front
 //! end uses: `auto` falls back to the full simulation on a refusal, `on`
 //! surfaces it as [`CoreError::ReplayRefused`].
@@ -514,28 +514,29 @@ pub enum CaptureOutcome {
 }
 
 impl ReplayMode {
-    /// Runs one engine under this mode — the single place the replay
-    /// fallback policy is written, for every engine and front end.
+    /// Runs `engine` over `input` for `passes` passes under this mode —
+    /// the single place the replay fallback policy is written, for every
+    /// front end.
     ///
-    /// * `Off` calls `run`, the plain full simulation.
-    /// * `Auto` calls `capture`; on a typed [`CoreError::ReplayRefused`]
-    ///   it calls `run` on the same engine instead.
-    /// * `On` calls `capture` and returns a refusal as the error.
+    /// * `Off` runs the plain full simulation.
+    /// * `Auto` captures; on a typed [`CoreError::ReplayRefused`] it runs
+    ///   the plain full simulation on the same engine instead.
+    /// * `On` captures and returns a refusal as the error.
     ///
     /// Any other error is returned unchanged in every mode.
-    pub fn capture_or_run<E>(
+    pub fn capture_or_run(
         self,
-        engine: &mut E,
-        run: impl FnOnce(&mut E) -> CoreResult<RunReport>,
-        capture: impl FnOnce(&mut E) -> CoreResult<(RunReport, Arc<ControlSchedule>)>,
+        engine: &mut SmacheSystem,
+        input: &[Word],
+        passes: u64,
     ) -> CoreResult<CaptureOutcome> {
         if self == ReplayMode::Off {
-            return run(engine).map(CaptureOutcome::FullSim);
+            return engine.run(input, passes).map(CaptureOutcome::FullSim);
         }
-        match capture(engine) {
+        match engine.run_captured(input, passes) {
             Ok((report, schedule)) => Ok(CaptureOutcome::Captured(report, schedule)),
             Err(CoreError::ReplayRefused(why)) if self == ReplayMode::Auto => {
-                Ok(CaptureOutcome::Fallback(run(engine)?, why))
+                Ok(CaptureOutcome::Fallback(engine.run(input, passes)?, why))
             }
             Err(e) => Err(e),
         }
@@ -543,29 +544,54 @@ impl ReplayMode {
 }
 
 impl SmacheSystem {
+    /// The canonical key text of a schedule captured from this system for
+    /// `passes` passes: [`schedule_key_text`] over `depth × passes`
+    /// instances, extended for a pipeline with its geometry (every knob
+    /// that shapes the pipelined control plane). The single-step system's
+    /// key carries no suffix, so it stays byte-identical to keys already
+    /// on disk.
+    pub fn schedule_key_text(&self, passes: u64) -> String {
+        let config = self.pipeline_config();
+        let mut text = schedule_key_text(
+            self.plan(),
+            self.config(),
+            self.kernel(),
+            self.depth() as u64 * passes,
+        );
+        if !config.single_step() {
+            text.push_str(&format!(
+                ";pipeline={}:{}:{}:{}",
+                config.depth, config.channels, config.interleave_words, config.cmd_gap
+            ));
+        }
+        text
+    }
+
     /// Runs the full cycle-accurate simulation *once* with the control
     /// recorder attached and returns both the run's report and the
-    /// captured [`ControlSchedule`], sealed and self-verified (see
-    /// [`ReplayUnsupported::ScheduleDivergence`]).
+    /// captured [`ControlSchedule`] for `depth × passes` timesteps, sealed
+    /// and self-verified (see [`ReplayUnsupported::ScheduleDivergence`]).
+    /// A pipelined schedule replays through the same single-step
+    /// machinery ([`ControlSchedule::replay`] / `replay_lanes`).
     ///
     /// Refuses (typed) when the system is not replay-eligible — see
     /// [`SmacheSystem::replay_eligibility`].
     pub fn run_captured(
         &mut self,
         input: &[Word],
-        instances: u64,
+        passes: u64,
     ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
         self.replay_eligibility()
             .map_err(CoreError::ReplayRefused)?;
         self.begin_capture();
-        let outcome = self.run(input, instances);
+        let outcome = self.run(input, passes);
         let trace = self.take_capture().unwrap_or_default();
-        let key = schedule_key(self.plan(), self.config(), self.kernel(), instances);
+        let key = fingerprint128(self.schedule_key_text(passes).as_bytes());
         seal_capture(
             key,
             self.plan(),
             self.kernel(),
-            instances,
+            self.depth() as u64 * passes,
             trace,
             outcome?,
             input,
@@ -698,45 +724,19 @@ mod tests {
         ));
     }
 
-    /// The replay policy over engine × mode × {clean, corrupting chaos}:
+    /// The replay policy over engine geometry × mode × {clean, corrupting chaos}:
     /// `Off` always runs the full simulation, `Auto` captures or falls back
     /// with the typed reason, `On` captures or refuses. Every report that
     /// comes back is the plain run's.
     #[test]
     fn capture_or_run_applies_one_policy_to_both_engines() {
-        use crate::pipeline::{PipelineConfig, TemporalPipeline};
+        use crate::pipeline::PipelineConfig;
         use smache_mem::{ChaosProfile, FaultPlan};
 
-        fn check<E>(
-            engine: impl Fn() -> E,
-            run: impl Fn(&mut E) -> CoreResult<RunReport>,
-            capture: impl FnOnce(&mut E) -> CoreResult<(RunReport, Arc<ControlSchedule>)>,
-            mode: ReplayMode,
-            corrupting: bool,
-            case: &str,
-        ) {
-            let plain = run(&mut engine()).expect("plain run").output;
-            let outcome = mode.capture_or_run(&mut engine(), run, capture);
-            match (mode, corrupting, outcome) {
-                (ReplayMode::Off, _, Ok(CaptureOutcome::FullSim(r))) => {
-                    assert_eq!(r.output, plain, "{case}");
-                }
-                (ReplayMode::Auto | ReplayMode::On, false, Ok(CaptureOutcome::Captured(r, s))) => {
-                    assert_eq!(r.output, plain, "{case}");
-                    assert_eq!(s.len(), plain.len(), "{case}");
-                }
-                (ReplayMode::Auto, true, Ok(CaptureOutcome::Fallback(r, why))) => {
-                    assert_eq!(why, ReplayUnsupported::FaultPlan, "{case}");
-                    assert_eq!(r.output, plain, "{case}");
-                }
-                (ReplayMode::On, true, Err(CoreError::ReplayRefused(why))) => {
-                    assert_eq!(why, ReplayUnsupported::FaultPlan, "{case}");
-                }
-                (_, _, other) => panic!("{case}: unexpected {other:?}"),
-            }
-        }
-
         let input = ramp(121);
+        let plan = SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
+            .plan()
+            .expect("plan");
         for corrupting in [false, true] {
             // The flip targets a read this small run never reaches: the
             // plan is corrupting, so capture refuses, yet the full
@@ -746,43 +746,49 @@ mod tests {
             } else {
                 FaultPlan::default()
             };
-            for mode in [ReplayMode::Off, ReplayMode::Auto, ReplayMode::On] {
-                let case = format!("{} corrupting={corrupting}", mode.label());
-                check(
-                    || {
-                        SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
-                            .fault_plan(fault_plan)
-                            .build()
-                            .expect("build")
-                    },
-                    |s: &mut SmacheSystem| s.run(&input, 2),
-                    |s: &mut SmacheSystem| s.run_captured(&input, 2),
-                    mode,
-                    corrupting,
-                    &format!("system {case}"),
-                );
-                check(
-                    || {
-                        let plan = SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
-                            .plan()
-                            .expect("plan");
-                        let config = PipelineConfig {
-                            depth: 2,
-                            system: SystemConfig {
-                                fault_plan,
-                                ..SystemConfig::default()
-                            },
-                            ..PipelineConfig::default()
-                        };
-                        TemporalPipeline::new(plan, Box::new(AverageKernel), config)
-                            .expect("pipeline")
-                    },
-                    |p: &mut TemporalPipeline| p.run(&input, 1),
-                    |p: &mut TemporalPipeline| p.run_captured(&input, 1),
-                    mode,
-                    corrupting,
-                    &format!("pipeline {case}"),
-                );
+            // Two single-step instances, or one pass of a 2-stage pipeline.
+            for (depth, passes) in [(1usize, 2u64), (2, 1)] {
+                let engine = || {
+                    let config = PipelineConfig {
+                        depth,
+                        system: SystemConfig {
+                            fault_plan,
+                            ..SystemConfig::default()
+                        },
+                        ..PipelineConfig::default()
+                    };
+                    SmacheSystem::new(plan.clone(), Box::new(AverageKernel), config)
+                        .expect("engine")
+                };
+                let plain = engine().run(&input, passes).expect("plain run").output;
+                for mode in [ReplayMode::Off, ReplayMode::Auto, ReplayMode::On] {
+                    let case = format!("depth {depth} {} corrupting={corrupting}", mode.label());
+                    match (
+                        mode,
+                        corrupting,
+                        mode.capture_or_run(&mut engine(), &input, passes),
+                    ) {
+                        (ReplayMode::Off, _, Ok(CaptureOutcome::FullSim(r))) => {
+                            assert_eq!(r.output, plain, "{case}");
+                        }
+                        (
+                            ReplayMode::Auto | ReplayMode::On,
+                            false,
+                            Ok(CaptureOutcome::Captured(r, s)),
+                        ) => {
+                            assert_eq!(r.output, plain, "{case}");
+                            assert_eq!(s.len(), plain.len(), "{case}");
+                        }
+                        (ReplayMode::Auto, true, Ok(CaptureOutcome::Fallback(r, why))) => {
+                            assert_eq!(why, ReplayUnsupported::FaultPlan, "{case}");
+                            assert_eq!(r.output, plain, "{case}");
+                        }
+                        (ReplayMode::On, true, Err(CoreError::ReplayRefused(why))) => {
+                            assert_eq!(why, ReplayUnsupported::FaultPlan, "{case}");
+                        }
+                        (_, _, other) => panic!("{case}: unexpected {other:?}"),
+                    }
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! The complete cycle-accurate Smache system:
-//! DRAM → Smache module → kernel pipeline → DRAM.
+//! DRAM → Smache module(s) → kernel pipeline → DRAM.
 //!
 //! One instance of this struct is the simulated analogue of the paper's
 //! Fig. 1(b) block diagram plus its testbench: the off-chip DRAM holds the
@@ -9,10 +9,17 @@
 //! written back to the output region while FSM-3 write-through-captures
 //! the static-buffer rows; regions and static banks swap every
 //! work-instance.
+//!
+//! The same engine chains `depth` such modules for temporal blocking (see
+//! [`crate::pipeline`]): stage `t + 1` streams stage `t`'s results through
+//! an on-chip [`StageLink`] and only the last stage writes back, so one
+//! DRAM pass advances the grid `depth` timesteps. The paper's system is
+//! the one-stage, one-channel case ([`PipelineConfig::single_step`]).
 
 use std::collections::VecDeque;
 
-use smache_mem::{DramConfig, FaultPlan, FaultyDram, FaultyFifo, StormGen, Word};
+use smache_mem::{DramConfig, FaultPlan, FaultyFifo, MultiChannelConfig, MultiChannelDram};
+use smache_mem::{StormGen, Word};
 use smache_sim::telemetry::{ProbeKind, Probed, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use smache_sim::{Beat, CycleStats, ResourceUsage};
 
@@ -21,13 +28,13 @@ use crate::arch::kernel::Kernel;
 use crate::config::BufferPlan;
 use crate::cost::FreqModel;
 use crate::error::{CoreError, FaultDiagnostic};
+use crate::pipeline::{PipelineConfig, StageLink, PIPE_STALL_COMPONENT};
 use crate::system::metrics::DesignMetrics;
 use crate::CoreResult;
 
 pub use crate::system::report::RunReport;
 
-/// Component name used by the system-level chaos stall generator.
-/// Component name the system-level stall-storm generator reports under.
+/// Component name the single-step stall-storm generator reports under.
 pub const STALL_COMPONENT: &str = "sys.stall";
 
 /// Tunables of the simulated system.
@@ -64,6 +71,25 @@ impl Default for SystemConfig {
     }
 }
 
+/// The single-step handshake probes, then their pipelined names, in the
+/// order stall, emit, read accept, response, write accept.
+const HANDSHAKE_PROBES: [[&str; 5]; 2] = [
+    [
+        "sys.stall",
+        "fsm2.emit",
+        "axi.read_accept",
+        "axi.resp",
+        "axi.write_accept",
+    ],
+    [
+        "pipe.stall",
+        "pipe.emit",
+        "pipe.read_accept",
+        "pipe.resp",
+        "pipe.write_accept",
+    ],
+];
+
 /// Human-readable FSM provenance for fault diagnostics.
 fn phase_name(phase: ControllerPhase) -> &'static str {
     match phase {
@@ -73,7 +99,16 @@ fn phase_name(phase: ControllerPhase) -> &'static str {
     }
 }
 
-/// What the system stages on the DRAM read channel.
+/// The numeric phase the tracer and the control recorder store.
+fn phase_code(phase: ControllerPhase) -> u8 {
+    match phase {
+        ControllerPhase::Warmup => 0,
+        ControllerPhase::Streaming => 1,
+        ControllerPhase::Done => 2,
+    }
+}
+
+/// What stage 0 staged on the DRAM read channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReadKind {
     None,
@@ -88,25 +123,31 @@ struct CycleFacts {
     external_stall: bool,
     chaos_stall: bool,
     sched_stall: bool,
-    starved: bool,
+    /// Stage 0 wanted a DRAM word that had not arrived.
+    starved_dram: bool,
+    /// A later stage wanted a word its upstream link had not produced.
+    starved_link: bool,
+    /// The last stage emitted a tuple.
     emitted: bool,
     read_accepted: bool,
     responded: bool,
     write_accepted: bool,
 }
 
-/// The simulated system.
+/// The simulated system: one or more chained Smache stages over DRAM.
 pub struct SmacheSystem {
-    module: SmacheModule,
+    stages: Vec<SmacheModule>,
     kernel: Box<dyn Kernel>,
-    config: SystemConfig,
-    dram: FaultyDram,
+    config: PipelineConfig,
+    /// [`PipelineConfig::single_step`], fixed at construction.
+    single_step: bool,
+    dram: MultiChannelDram,
     n: usize,
     base: [usize; 2],
     /// Region index the current instance reads from.
     in_region: usize,
 
-    // Engines.
+    // Stage-0 DRAM read engine.
     prefetch_issue: usize,
     prefetch_resp_remaining: usize,
     read_ptr: usize,
@@ -114,20 +155,29 @@ pub struct SmacheSystem {
     resp_queue: FaultyFifo,
     /// Chaos stall-storm generator (present only with an active plan).
     storm: Option<StormGen>,
-    /// Kernel pipeline entries: (remaining latency, element, result).
-    kernel_pipe: VecDeque<(u64, usize, Word)>,
+
+    // Inter-stage plumbing: links[t] carries stage t's output into stage
+    // t+1; link_prefetch_issue[t] is stage t+1's warm-up progress into it.
+    links: Vec<StageLink>,
+    link_prefetch_issue: Vec<usize>,
+    /// Per-stage kernel pipelines: (remaining latency, element, result).
+    pipes: Vec<VecDeque<(u64, usize, Word)>>,
+
     write_queue: VecDeque<(usize, Word)>,
     writes_done: usize,
-    instances_left: u64,
-    total_instances: u64,
+    passes_left: u64,
+    /// Passes requested by the last [`arm`](Self::arm) — selects the
+    /// output region once the run drains.
+    armed_passes: u64,
     cycle: u64,
     warmup_cycles: u64,
     /// Cycles the datapath was frozen (external stall, schedule, or storm).
     stall_cycles: u64,
-    /// Kernel results emitted (one per element per instance).
+    /// Last-stage kernel results emitted (one per element per pass).
     transfer_count: u64,
     stall: Option<Box<dyn FnMut(u64) -> bool>>,
-    /// Observer invoked for every kernel result (the AXI output stream).
+    /// Observer invoked for every last-stage kernel result (the AXI output
+    /// stream).
     result_tap: Option<Box<dyn FnMut(Beat)>>,
     /// Optional waveform tracer (phase, handshakes, stalls).
     tracer: Option<smache_sim::Tracer>,
@@ -146,28 +196,54 @@ pub struct SmacheSystem {
 }
 
 impl SmacheSystem {
-    /// Builds the system around a plan and a kernel.
+    /// Builds the system around a plan and a kernel. A [`SystemConfig`]
+    /// builds the paper's single-step system; a [`PipelineConfig`] chains
+    /// `depth` stages over `channels` DRAM channels. Every stage executes
+    /// the same plan and kernel — the pipeline *is* the same timestep
+    /// applied `depth` times per pass.
     pub fn new(
         plan: BufferPlan,
         kernel: Box<dyn Kernel>,
-        config: SystemConfig,
+        config: impl Into<PipelineConfig>,
     ) -> CoreResult<Self> {
+        let config = config.into();
         if kernel.latency() == 0 {
             return Err(CoreError::KernelLatencyZero);
         }
+        if config.depth == 0 {
+            return Err(CoreError::Config("pipeline depth must be >= 1".into()));
+        }
+        let single_step = config.single_step();
+        let fault_plan = config.system.fault_plan;
         let n = plan.grid.len();
         // Ping-pong regions aligned to DRAM rows so reads and writes of one
         // instance live in distinct rows.
-        let row = config.dram.row_words;
+        let row = config.system.dram.row_words;
         let region = n.div_ceil(row) * row;
-        let dram = FaultyDram::new(2 * region + row, config.dram, config.fault_plan)?;
-        let storm = (config.fault_plan.is_active()
-            && config.fault_plan.profile.stall_storm_prob > 0.0)
-            .then(|| StormGen::new(config.fault_plan, STALL_COMPONENT));
-        let module = SmacheModule::new(plan)?;
+        let dram = MultiChannelDram::new(
+            2 * region + row,
+            MultiChannelConfig {
+                channel: config.system.dram,
+                channels: config.channels,
+                interleave_words: config.interleave_words,
+                cmd_gap: config.cmd_gap,
+            },
+            fault_plan,
+        )?;
+        let component = if single_step {
+            STALL_COMPONENT
+        } else {
+            PIPE_STALL_COMPONENT
+        };
+        let storm = (fault_plan.is_active() && fault_plan.profile.stall_storm_prob > 0.0)
+            .then(|| StormGen::new(fault_plan, component));
+        let stages = (0..config.depth)
+            .map(|_| SmacheModule::new(plan.clone()))
+            .collect::<CoreResult<Vec<_>>>()?;
         Ok(SmacheSystem {
-            module,
+            stages,
             kernel,
+            single_step,
             dram,
             n,
             base: [0, region],
@@ -176,13 +252,15 @@ impl SmacheSystem {
             prefetch_resp_remaining: 0,
             read_ptr: 0,
             issued_kind: ReadKind::None,
-            resp_queue: FaultyFifo::new(config.fault_plan),
+            resp_queue: FaultyFifo::new(fault_plan),
             storm,
-            kernel_pipe: VecDeque::new(),
+            links: (1..config.depth).map(|_| StageLink::new(n)).collect(),
+            link_prefetch_issue: vec![0; config.depth - 1],
+            pipes: (0..config.depth).map(|_| VecDeque::new()).collect(),
             write_queue: VecDeque::new(),
             writes_done: 0,
-            instances_left: 0,
-            total_instances: 0,
+            passes_left: 0,
+            armed_passes: 0,
             cycle: 0,
             warmup_cycles: 0,
             stall_cycles: 0,
@@ -198,19 +276,29 @@ impl SmacheSystem {
         })
     }
 
-    /// The plan being executed.
+    /// The plan every stage executes.
     pub fn plan(&self) -> &BufferPlan {
-        self.module.plan()
+        self.stages[0].plan()
     }
 
-    /// The system configuration.
+    /// The per-stage system configuration.
     pub fn config(&self) -> &SystemConfig {
+        &self.config.system
+    }
+
+    /// The full configuration, pipeline geometry included.
+    pub fn pipeline_config(&self) -> &PipelineConfig {
         &self.config
     }
 
     /// The kernel driving the datapath.
     pub(crate) fn kernel(&self) -> &dyn Kernel {
         self.kernel.as_ref()
+    }
+
+    /// Number of chained stages (timesteps per pass).
+    pub fn depth(&self) -> usize {
+        self.stages.len()
     }
 
     /// Checks whether this system's control plane is a pure function of
@@ -229,7 +317,8 @@ impl SmacheSystem {
     /// *outputs* depend on which words the faults land on.
     pub fn replay_eligibility(&self) -> Result<(), smache_sim::ReplayUnsupported> {
         use smache_sim::ReplayUnsupported as R;
-        if self.config.fault_plan.is_active() && !self.config.fault_plan.is_replayable() {
+        let fault_plan = &self.config.system.fault_plan;
+        if fault_plan.is_active() && !fault_plan.is_replayable() {
             return Err(R::FaultPlan);
         }
         if self.stall.is_some() {
@@ -286,7 +375,8 @@ impl SmacheSystem {
     /// Attaches structured telemetry: every component's typed probes are
     /// registered now and sampled once per cycle at the end of the commit
     /// sequence, and the profiling counters (stall attribution, FSM state
-    /// residency, queue-occupancy histograms) start accumulating. A run's
+    /// residency, queue-occupancy histograms; link occupancy and
+    /// per-channel attribution for a pipeline) start accumulating. A run's
     /// counters travel in [`RunReport::telemetry`]. With no telemetry
     /// attached the per-cycle cost is a single branch and behaviour is
     /// bit-identical (see `docs/OBSERVABILITY.md`).
@@ -311,14 +401,18 @@ impl SmacheSystem {
         self.cycle
     }
 
-    /// Current controller phase.
+    /// Current controller phase of stage 0, the DRAM-facing stage.
     pub fn phase(&self) -> ControllerPhase {
-        self.module.phase()
+        self.stages[0].phase()
     }
 
-    /// Arms the system for a run: resets all state, loads the input grid
-    /// and sets the instance count, without stepping the clock.
-    pub fn arm(&mut self, input: &[Word], instances: u64) -> CoreResult<()> {
+    /// Arms the system for external clocking: resets all state, loads the
+    /// input grid and schedules `passes` passes (instances, for one
+    /// stage), without stepping the clock. Drive it with
+    /// [`step`](Self::step) until [`finished`](Self::finished), then read
+    /// the grid back with [`armed_output`](Self::armed_output).
+    /// [`run`](Self::run) is this plus an internal watchdog loop.
+    pub fn arm(&mut self, input: &[Word], passes: u64) -> CoreResult<()> {
         if input.len() != self.n {
             return Err(CoreError::InputLengthMismatch {
                 expected: self.n,
@@ -328,9 +422,21 @@ impl SmacheSystem {
         self.reset();
         self.dram.preload(self.base[0], input)?;
         self.dram.reset_stats();
-        self.instances_left = instances;
-        self.total_instances = instances;
+        self.passes_left = passes;
+        self.armed_passes = passes;
         Ok(())
+    }
+
+    /// True once every armed pass has completed.
+    pub fn finished(&self) -> bool {
+        self.passes_left == 0
+    }
+
+    /// The output grid of a finished armed run (the region the last pass
+    /// wrote).
+    pub fn armed_output(&self) -> CoreResult<Vec<Word>> {
+        let out_region = (self.armed_passes % 2) as usize;
+        Ok(self.dram.dump(self.base[out_region], self.n)?)
     }
 
     /// Advances the system by one clock cycle.
@@ -342,6 +448,7 @@ impl SmacheSystem {
     /// (OR-ed with the installed stall schedule) — the AXI integration
     /// point.
     pub fn step_external(&mut self, external_stall: bool) -> CoreResult<()> {
+        let depth = self.stages.len();
         // Chaos decisions are drawn exactly once per cycle, before anything
         // else, so the fault schedule depends only on the cycle count (and
         // is therefore identical in both scheduler modes).
@@ -351,8 +458,8 @@ impl SmacheSystem {
         };
         self.resp_queue.begin_cycle();
         // The schedule closure is consulted only when nothing earlier
-        // already stalls the cycle (same short-circuit as before, kept
-        // explicit so telemetry can attribute the stall to its cause).
+        // already stalls the cycle (kept explicit so telemetry can
+        // attribute the stall to its cause).
         let sched_stall = if external_stall || chaos_stall {
             false
         } else {
@@ -363,35 +470,31 @@ impl SmacheSystem {
         };
         let stalled = external_stall || chaos_stall || sched_stall;
 
-        // --- Stage DRAM read channel -----------------------------------
+        // --- Stage-0 DRAM read channel -----------------------------------
         let in_base = self.base[self.in_region];
-        match self.module.phase() {
+        self.issued_kind = ReadKind::None;
+        match self.stages[0].phase() {
             ControllerPhase::Warmup => {
-                let addrs = self.module.prefetch_addrs();
-                if self.prefetch_issue < addrs.len() {
-                    self.dram.hold_read(in_base + addrs[self.prefetch_issue])?;
+                if let Some(&addr) = self.stages[0].prefetch_addrs().get(self.prefetch_issue) {
+                    self.dram.hold_read(in_base + addr)?;
                     self.issued_kind = ReadKind::Prefetch;
-                } else {
-                    self.dram.cancel_read();
-                    self.issued_kind = ReadKind::None;
                 }
             }
             ControllerPhase::Streaming => {
-                if self.read_ptr < self.n && self.resp_queue.len() < self.config.resp_high_water {
+                if self.read_ptr < self.n
+                    && self.resp_queue.len() < self.config.system.resp_high_water
+                {
                     self.dram.hold_read(in_base + self.read_ptr)?;
                     self.issued_kind = ReadKind::Stream;
-                } else {
-                    self.dram.cancel_read();
-                    self.issued_kind = ReadKind::None;
                 }
             }
-            ControllerPhase::Done => {
-                self.dram.cancel_read();
-                self.issued_kind = ReadKind::None;
-            }
+            ControllerPhase::Done => {}
+        }
+        if self.issued_kind == ReadKind::None {
+            self.dram.cancel_read();
         }
 
-        // --- Stage DRAM write channel -----------------------------------
+        // --- Last-stage DRAM write channel -------------------------------
         if let Some(&(addr, w)) = self.write_queue.front() {
             self.dram.hold_write(addr, w)?;
         } else {
@@ -405,7 +508,7 @@ impl SmacheSystem {
         if let Some(fault) = self.dram.take_fault() {
             return Err(CoreError::FaultDetected(FaultDiagnostic {
                 cycle: self.cycle,
-                phase: phase_name(self.module.phase()),
+                phase: phase_name(self.stages[0].phase()),
                 component: fault.component,
                 kind: fault.kind,
                 detail: fault.detail,
@@ -427,7 +530,7 @@ impl SmacheSystem {
         }
         if let Some((_, w)) = report.response {
             if self.prefetch_resp_remaining > 0 {
-                self.module.prefetch_word(w)?;
+                self.stages[0].prefetch_word(w)?;
                 self.prefetch_resp_remaining -= 1;
             } else {
                 self.resp_queue.push_back(w);
@@ -438,78 +541,130 @@ impl SmacheSystem {
             self.writes_done += 1;
         }
 
-        // The phase may advance before the end-of-cycle bookkeeping below,
-        // so the warm-up attribution of *this* cycle is latched here, where
-        // the counter increments (the recorder must agree with it exactly).
-        let warmup_cycle = self.module.phase() == ControllerPhase::Warmup;
+        // Warm-up attribution is stage 0's (the DRAM-facing FSM-1). The
+        // phase may advance before the end-of-cycle bookkeeping below, so
+        // it is latched here, where the counter increments (the recorder
+        // must agree with it exactly).
+        let warmup_cycle = self.stages[0].phase() == ControllerPhase::Warmup;
         if warmup_cycle {
             self.warmup_cycles += 1;
         }
 
-        // --- Smache datapath (FSM-2) ------------------------------------
+        // --- Link warm-up feed --------------------------------------------
+        // A downstream stage in FSM-1 prefetches its static buffers from
+        // the upstream link: random access into the produced prefix, one
+        // word per stage per cycle (matching stage 0's one-word DRAM port).
+        for t in 1..depth {
+            if self.stages[t].phase() != ControllerPhase::Warmup {
+                continue;
+            }
+            let issued = self.link_prefetch_issue[t - 1];
+            if let Some(&addr) = self.stages[t].prefetch_addrs().get(issued) {
+                if self.links[t - 1].available(addr) {
+                    let w = self.links[t - 1].peek(addr);
+                    self.stages[t].prefetch_word(w)?;
+                    self.link_prefetch_issue[t - 1] = issued + 1;
+                }
+            }
+        }
+
+        // --- Per-stage datapaths (FSM-2) ----------------------------------
         let mut emitted = false;
-        let mut starved = false;
-        if !stalled && self.module.phase() == ControllerPhase::Streaming {
-            // Emission reads the settled (pre-edge) window and bank state.
-            if let Some(e) = self.module.emit_ready() {
-                emitted = true;
-                let mut values = std::mem::take(&mut self.scratch_values);
-                let mask = self.module.gather(e, &mut values)?;
-                let result = self.kernel.apply(&values, mask);
-                self.scratch_values = values;
-                self.kernel_pipe
-                    .push_back((self.kernel.latency(), e, result));
-            }
-            // Shift in the next word (real data, then flush zeros).
-            if self.module.wants_shift() {
-                if self.module.real_words_remaining() > 0 {
-                    if let Some(w) = self.resp_queue.pop_front() {
-                        self.module.shift_in(w);
-                    } else {
-                        starved = true;
-                    }
-                } else {
-                    self.module.shift_in(0);
-                }
-            }
-            // Pre-issue next element's static reads (1-cycle bank latency).
-            self.module.preissue_static_reads()?;
-        }
-
-        // --- Kernel pipeline & FSM-3 write-back --------------------------
+        let mut starved_dram = false;
+        let mut starved_link = false;
         if !stalled {
-            for entry in self.kernel_pipe.iter_mut() {
-                entry.0 -= 1;
+            for t in 0..depth {
+                let stage = &mut self.stages[t];
+                if stage.phase() != ControllerPhase::Streaming {
+                    continue;
+                }
+                // Emission reads the settled (pre-edge) window and bank state.
+                if let Some(e) = stage.emit_ready() {
+                    let mut values = std::mem::take(&mut self.scratch_values);
+                    let mask = stage.gather(e, &mut values)?;
+                    let result = self.kernel.apply(&values, mask);
+                    self.scratch_values = values;
+                    self.pipes[t].push_back((self.kernel.latency(), e, result));
+                    if t + 1 == depth {
+                        emitted = true;
+                    }
+                }
+                // Shift in the next word (real data, then flush zeros).
+                if stage.wants_shift() {
+                    if stage.real_words_remaining() > 0 {
+                        let word = if t == 0 {
+                            self.resp_queue.pop_front()
+                        } else {
+                            self.links[t - 1].pop_next()
+                        };
+                        match word {
+                            Some(w) => stage.shift_in(w),
+                            None if t == 0 => starved_dram = true,
+                            None => starved_link = true,
+                        }
+                    } else {
+                        stage.shift_in(0);
+                    }
+                }
+                // Pre-issue next element's static reads (1-cycle bank latency).
+                stage.preissue_static_reads()?;
             }
-            while self.kernel_pipe.front().is_some_and(|e| e.0 == 0) {
-                let (_, e, w) = self.kernel_pipe.pop_front().expect("checked front");
-                self.module.capture(e, w)?;
-                let out_base = self.base[1 - self.in_region];
-                self.write_queue.push_back((out_base + e, w));
-                if let Some(tap) = self.result_tap.as_mut() {
-                    tap(Beat {
-                        data: w,
-                        index: e as u64,
-                        instance: self.module.instance(),
-                    });
+        }
+
+        // --- Kernel pipelines & FSM-3 capture/hand-off ---------------------
+        // Drained results go to the next stage's link — or, from the last
+        // stage, to the DRAM write queue and the result tap. The hand-off
+        // is registered: a word pushed this cycle is visible downstream
+        // next cycle.
+        if !stalled {
+            let out_base = self.base[1 - self.in_region];
+            for (t, pipe) in self.pipes.iter_mut().enumerate() {
+                for entry in pipe.iter_mut() {
+                    entry.0 -= 1;
+                }
+                while pipe.front().is_some_and(|e| e.0 == 0) {
+                    let (_, e, w) = pipe.pop_front().expect("checked front");
+                    self.stages[t].capture(e, w)?;
+                    if t + 1 < depth {
+                        self.links[t].push(e, w);
+                        continue;
+                    }
+                    self.write_queue.push_back((out_base + e, w));
+                    if let Some(tap) = self.result_tap.as_mut() {
+                        tap(Beat {
+                            data: w,
+                            index: e as u64,
+                            instance: self.stages[t].instance(),
+                        });
+                    }
                 }
             }
         }
 
-        // --- Instance boundary -------------------------------------------
-        if self.module.phase() == ControllerPhase::Streaming
-            && self.module.instance_emitted()
+        // --- Instance (pass) boundary ---------------------------------------
+        if self
+            .stages
+            .iter()
+            .all(|s| s.phase() == ControllerPhase::Streaming && s.instance_emitted())
             && self.writes_done == self.n
-            && self.kernel_pipe.is_empty()
+            && self.pipes.iter().all(VecDeque::is_empty)
             && self.write_queue.is_empty()
         {
-            self.instances_left -= 1;
-            if self.config.double_buffering {
-                self.module.end_instance(self.instances_left);
+            self.passes_left -= 1;
+            if self.config.system.double_buffering && self.single_step {
+                self.stages[0].end_instance(self.passes_left);
             } else {
-                self.module
-                    .end_instance_without_double_buffering(self.instances_left);
+                // Without double buffering — and always in a pipeline, where
+                // a stage's next-pass static contents are its *upstream*
+                // stage's next-pass output — every stage re-enters FSM-1.
+                for s in &mut self.stages {
+                    s.end_instance_without_double_buffering(self.passes_left);
+                }
                 self.prefetch_issue = 0;
+                self.link_prefetch_issue.fill(0);
+                for l in &mut self.links {
+                    l.reset();
+                }
             }
             self.writes_done = 0;
             self.read_ptr = 0;
@@ -526,13 +681,13 @@ impl SmacheSystem {
 
         // --- Waveform probes ----------------------------------------------
         if let Some(tracer) = self.tracer.as_mut() {
-            let phase = match self.module.phase() {
-                ControllerPhase::Warmup => 0,
-                ControllerPhase::Streaming => 1,
-                ControllerPhase::Done => 2,
-            };
-            tracer.sample(self.cycle, "ctrl.phase", phase);
-            tracer.sample(self.cycle, "ctrl.instance", self.module.instance());
+            let stage = &self.stages[0];
+            tracer.sample(
+                self.cycle,
+                "ctrl.phase",
+                u64::from(phase_code(stage.phase())),
+            );
+            tracer.sample(self.cycle, "ctrl.instance", stage.instance());
             tracer.sample(self.cycle, "ctrl.stall", stalled as u64);
             tracer.sample(self.cycle, "fsm2.emit", emitted as u64);
             tracer.sample(
@@ -557,7 +712,8 @@ impl SmacheSystem {
             external_stall,
             chaos_stall,
             sched_stall,
-            starved,
+            starved_dram,
+            starved_link,
             emitted,
             read_accepted: report.read_accepted.is_some(),
             responded: report.response.is_some(),
@@ -574,44 +730,51 @@ impl SmacheSystem {
         // run itself performs (warm-up, stalls, transfers).
         if let Some(rec) = self.recorder.as_mut() {
             use smache_sim::CycleRecord;
-            let phase = match self.module.phase() {
-                ControllerPhase::Warmup => 0,
-                ControllerPhase::Streaming => 1,
-                ControllerPhase::Done => 2,
-            };
             let mut flags = 0u8;
             if stalled {
                 flags |= CycleRecord::STALLED;
             }
             if emitted {
-                // One kernel tuple emitted = one transfer counted.
+                // One last-stage tuple emitted = one transfer counted.
                 flags |= CycleRecord::EMITTED | CycleRecord::TRANSFER;
             }
             if warmup_cycle {
                 flags |= CycleRecord::WARMUP;
             }
-            if starved {
+            if starved_dram || starved_link {
                 flags |= CycleRecord::STARVED;
             }
             if report.response.is_some() {
                 flags |= CycleRecord::RESPONDED;
             }
-            rec.record(CycleRecord::pack(phase, flags));
+            rec.record(CycleRecord::pack(phase_code(self.stages[0].phase()), flags));
         }
 
-        // --- Clock the module --------------------------------------------
-        self.module.tick()?;
+        // --- Clock the stages ---------------------------------------------
+        for s in &mut self.stages {
+            s.tick()?;
+        }
         self.cycle += 1;
         Ok(())
+    }
+
+    /// Reads issued but not yet delivered, as the occupancy histogram
+    /// counts them: the chaos release queue of the single-step system's
+    /// one channel, or every channel's outstanding and reordered reads.
+    fn dram_inflight(&self) -> usize {
+        if self.single_step {
+            self.dram.channel(0).inflight()
+        } else {
+            self.dram.inflight()
+        }
     }
 
     /// Records one cycle's probes, stall attribution, FSM residency and
     /// queue occupancy. Reads system state only — never mutates it.
     fn sample_telemetry(&self, tel: &mut Telemetry) {
         let facts = self.facts;
-        let cycle = self.cycle;
         if tel.probes.enabled() {
-            self.sample_probes(cycle, &mut tel.probes);
+            self.sample_probes(self.cycle, &mut tel.probes);
         }
         let ctr = &mut tel.counters;
         let bump = |ctr: &mut smache_sim::CounterRegistry, name: &str| {
@@ -621,65 +784,85 @@ impl SmacheSystem {
         // Stall attribution: at most one cause per cycle, priority matching
         // the short-circuit order of the stall computation. Starvation is
         // not a frozen-datapath stall (it lands in idle cycles) but it is a
-        // throughput loss, so it competes in the same ranking.
+        // throughput loss, so it competes in the same ranking. A pipeline
+        // pins a DRAM-starved cycle on the channel the oldest outstanding
+        // read is waiting in, or on the command-rate limit when nothing is
+        // outstanding at all.
         if facts.external_stall {
             bump(ctr, "stall.axi_backpressure");
         } else if facts.chaos_stall {
             bump(ctr, "stall.chaos_storm");
         } else if facts.sched_stall {
             bump(ctr, "stall.schedule");
-        } else if facts.starved {
-            bump(ctr, "stall.dram_starved");
-        }
-        // FSM state residency: exactly one state per FSM per cycle, so
-        // every FSM's states sum to the run's total cycle count.
-        let phase = self.module.phase();
-        bump(
-            ctr,
-            match phase {
-                ControllerPhase::Warmup => "residency.fsm1.prefetch",
-                ControllerPhase::Streaming => "residency.fsm1.idle",
-                ControllerPhase::Done => "residency.fsm1.done",
-            },
-        );
-        bump(
-            ctr,
-            match phase {
-                ControllerPhase::Warmup => "residency.fsm2.warmup",
-                ControllerPhase::Done => "residency.fsm2.done",
-                ControllerPhase::Streaming => {
-                    if facts.stalled {
-                        "residency.fsm2.stalled"
-                    } else if facts.emitted {
-                        "residency.fsm2.emit"
-                    } else if facts.starved {
-                        "residency.fsm2.starved"
-                    } else {
-                        "residency.fsm2.fill"
-                    }
+        } else if facts.starved_dram {
+            if self.single_step {
+                bump(ctr, "stall.dram_starved");
+            } else {
+                match self.dram.starving_channel() {
+                    Some(c) => bump(ctr, &format!("stall.dram_ch{c}")),
+                    None => bump(ctr, "stall.dram_issue"),
                 }
-            },
-        );
-        bump(
-            ctr,
-            match phase {
-                ControllerPhase::Done => "residency.fsm3.done",
-                _ if facts.write_accepted => "residency.fsm3.write",
-                _ => "residency.fsm3.idle",
-            },
-        );
+            }
+        } else if facts.starved_link {
+            bump(ctr, "stall.link_starved");
+        }
+        if self.single_step {
+            // FSM state residency: exactly one state per FSM per cycle, so
+            // every FSM's states sum to the run's total cycle count.
+            let phase = self.stages[0].phase();
+            bump(
+                ctr,
+                match phase {
+                    ControllerPhase::Warmup => "residency.fsm1.prefetch",
+                    ControllerPhase::Streaming => "residency.fsm1.idle",
+                    ControllerPhase::Done => "residency.fsm1.done",
+                },
+            );
+            bump(
+                ctr,
+                match phase {
+                    ControllerPhase::Warmup => "residency.fsm2.warmup",
+                    ControllerPhase::Done => "residency.fsm2.done",
+                    ControllerPhase::Streaming => {
+                        if facts.stalled {
+                            "residency.fsm2.stalled"
+                        } else if facts.emitted {
+                            "residency.fsm2.emit"
+                        } else if facts.starved_dram {
+                            "residency.fsm2.starved"
+                        } else {
+                            "residency.fsm2.fill"
+                        }
+                    }
+                },
+            );
+            bump(
+                ctr,
+                match phase {
+                    ControllerPhase::Done => "residency.fsm3.done",
+                    _ if facts.write_accepted => "residency.fsm3.write",
+                    _ => "residency.fsm3.idle",
+                },
+            );
+        }
         let h = ctr.histogram("occupancy.resp_fifo");
         ctr.observe(h, self.resp_queue.len() as u64);
         let h = ctr.histogram("occupancy.write_queue");
         ctr.observe(h, self.write_queue.len() as u64);
         let h = ctr.histogram("occupancy.dram_inflight");
-        ctr.observe(h, self.dram.inflight() as u64);
+        ctr.observe(h, self.dram_inflight() as u64);
+        for (t, link) in self.links.iter().enumerate() {
+            let h = ctr.histogram(&format!("occupancy.link{t}"));
+            ctr.observe(h, link.occupancy() as u64);
+        }
     }
 
     /// Resets all run state so the system can execute a fresh workload.
     /// Called automatically at the start of [`SmacheSystem::run`].
     pub fn reset(&mut self) {
-        self.module.reset();
+        for s in &mut self.stages {
+            s.reset();
+        }
         self.in_region = 0;
         self.prefetch_issue = 0;
         self.prefetch_resp_remaining = 0;
@@ -688,10 +871,17 @@ impl SmacheSystem {
         self.resp_queue.clear();
         self.resp_queue.reset_chaos();
         self.dram.reset_chaos();
+        self.dram.reset_port();
         if let Some(s) = self.storm.as_mut() {
             s.reset_chaos();
         }
-        self.kernel_pipe.clear();
+        for l in &mut self.links {
+            l.reset();
+        }
+        self.link_prefetch_issue.fill(0);
+        for p in &mut self.pipes {
+            p.clear();
+        }
         self.write_queue.clear();
         self.writes_done = 0;
         self.cycle = 0;
@@ -704,31 +894,33 @@ impl SmacheSystem {
         }
     }
 
-    /// Loads `input` into DRAM, runs `instances` work-instances, and
-    /// returns the output grid with the measured metrics (per run: the
-    /// cycle counter and DRAM statistics restart from zero).
-    pub fn run(&mut self, input: &[Word], instances: u64) -> CoreResult<RunReport> {
-        self.arm(input, instances)?;
+    /// Loads `input` into DRAM, runs `passes` passes (each pass = `depth`
+    /// timesteps; one instance for a single stage), and returns the output
+    /// grid with the measured metrics (per run: the cycle counter and DRAM
+    /// statistics restart from zero). The output equals `depth × passes`
+    /// sequential single-step runs, bit-exactly.
+    pub fn run(&mut self, input: &[Word], passes: u64) -> CoreResult<RunReport> {
+        self.arm(input, passes)?;
 
-        let budget = (instances + 2)
-            * (self.n as u64 * self.config.watchdog_cycles_per_element + 512)
+        let depth = self.stages.len() as u64;
+        // Wrap-heavy plans serialise the stages within a pass, so a pass
+        // can cost up to depth × the single-step budget.
+        let budget = (passes + 2)
+            * (self.n as u64 * depth * self.config.system.watchdog_cycles_per_element + 512)
             + 4096;
-        if instances > 0 {
-            while self.module.phase() != ControllerPhase::Done {
-                if self.cycle >= budget {
-                    return Err(CoreError::Sim(smache_sim::SimError::Watchdog {
-                        budget,
-                        waiting_for: "smache run completion".into(),
-                    }));
-                }
-                self.step()?;
+        while self.passes_left > 0 {
+            if self.cycle >= budget {
+                return Err(CoreError::Sim(smache_sim::SimError::Watchdog {
+                    budget,
+                    waiting_for: "smache run completion".into(),
+                }));
             }
+            self.step()?;
         }
 
-        let out_region = (instances % 2) as usize;
-        let output = self.dram.dump(self.base[out_region], self.n)?;
+        let output = self.armed_output()?;
 
-        let mut faults = *self.dram.counters();
+        let mut faults = self.dram.counters();
         faults.merge(self.resp_queue.counters());
         if let Some(s) = self.storm.as_ref() {
             faults.merge(s.counters());
@@ -752,6 +944,13 @@ impl SmacheSystem {
         // (they are cheaper to copy once than to track per cycle), then
         // snapshot for the report.
         let dram_stats = *self.dram.stats();
+        let per_channel: Vec<smache_mem::DramStats> = if self.single_step {
+            Vec::new()
+        } else {
+            (0..self.dram.channels())
+                .map(|c| *self.dram.channel_stats(c))
+                .collect()
+        };
         let telemetry: Option<TelemetrySnapshot> = self.telemetry.as_mut().map(|tel| {
             let ctr = &mut tel.counters;
             let mut set = |name: &str, value: u64| {
@@ -763,6 +962,10 @@ impl SmacheSystem {
             set("dram.row_hits", dram_stats.row_hits);
             set("dram.row_misses", dram_stats.row_misses);
             set("dram.read_stall_cycles", dram_stats.read_stall_cycles);
+            for (c, s) in per_channel.iter().enumerate() {
+                set(&format!("dram.ch{c}.reads"), s.reads);
+                set(&format!("dram.ch{c}.writes"), s.writes);
+            }
             set("chaos.jitter_events", faults.jitter_events);
             set("chaos.jitter_cycles_added", faults.jitter_cycles_added);
             set("chaos.stall_storms", faults.stall_storms);
@@ -773,16 +976,19 @@ impl SmacheSystem {
             tel.snapshot()
         });
 
-        let plan = self.module.plan();
-        let breakdown = self.module.resource_breakdown();
-        let resources = breakdown.total() + self.kernel.resources();
+        let plan = self.stages[0].plan();
+        let name = if self.single_step {
+            format!("Smache-{}", plan.hybrid.label())
+        } else {
+            format!("Smache-pipe{}x{}", depth, self.config.channels)
+        };
         let metrics = DesignMetrics {
-            name: format!("Smache-{}", plan.hybrid.label()),
+            name,
             cycles: self.cycle,
             fmax_mhz: FreqModel.smache_fmax(plan),
-            dram: *self.dram.stats(),
-            ops: plan.shape.ops_per_point() * self.n as u64 * instances,
-            resources,
+            dram: dram_stats,
+            ops: plan.shape.ops_per_point() * self.n as u64 * depth * passes,
+            resources: self.resources(),
             faults,
         };
         Ok(RunReport {
@@ -791,15 +997,25 @@ impl SmacheSystem {
             warmup_cycles: self.warmup_cycles,
             fault_events,
             stats,
-            breakdown,
+            breakdown: self.resource_breakdown(),
             telemetry,
             engine: crate::system::report::RunEngine::FullSim,
         })
     }
 
-    /// Synthesised resources of the full design (module + kernel).
+    /// Synthesised resources of the full design: every stage's module and
+    /// kernel, plus the inter-stage link storage (one grid-sized BRAM
+    /// buffer per link).
     pub fn resources(&self) -> ResourceUsage {
-        self.module.resource_breakdown().total() + self.kernel.resources()
+        let mut total = ResourceUsage::default();
+        for s in &self.stages {
+            total += s.resource_breakdown().total() + self.kernel.resources();
+        }
+        total
+            + ResourceUsage {
+                bram_bits: (self.links.len() * self.n) as u64 * u64::from(self.plan().word_bits),
+                ..ResourceUsage::default()
+            }
     }
 
     /// Render helper for external drivers: exports the probe trace in the
@@ -815,39 +1031,64 @@ impl SmacheSystem {
         }
     }
 
-    /// Per-part resource breakdown.
+    /// Per-part resource breakdown of one stage.
     pub fn resource_breakdown(&self) -> SmacheResourceBreakdown {
-        self.module.resource_breakdown()
+        self.stages[0].resource_breakdown()
     }
 }
 
 impl Probed for SmacheSystem {
-    /// Registers every component's probes plus the system-level handshake
-    /// and stall bits — the same probe set whether the registry lives on
-    /// the system itself ([`SmacheSystem::attach_telemetry`]) or on an
-    /// enclosing simulator sampling an
-    /// [`AxiSmache`](crate::system::axi::AxiSmache).
+    /// Registers every component's probes plus the handshake and stall
+    /// bits — the same probe set whether the registry lives on the system
+    /// itself ([`SmacheSystem::attach_telemetry`]) or on an enclosing
+    /// simulator sampling an [`AxiSmache`](crate::system::axi::AxiSmache).
+    /// The single-step system exposes its module and its one DRAM channel;
+    /// a pipeline exposes the multi-channel port and its links.
     fn register_probes(&self, reg: &mut smache_sim::ProbeRegistry) {
-        self.module.register_probes(reg);
-        self.dram.register_probes(reg);
+        if self.single_step {
+            self.stages[0].register_probes(reg);
+            self.dram.channel(0).register_probes(reg);
+        } else {
+            self.dram.register_probes(reg);
+        }
         self.resp_queue.register_probes(reg);
-        reg.register("sys.stall", ProbeKind::Bit);
-        reg.register("fsm2.emit", ProbeKind::Bit);
-        reg.register("axi.read_accept", ProbeKind::Bit);
-        reg.register("axi.resp", ProbeKind::Bit);
-        reg.register("axi.write_accept", ProbeKind::Bit);
+        for name in HANDSHAKE_PROBES[usize::from(!self.single_step)] {
+            reg.register(name, ProbeKind::Bit);
+        }
+        for t in 0..self.links.len() {
+            reg.register(&format!("pipe.link{t}.occupancy"), ProbeKind::Vector(16));
+        }
     }
 
     fn sample_probes(&self, cycle: u64, reg: &mut smache_sim::ProbeRegistry) {
-        self.module.sample_probes(cycle, reg);
-        self.dram.sample_probes(cycle, reg);
+        if self.single_step {
+            self.stages[0].sample_probes(cycle, reg);
+            self.dram.channel(0).sample_probes(cycle, reg);
+        } else {
+            self.dram.sample_probes(cycle, reg);
+        }
         self.resp_queue.sample_probes(cycle, reg);
         let facts = self.facts;
-        reg.sample_path(cycle, "sys.stall", u64::from(facts.stalled));
-        reg.sample_path(cycle, "fsm2.emit", u64::from(facts.emitted));
-        reg.sample_path(cycle, "axi.read_accept", u64::from(facts.read_accepted));
-        reg.sample_path(cycle, "axi.resp", u64::from(facts.responded));
-        reg.sample_path(cycle, "axi.write_accept", u64::from(facts.write_accepted));
+        let bits = [
+            facts.stalled,
+            facts.emitted,
+            facts.read_accepted,
+            facts.responded,
+            facts.write_accepted,
+        ];
+        for (name, bit) in HANDSHAKE_PROBES[usize::from(!self.single_step)]
+            .iter()
+            .zip(bits)
+        {
+            reg.sample_path(cycle, name, u64::from(bit));
+        }
+        for (t, link) in self.links.iter().enumerate() {
+            reg.sample_path(
+                cycle,
+                &format!("pipe.link{t}.occupancy"),
+                link.occupancy() as u64,
+            );
+        }
     }
 }
 

@@ -24,7 +24,7 @@
 //! is cycle-identical to a bare [`FaultyDram`]: routing and reordering add
 //! no latency.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use smache_sim::telemetry::{ProbeKind, ProbeRegistry, Probed};
 use smache_sim::{SimError, SimResult, Word};
@@ -81,8 +81,11 @@ pub struct MultiChannelDram {
     /// Issue-order bookkeeping: per channel, the (sequence, global address)
     /// of reads issued but not yet responded.
     pending: Vec<VecDeque<(u64, usize)>>,
-    /// Out-of-order responses parked until their sequence number is due.
-    reorder: BTreeMap<u64, (usize, Word)>,
+    /// Out-of-order responses parked until their sequence number is due:
+    /// slot `i` holds sequence `next_deliver + i` once it has arrived.
+    reorder: VecDeque<Option<(usize, Word)>>,
+    /// Responses parked in `reorder` (its filled slots).
+    parked: usize,
     next_seq: u64,
     next_deliver: u64,
     cycle: u64,
@@ -130,7 +133,8 @@ impl MultiChannelDram {
             staged_write: None,
             read_ready_at: vec![0; c],
             pending: (0..c).map(|_| VecDeque::new()).collect(),
-            reorder: BTreeMap::new(),
+            reorder: VecDeque::new(),
+            parked: 0,
             next_seq: 0,
             next_deliver: 0,
             cycle: 0,
@@ -161,14 +165,24 @@ impl MultiChannelDram {
     /// The channel a flat address maps to.
     #[inline]
     pub fn channel_of(&self, addr: usize) -> usize {
-        (addr / self.config.interleave_words) % self.channels.len()
+        match self.channels.len() {
+            // One channel maps the identity; skip the divisions on the
+            // every-cycle path.
+            1 => 0,
+            c => (addr / self.config.interleave_words) % c,
+        }
     }
 
     /// The channel-local address of a flat address.
     #[inline]
     fn local_of(&self, addr: usize) -> usize {
-        let ilv = self.config.interleave_words;
-        (addr / (ilv * self.channels.len())) * ilv + addr % ilv
+        match self.channels.len() {
+            1 => addr,
+            c => {
+                let ilv = self.config.interleave_words;
+                (addr / (ilv * c)) * ilv + addr % ilv
+            }
+        }
     }
 
     fn check_addr(&self, addr: usize) -> SimResult<()> {
@@ -203,6 +217,11 @@ impl MultiChannelDram {
     /// Statistics of one channel.
     pub fn channel_stats(&self, channel: usize) -> &DramStats {
         self.channels[channel].stats()
+    }
+
+    /// One channel's device, for its probes and chaos queue.
+    pub fn channel(&self, channel: usize) -> &FaultyDram {
+        &self.channels[channel]
     }
 
     /// Resets every channel's statistics.
@@ -253,6 +272,7 @@ impl MultiChannelDram {
             q.clear();
         }
         self.reorder.clear();
+        self.parked = 0;
         self.next_seq = 0;
         self.next_deliver = 0;
         self.cycle = 0;
@@ -262,6 +282,9 @@ impl MultiChannelDram {
     pub fn preload(&mut self, base: usize, words: &[Word]) -> SimResult<()> {
         if !words.is_empty() {
             self.check_addr(base + words.len() - 1)?;
+        }
+        if self.channels.len() == 1 {
+            return self.channels[0].preload(base, words);
         }
         for (i, &w) in words.iter().enumerate() {
             let addr = base + i;
@@ -277,6 +300,9 @@ impl MultiChannelDram {
         if len > 0 {
             self.check_addr(base + len - 1)?;
         }
+        if self.channels.len() == 1 {
+            return self.channels[0].dump(base, len);
+        }
         let mut out = Vec::with_capacity(len);
         for addr in base..base + len {
             let (c, l) = (self.channel_of(addr), self.local_of(addr));
@@ -287,14 +313,14 @@ impl MultiChannelDram {
 
     /// Reads issued but not yet delivered (includes reordered responses).
     pub fn inflight(&self) -> usize {
-        self.pending.iter().map(VecDeque::len).sum::<usize>() + self.reorder.len()
+        self.pending.iter().map(VecDeque::len).sum::<usize>() + self.parked
     }
 
     /// The channel the oldest outstanding read belongs to — where a
     /// starved consumer is actually waiting. `None` when nothing is
     /// outstanding.
     pub fn starving_channel(&self) -> Option<usize> {
-        if self.reorder.contains_key(&self.next_deliver) {
+        if self.reorder.front().is_some_and(Option::is_some) {
             // The word is already here; delivery is next tick.
             return None;
         }
@@ -331,6 +357,35 @@ impl MultiChannelDram {
     /// the port did: accepted commands carry their flat addresses, and at
     /// most one response is delivered per cycle, strictly in issue order.
     pub fn tick(&mut self) -> DramTick {
+        // One full-rate channel — the single-step system's memory, ticked
+        // every simulated cycle — has nothing to route, rate-limit or
+        // reorder: stage straight through and keep only the issue-order
+        // bookkeeping `inflight` and `starving_channel` read.
+        if let ([ch], 1) = (&mut self.channels[..], self.config.cmd_gap) {
+            match self.staged_read {
+                Some(addr) => ch.hold_read(addr).expect("address checked at hold"),
+                None => ch.cancel_read(),
+            }
+            match self.staged_write {
+                Some((addr, w)) => ch.hold_write(addr, w).expect("address checked at hold"),
+                None => ch.cancel_write(),
+            }
+            let tick = ch.tick();
+            if let Some(addr) = tick.read_accepted {
+                self.pending[0].push_back((self.next_seq, addr));
+                self.next_seq += 1;
+                self.staged_read = None;
+            }
+            if tick.write_accepted.is_some() {
+                self.staged_write = None;
+            }
+            if tick.response.is_some() {
+                self.pending[0].pop_front();
+                self.next_deliver += 1;
+            }
+            self.cycle += 1;
+            return tick;
+        }
         // Route the staged commands to their channels; everything else is
         // explicitly cancelled so no stale staging survives.
         let read_route = self.staged_read.map(|addr| {
@@ -341,6 +396,7 @@ impl MultiChannelDram {
             let c = self.channel_of(addr);
             (addr, c, self.local_of(addr), w)
         });
+        let mut out = DramTick::default();
         for (c, ch) in self.channels.iter_mut().enumerate() {
             match read_route {
                 Some((_, rc, local)) if rc == c && self.cycle >= self.read_ready_at[c] => {
@@ -354,11 +410,7 @@ impl MultiChannelDram {
                 }
                 _ => ch.cancel_write(),
             }
-        }
-
-        let mut out = DramTick::default();
-        for c in 0..self.channels.len() {
-            let tick = self.channels[c].tick();
+            let tick = ch.tick();
             if tick.read_accepted.is_some() {
                 let (gaddr, _, _) = read_route.expect("accept implies a routed read");
                 out.read_accepted = Some(gaddr);
@@ -376,13 +428,27 @@ impl MultiChannelDram {
                 let (seq, gaddr) = self.pending[c]
                     .pop_front()
                     .expect("response implies an outstanding read");
-                self.reorder.insert(seq, (gaddr, w));
+                if seq == self.next_deliver && out.response.is_none() {
+                    // Due now: deliver without parking (its slot, if the
+                    // buffer holds one, is the empty front).
+                    self.reorder.pop_front();
+                    out.response = Some((gaddr, w));
+                    self.next_deliver += 1;
+                    continue;
+                }
+                let slot = (seq - self.next_deliver) as usize;
+                if self.reorder.len() <= slot {
+                    self.reorder.resize(slot + 1, None);
+                }
+                self.reorder[slot] = Some((gaddr, w));
+                self.parked += 1;
             }
         }
 
         // Deliver the next in-order response, if it has arrived.
-        if let Some(resp) = self.reorder.remove(&self.next_deliver) {
-            out.response = Some(resp);
+        if out.response.is_none() && self.reorder.front().is_some_and(Option::is_some) {
+            out.response = self.reorder.pop_front().flatten();
+            self.parked -= 1;
             self.next_deliver += 1;
         }
         self.cycle += 1;
@@ -402,7 +468,7 @@ impl Probed for MultiChannelDram {
         for (c, q) in self.pending.iter().enumerate() {
             reg.sample_path(cycle, &format!("mcdram.ch{c}.inflight"), q.len() as u64);
         }
-        reg.sample_path(cycle, "mcdram.reorder", self.reorder.len() as u64);
+        reg.sample_path(cycle, "mcdram.reorder", self.parked as u64);
     }
 }
 

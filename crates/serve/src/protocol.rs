@@ -37,7 +37,6 @@ use std::sync::Arc;
 use smache::arch::kernel::AverageKernel;
 use smache::spec::{seeded_input, ProblemSpec, SPEC_KEYS};
 use smache::system::{CaptureOutcome, ControlSchedule, ReplayMode};
-use smache::SmacheSystem;
 use smache_mem::{ChaosProfile, FaultPlan};
 use smache_sim::hash::fingerprint128;
 use smache_sim::{Json, TelemetryConfig};
@@ -337,24 +336,6 @@ impl RunRequest {
         Ok(FaultPlan::new(self.chaos_seed, profile))
     }
 
-    /// Builds the temporal pipeline a pipelined spec asks for (parse-time
-    /// validation guarantees `instances % timesteps == 0` by the time this
-    /// runs).
-    fn build_pipeline(&self) -> Result<smache::TemporalPipeline, String> {
-        let plan = self.spec.builder().plan().map_err(|e| e.to_string())?;
-        let config = smache::PipelineConfig {
-            depth: self.spec.timesteps as usize,
-            channels: self.spec.channels,
-            system: smache::system::SystemConfig {
-                fault_plan: self.fault_plan()?,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        smache::TemporalPipeline::new(plan, Box::new(AverageKernel), config)
-            .map_err(|e| e.to_string())
-    }
-
     /// The canonical text of the control *schedule* this request would
     /// exercise: the spec plus the instance count, **no data seed** — that
     /// is what lets differing-seed requests for one spec share a schedule.
@@ -411,32 +392,19 @@ impl RunRequest {
         self.run(self.replay)
     }
 
-    /// Builds the request's engine once and runs it under `mode`: the
-    /// temporal pipeline for a pipelined spec, the single-step system
-    /// otherwise (with the request's fault plan, and telemetry for a
-    /// `trace` run).
+    /// Builds the request's engine once — the spec's geometry, with the
+    /// request's fault plan, and telemetry for a `trace` run — and runs it
+    /// under `mode`. Parse-time validation guarantees `instances %
+    /// timesteps == 0` by the time this runs.
     fn run(&self, mode: ReplayMode) -> Result<(Json, Option<Arc<ControlSchedule>>), String> {
         let input = seeded_input(self.spec.grid.len(), self.seed);
-        let outcome = if self.spec.pipelined() {
-            let passes = self.instances / self.spec.timesteps;
-            let mut pipe = self.build_pipeline()?;
-            mode.capture_or_run(
-                &mut pipe,
-                |p| p.run(&input, passes),
-                |p| p.run_captured(&input, passes),
-            )
-        } else {
-            let mut builder = self.spec.builder().fault_plan(self.fault_plan()?);
-            if self.kind == RunKind::Trace {
-                builder = builder.telemetry(TelemetryConfig::default());
-            }
-            let mut system: SmacheSystem = builder.build().map_err(|e| e.to_string())?;
-            mode.capture_or_run(
-                &mut system,
-                |s| s.run(&input, self.instances),
-                |s| s.run_captured(&input, self.instances),
-            )
-        };
+        let mut builder = self.spec.builder().fault_plan(self.fault_plan()?);
+        if self.kind == RunKind::Trace {
+            builder = builder.telemetry(TelemetryConfig::default());
+        }
+        let mut engine = builder.build().map_err(|e| e.to_string())?;
+        let outcome =
+            mode.capture_or_run(&mut engine, &input, self.instances / self.spec.timesteps);
         Ok(match outcome.map_err(|e| e.to_string())? {
             CaptureOutcome::Captured(report, schedule) => (report.to_json(), Some(schedule)),
             CaptureOutcome::FullSim(report) | CaptureOutcome::Fallback(report, _) => {

@@ -197,9 +197,13 @@ grep -q '"bench": "store_warm_start"' BENCH_store.json || {
   echo "committed BENCH_store.json is missing or malformed"; exit 1; }
 
 echo "== serve loadgen (cache speedup artefact) =="
-cargo run -p smache-bench --bin loadgen --release >/dev/null
+serve_json=$(mktemp)
+cargo run -p smache-bench --bin loadgen --release -- --json "$serve_json" >/dev/null
+grep -q '"cache_speedup_closed"' "$serve_json" || {
+  echo "loadgen artefact is missing the cache speedup"; exit 1; }
+rm -f "$serve_json"
 grep -q '"cache_speedup_closed"' BENCH_serve.json || {
-  echo "BENCH_serve.json is missing the cache speedup"; exit 1; }
+  echo "committed BENCH_serve.json is missing the cache speedup"; exit 1; }
 
 echo "== serve ramp (256 concurrent reactor clients, byte-identical cached responses) =="
 # The ramp's own assertions cover the hard guarantees: every pipelined

@@ -164,7 +164,7 @@ fn sixteen_random_specs_match_the_sequential_reference() {
 }
 
 /// Wraps an armed [`TemporalPipeline`] as a [`smache_sim::Module`]: one
-/// [`TemporalPipeline::step_cycle`] per simulator commit, so the whole
+/// [`TemporalPipeline::step`] per simulator commit, so the whole
 /// pipeline advances under the scheduler's clock in either [`SimMode`].
 struct PipeModule {
     inner: Rc<RefCell<PipeState>>,
@@ -187,7 +187,7 @@ impl smache_sim::Module for PipeModule {
         if st.error.is_some() || st.pipe.finished() {
             return;
         }
-        if let Err(e) = st.pipe.step_cycle() {
+        if let Err(e) = st.pipe.step() {
             st.error = Some(e);
         }
     }

@@ -127,11 +127,14 @@ fn loop_rows() -> Vec<Json> {
         let inputs: Vec<Vec<u64>> = (0..LANES as u64)
             .map(|s| smache::spec::seeded_input(n, s))
             .collect();
+        let passes = spec
+            .passes(instances)
+            .expect("sweep specs run whole passes");
         let (_, schedule) = spec
             .builder()
             .fault_plan(fault_plan)
             .build()
-            .and_then(|mut engine| engine.run_captured(&inputs[0], instances / spec.timesteps))
+            .and_then(|mut engine| engine.run_captured(&inputs[0], passes))
             .expect("sweep specs capture");
         let views: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
         let cell_updates = (n as u64 * instances) as f64;

@@ -446,17 +446,8 @@ fn export_trace(
 /// the probe trace, and optionally print the bottleneck analysis.
 fn cmd_trace(args: &Args) -> Result<String, CliError> {
     let spec = spec_from_args(args)?;
-    if spec.pipelined() {
-        return Err(ArgError::BadValue {
-            key: "timesteps".into(),
-            value: format!("{} (channels {})", spec.timesteps, spec.channels),
-            expected: "a single-stage spec (`trace` drives the single-step system; \
-                       pipelined runs go through `simulate`)"
-                .into(),
-        }
-        .into());
-    }
     let instances: u64 = args.get_num("instances", 1)?;
+    let passes = spec.passes(instances).map_err(ArgError::from)?;
     let seed: u64 = args.get_num("seed", 1)?;
     let top: usize = args.get_num("top", 5)?;
     let fmt = trace_format(args, "vcd")?;
@@ -469,7 +460,7 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
         .fault_plan(chaos)
         .telemetry(smache_sim::TelemetryConfig::default())
         .build()?;
-    let report = system.run(&input, instances)?;
+    let report = system.run(&input, passes)?;
 
     let mut out = String::new();
     export_trace(&system, fmt, args, &mut out)?;
@@ -637,9 +628,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let spec = spec_from_args(args)?;
     let instances: u64 = args.get_num("instances", 100)?;
     let seed: u64 = args.get_num("seed", 1)?;
-    if spec.pipelined() {
-        return cmd_simulate_pipeline(args, &spec, instances, seed);
-    }
+    let passes = spec.passes(instances).map_err(ArgError::from)?;
     let design = args.get_or("design", "smache");
     if !["smache", "baseline", "both"].contains(&design) {
         return Err(ArgError::BadValue {
@@ -654,6 +643,24 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 
     let batch: u64 = args.get_num("batch", 0)?;
     let lanes: usize = args.get_num("lanes", 1)?;
+    if spec.pipelined() {
+        for (key, unsupported) in [
+            ("batch", batch > 0),
+            ("lanes", lanes > 1),
+            ("design", design != "smache"),
+        ] {
+            if unsupported {
+                return Err(ArgError::BadValue {
+                    key: key.into(),
+                    value: args.get_or(key, "").into(),
+                    expected: "a single-step spec (pipelined --timesteps/--channels runs \
+                               the Smache temporal pipeline only)"
+                        .into(),
+                }
+                .into());
+            }
+        }
+    }
     let trace_fmt: Option<&str> = match args.get("trace") {
         Some(_) => Some(trace_format(args, "vcd")?),
         None => None,
@@ -719,7 +726,14 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
                 builder = builder.telemetry(smache_sim::TelemetryConfig::default());
             }
             let mut system = builder.build()?;
-            let (report, engine_note) = run_with_replay(mode, &mut system, &input, instances)?;
+            let (report, engine_note) = run_with_replay(mode, &mut system, &input, passes)?;
+            if spec.pipelined() {
+                let _ = writeln!(
+                    out,
+                    "pipeline: {} stage(s) x {passes} pass(es) = {instances} timestep(s), {} channel(s)",
+                    spec.timesteps, spec.channels
+                );
+            }
             if let Some(fmt) = trace_fmt {
                 export_trace(&system, fmt, args, &mut out)?;
             }
@@ -750,70 +764,6 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
             let _ = writeln!(out, "  verified against golden reference");
         }
     }
-    Ok(out)
-}
-
-/// `simulate` for a pipelined spec (`--timesteps`/`--channels`): the
-/// temporal pipeline advances `timesteps` grid updates per DRAM pass, so
-/// `--instances` must be a multiple of the depth. Verification and replay
-/// work exactly as for the single-step system; `--batch`, `--lanes`,
-/// `--trace` and non-Smache designs are single-step-only.
-fn cmd_simulate_pipeline(
-    args: &Args,
-    spec: &ProblemSpec,
-    instances: u64,
-    seed: u64,
-) -> Result<String, CliError> {
-    let depth = spec.timesteps.max(1);
-    for (key, unsupported) in [
-        ("batch", args.get("batch").is_some()),
-        ("lanes", args.get_num::<usize>("lanes", 1)? > 1),
-        ("trace", args.get("trace").is_some()),
-        ("design", args.get_or("design", "smache") != "smache"),
-    ] {
-        if unsupported {
-            return Err(ArgError::BadValue {
-                key: key.into(),
-                value: args.get_or(key, "").into(),
-                expected: "a single-step spec (pipelined --timesteps/--channels runs \
-                           the Smache temporal pipeline only)"
-                    .into(),
-            }
-            .into());
-        }
-    }
-    if !instances.is_multiple_of(depth) {
-        return Err(ArgError::BadValue {
-            key: "instances".into(),
-            value: instances.to_string(),
-            expected: format!("a multiple of --timesteps {depth} (each DRAM pass advances the grid {depth} updates)"),
-        }
-        .into());
-    }
-    let passes = instances / depth;
-
-    let chaos = chaos_plan(args)?;
-    let mode = replay_mode(args)?;
-    let mut pipe = spec.builder().fault_plan(chaos).build()?;
-    let input = seeded_input(spec.grid.len(), seed);
-    let (report, engine_note) = run_with_replay(mode, &mut pipe, &input, passes)?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "pipeline: {depth} stage(s) x {passes} pass(es) = {instances} timestep(s), {} channel(s)",
-        spec.channels
-    );
-    let golden = golden_output(args, spec, &input, instances)?;
-    print_smache_run(
-        &mut out,
-        &report.metrics,
-        &report.output,
-        report.warmup_cycles,
-        &engine_note,
-        &chaos,
-        golden.as_deref(),
-    )?;
     Ok(out)
 }
 
@@ -1297,13 +1247,13 @@ mod tests {
             run_str("simulate --grid 8x8 --timesteps 3 --instances 8"),
             Err(CliError::Args(ArgError::BadValue { .. }))
         ));
-        // Batch, lanes, trace and other designs are single-step-only.
+        // Batch, lanes and other designs are single-step-only; a trace
+        // needs whole passes too.
         for argv in [
             "simulate --grid 8x8 --timesteps 2 --instances 4 --batch 2",
             "simulate --grid 8x8 --timesteps 2 --instances 4 --lanes 2",
-            "simulate --grid 8x8 --timesteps 2 --instances 4 --trace vcd",
             "simulate --grid 8x8 --timesteps 2 --instances 4 --design both",
-            "trace --grid 8x8 --timesteps 2",
+            "trace --grid 8x8 --timesteps 2 --instances 3",
         ] {
             assert!(
                 matches!(
@@ -1346,6 +1296,15 @@ mod tests {
         let out = run_str("trace --grid 8x8 --instances 1 --trace ascii").unwrap();
         assert!(out.contains("ctrl.phase"), "{out}");
         assert!(out.contains("sys.stall"), "{out}");
+    }
+
+    #[test]
+    fn pipelined_trace_renders_the_pipeline_probes() {
+        let out =
+            run_str("trace --grid 8x8 --timesteps 2 --channels 2 --instances 4 --trace ascii")
+                .unwrap();
+        assert!(out.contains("pipe.stall"), "{out}");
+        assert!(out.contains("mcdram.reorder"), "{out}");
     }
 
     #[test]

@@ -361,6 +361,25 @@ impl ProblemSpec {
     pub fn pipelined(&self) -> bool {
         self.timesteps > 1 || self.channels > 1
     }
+
+    /// The engine passes that advance the grid `instances` updates: each
+    /// pass of the [`builder`](Self::builder)'s engine advances it
+    /// `timesteps` updates, so `instances` must be a multiple of
+    /// `timesteps`.
+    pub fn passes(&self, instances: u64) -> Result<u64, SpecError> {
+        if !instances.is_multiple_of(self.timesteps) {
+            return Err(bad(
+                "instances",
+                &instances.to_string(),
+                &format!(
+                    "a multiple of `timesteps` ({}): each DRAM pass of the pipeline \
+                     advances the grid that many updates",
+                    self.timesteps
+                ),
+            ));
+        }
+        Ok(instances / self.timesteps)
+    }
 }
 
 /// The workspace's standard seeded input: `n` words uniform in
@@ -537,6 +556,20 @@ mod tests {
         assert!(ProblemSpec::from_source(&src(&[("channels", "0")])).is_err());
         assert!(ProblemSpec::from_source(&src(&[("channels", "65")])).is_err());
         assert!(ProblemSpec::from_source(&src(&[("channels", "x")])).is_err());
+    }
+
+    #[test]
+    fn passes_divide_instances_by_timesteps() {
+        let plain = ProblemSpec::from_source(&src(&[("channels", "2")])).unwrap();
+        assert_eq!(plain.passes(7), Ok(7));
+        let piped = ProblemSpec::from_source(&src(&[("timesteps", "3")])).unwrap();
+        assert_eq!(piped.passes(9), Ok(3));
+        let err = piped.passes(8).unwrap_err();
+        assert_eq!(err.key, "instances");
+        assert!(
+            err.expected.contains("multiple of `timesteps` (3)"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -551,19 +551,13 @@ impl SmacheSystem {
     /// key carries no suffix, so it stays byte-identical to keys already
     /// on disk.
     pub fn schedule_key_text(&self, passes: u64) -> String {
-        let config = self.pipeline_config();
         let mut text = schedule_key_text(
             self.plan(),
             self.config(),
             self.kernel(),
             self.depth() as u64 * passes,
         );
-        if !config.single_step() {
-            text.push_str(&format!(
-                ";pipeline={}:{}:{}:{}",
-                config.depth, config.channels, config.interleave_words, config.cmd_gap
-            ));
-        }
+        text.push_str(self.key_suffix());
         text
     }
 

@@ -71,24 +71,68 @@ impl Default for SystemConfig {
     }
 }
 
-/// The single-step handshake probes, then their pipelined names, in the
-/// order stall, emit, read accept, response, write accept.
-const HANDSHAKE_PROBES: [[&str; 5]; 2] = [
-    [
-        "sys.stall",
-        "fsm2.emit",
-        "axi.read_accept",
-        "axi.resp",
-        "axi.write_accept",
-    ],
-    [
-        "pipe.stall",
-        "pipe.emit",
-        "pipe.read_accept",
-        "pipe.resp",
-        "pipe.write_accept",
-    ],
-];
+/// Everything that differs between the paper's single-step system and a
+/// pipeline besides the datapath, decided once at construction by
+/// [`PipelineConfig::single_step`] (`docs/PIPELINE.md` §3).
+struct Geometry {
+    /// Static buffers double-buffer across instance boundaries.
+    double_buffering: bool,
+    /// Component the stall-storm chaos generator reports under.
+    storm: &'static str,
+    /// Handshake probes, in the order stall, emit, read accept, response,
+    /// write accept.
+    handshakes: [&'static str; 5],
+    /// [`DesignMetrics::name`] of every run.
+    metric_name: String,
+    /// Appended to the schedule key text (empty for the single step, so
+    /// its keys stay byte-identical to those already on disk).
+    key_suffix: String,
+    /// The single-step telemetry view: FSM residency counters, one
+    /// `stall.dram_starved` counter, and probes on stage 0's module and
+    /// the one DRAM device (whose release queue is the in-flight count).
+    /// Otherwise starvation is pinned per channel, DRAM counters are also
+    /// reported per channel, and the multi-channel port is probed.
+    device_view: bool,
+}
+
+impl Geometry {
+    fn new(config: &PipelineConfig, plan: &BufferPlan) -> Self {
+        if config.single_step() {
+            Geometry {
+                double_buffering: config.system.double_buffering,
+                storm: STALL_COMPONENT,
+                handshakes: [
+                    "sys.stall",
+                    "fsm2.emit",
+                    "axi.read_accept",
+                    "axi.resp",
+                    "axi.write_accept",
+                ],
+                metric_name: format!("Smache-{}", plan.hybrid.label()),
+                key_suffix: String::new(),
+                device_view: true,
+            }
+        } else {
+            Geometry {
+                double_buffering: false,
+                storm: PIPE_STALL_COMPONENT,
+                handshakes: [
+                    "pipe.stall",
+                    "pipe.emit",
+                    "pipe.read_accept",
+                    "pipe.resp",
+                    "pipe.write_accept",
+                ],
+                metric_name: format!("Smache-pipe{}x{}", config.depth, config.channels),
+                key_suffix: format!(
+                    ";pipeline={}:{}:{}:{}",
+                    config.depth, config.channels, config.interleave_words, config.cmd_gap
+                ),
+                device_view: false,
+            }
+        }
+    }
+}
 
 /// Human-readable FSM provenance for fault diagnostics.
 fn phase_name(phase: ControllerPhase) -> &'static str {
@@ -139,8 +183,7 @@ pub struct SmacheSystem {
     stages: Vec<SmacheModule>,
     kernel: Box<dyn Kernel>,
     config: PipelineConfig,
-    /// [`PipelineConfig::single_step`], fixed at construction.
-    single_step: bool,
+    geometry: Geometry,
     dram: MultiChannelDram,
     n: usize,
     base: [usize; 2],
@@ -213,7 +256,7 @@ impl SmacheSystem {
         if config.depth == 0 {
             return Err(CoreError::Config("pipeline depth must be >= 1".into()));
         }
-        let single_step = config.single_step();
+        let geometry = Geometry::new(&config, &plan);
         let fault_plan = config.system.fault_plan;
         let n = plan.grid.len();
         // Ping-pong regions aligned to DRAM rows so reads and writes of one
@@ -230,20 +273,15 @@ impl SmacheSystem {
             },
             fault_plan,
         )?;
-        let component = if single_step {
-            STALL_COMPONENT
-        } else {
-            PIPE_STALL_COMPONENT
-        };
         let storm = (fault_plan.is_active() && fault_plan.profile.stall_storm_prob > 0.0)
-            .then(|| StormGen::new(fault_plan, component));
+            .then(|| StormGen::new(fault_plan, geometry.storm));
         let stages = (0..config.depth)
             .map(|_| SmacheModule::new(plan.clone()))
             .collect::<CoreResult<Vec<_>>>()?;
         Ok(SmacheSystem {
             stages,
             kernel,
-            single_step,
+            geometry,
             dram,
             n,
             base: [0, region],
@@ -294,6 +332,11 @@ impl SmacheSystem {
     /// The kernel driving the datapath.
     pub(crate) fn kernel(&self) -> &dyn Kernel {
         self.kernel.as_ref()
+    }
+
+    /// What a pipeline appends to its schedule key text: its geometry.
+    pub(crate) fn key_suffix(&self) -> &str {
+        &self.geometry.key_suffix
     }
 
     /// Number of chained stages (timesteps per pass).
@@ -651,7 +694,7 @@ impl SmacheSystem {
             && self.write_queue.is_empty()
         {
             self.passes_left -= 1;
-            if self.config.system.double_buffering && self.single_step {
+            if self.geometry.double_buffering {
                 self.stages[0].end_instance(self.passes_left);
             } else {
                 // Without double buffering — and always in a pipeline, where
@@ -758,17 +801,6 @@ impl SmacheSystem {
         Ok(())
     }
 
-    /// Reads issued but not yet delivered, as the occupancy histogram
-    /// counts them: the chaos release queue of the single-step system's
-    /// one channel, or every channel's outstanding and reordered reads.
-    fn dram_inflight(&self) -> usize {
-        if self.single_step {
-            self.dram.channel(0).inflight()
-        } else {
-            self.dram.inflight()
-        }
-    }
-
     /// Records one cycle's probes, stall attribution, FSM residency and
     /// queue occupancy. Reads system state only — never mutates it.
     fn sample_telemetry(&self, tel: &mut Telemetry) {
@@ -795,18 +827,15 @@ impl SmacheSystem {
         } else if facts.sched_stall {
             bump(ctr, "stall.schedule");
         } else if facts.starved_dram {
-            if self.single_step {
-                bump(ctr, "stall.dram_starved");
-            } else {
-                match self.dram.starving_channel() {
-                    Some(c) => bump(ctr, &format!("stall.dram_ch{c}")),
-                    None => bump(ctr, "stall.dram_issue"),
-                }
+            match (self.geometry.device_view, self.dram.starving_channel()) {
+                (true, _) => bump(ctr, "stall.dram_starved"),
+                (false, Some(c)) => bump(ctr, &format!("stall.dram_ch{c}")),
+                (false, None) => bump(ctr, "stall.dram_issue"),
             }
         } else if facts.starved_link {
             bump(ctr, "stall.link_starved");
         }
-        if self.single_step {
+        if self.geometry.device_view {
             // FSM state residency: exactly one state per FSM per cycle, so
             // every FSM's states sum to the run's total cycle count.
             let phase = self.stages[0].phase();
@@ -849,8 +878,15 @@ impl SmacheSystem {
         ctr.observe(h, self.resp_queue.len() as u64);
         let h = ctr.histogram("occupancy.write_queue");
         ctr.observe(h, self.write_queue.len() as u64);
+        // Reads issued but not yet delivered: the release queue of the one
+        // DRAM device, or every channel's outstanding and reordered reads.
+        let inflight = if self.geometry.device_view {
+            self.dram.channel(0).inflight()
+        } else {
+            self.dram.inflight()
+        };
         let h = ctr.histogram("occupancy.dram_inflight");
-        ctr.observe(h, self.dram_inflight() as u64);
+        ctr.observe(h, inflight as u64);
         for (t, link) in self.links.iter().enumerate() {
             let h = ctr.histogram(&format!("occupancy.link{t}"));
             ctr.observe(h, link.occupancy() as u64);
@@ -944,7 +980,7 @@ impl SmacheSystem {
         // (they are cheaper to copy once than to track per cycle), then
         // snapshot for the report.
         let dram_stats = *self.dram.stats();
-        let per_channel: Vec<smache_mem::DramStats> = if self.single_step {
+        let per_channel: Vec<smache_mem::DramStats> = if self.geometry.device_view {
             Vec::new()
         } else {
             (0..self.dram.channels())
@@ -977,13 +1013,8 @@ impl SmacheSystem {
         });
 
         let plan = self.stages[0].plan();
-        let name = if self.single_step {
-            format!("Smache-{}", plan.hybrid.label())
-        } else {
-            format!("Smache-pipe{}x{}", depth, self.config.channels)
-        };
         let metrics = DesignMetrics {
-            name,
+            name: self.geometry.metric_name.clone(),
             cycles: self.cycle,
             fmax_mhz: FreqModel.smache_fmax(plan),
             dram: dram_stats,
@@ -1045,14 +1076,14 @@ impl Probed for SmacheSystem {
     /// The single-step system exposes its module and its one DRAM channel;
     /// a pipeline exposes the multi-channel port and its links.
     fn register_probes(&self, reg: &mut smache_sim::ProbeRegistry) {
-        if self.single_step {
+        if self.geometry.device_view {
             self.stages[0].register_probes(reg);
             self.dram.channel(0).register_probes(reg);
         } else {
             self.dram.register_probes(reg);
         }
         self.resp_queue.register_probes(reg);
-        for name in HANDSHAKE_PROBES[usize::from(!self.single_step)] {
+        for name in self.geometry.handshakes {
             reg.register(name, ProbeKind::Bit);
         }
         for t in 0..self.links.len() {
@@ -1061,7 +1092,7 @@ impl Probed for SmacheSystem {
     }
 
     fn sample_probes(&self, cycle: u64, reg: &mut smache_sim::ProbeRegistry) {
-        if self.single_step {
+        if self.geometry.device_view {
             self.stages[0].sample_probes(cycle, reg);
             self.dram.channel(0).sample_probes(cycle, reg);
         } else {
@@ -1076,10 +1107,7 @@ impl Probed for SmacheSystem {
             facts.responded,
             facts.write_accepted,
         ];
-        for (name, bit) in HANDSHAKE_PROBES[usize::from(!self.single_step)]
-            .iter()
-            .zip(bits)
-        {
+        for (name, bit) in self.geometry.handshakes.iter().zip(bits) {
             reg.sample_path(cycle, name, u64::from(bit));
         }
         for (t, link) in self.links.iter().enumerate() {

@@ -165,24 +165,16 @@ impl MultiChannelDram {
     /// The channel a flat address maps to.
     #[inline]
     pub fn channel_of(&self, addr: usize) -> usize {
-        match self.channels.len() {
-            // One channel maps the identity; skip the divisions on the
-            // every-cycle path.
-            1 => 0,
-            c => (addr / self.config.interleave_words) % c,
-        }
+        self.route(addr).0
     }
 
-    /// The channel-local address of a flat address.
+    /// The (channel, channel-local address) pair of a flat address.
     #[inline]
-    fn local_of(&self, addr: usize) -> usize {
-        match self.channels.len() {
-            1 => addr,
-            c => {
-                let ilv = self.config.interleave_words;
-                (addr / (ilv * c)) * ilv + addr % ilv
-            }
-        }
+    fn route(&self, addr: usize) -> (usize, usize) {
+        let ilv = self.config.interleave_words;
+        let n = self.channels.len();
+        let block = addr / ilv;
+        (block % n, (block / n) * ilv + addr % ilv)
     }
 
     fn check_addr(&self, addr: usize) -> SimResult<()> {
@@ -283,12 +275,9 @@ impl MultiChannelDram {
         if !words.is_empty() {
             self.check_addr(base + words.len() - 1)?;
         }
-        if self.channels.len() == 1 {
-            return self.channels[0].preload(base, words);
-        }
         for (i, &w) in words.iter().enumerate() {
             let addr = base + i;
-            let (c, l) = (self.channel_of(addr), self.local_of(addr));
+            let (c, l) = self.route(addr);
             self.channels[c].preload(l, &[w])?;
         }
         Ok(())
@@ -300,12 +289,9 @@ impl MultiChannelDram {
         if len > 0 {
             self.check_addr(base + len - 1)?;
         }
-        if self.channels.len() == 1 {
-            return self.channels[0].dump(base, len);
-        }
         let mut out = Vec::with_capacity(len);
         for addr in base..base + len {
-            let (c, l) = (self.channel_of(addr), self.local_of(addr));
+            let (c, l) = self.route(addr);
             out.push(self.channels[c].dump(l, 1)?[0]);
         }
         Ok(out)
@@ -357,46 +343,16 @@ impl MultiChannelDram {
     /// the port did: accepted commands carry their flat addresses, and at
     /// most one response is delivered per cycle, strictly in issue order.
     pub fn tick(&mut self) -> DramTick {
-        // One full-rate channel — the single-step system's memory, ticked
-        // every simulated cycle — has nothing to route, rate-limit or
-        // reorder: stage straight through and keep only the issue-order
-        // bookkeeping `inflight` and `starving_channel` read.
-        if let ([ch], 1) = (&mut self.channels[..], self.config.cmd_gap) {
-            match self.staged_read {
-                Some(addr) => ch.hold_read(addr).expect("address checked at hold"),
-                None => ch.cancel_read(),
-            }
-            match self.staged_write {
-                Some((addr, w)) => ch.hold_write(addr, w).expect("address checked at hold"),
-                None => ch.cancel_write(),
-            }
-            let tick = ch.tick();
-            if let Some(addr) = tick.read_accepted {
-                self.pending[0].push_back((self.next_seq, addr));
-                self.next_seq += 1;
-                self.staged_read = None;
-            }
-            if tick.write_accepted.is_some() {
-                self.staged_write = None;
-            }
-            if tick.response.is_some() {
-                self.pending[0].pop_front();
-                self.next_deliver += 1;
-            }
-            self.cycle += 1;
-            return tick;
-        }
         // Route the staged commands to their channels; everything else is
         // explicitly cancelled so no stale staging survives.
         let read_route = self.staged_read.map(|addr| {
-            let c = self.channel_of(addr);
-            (addr, c, self.local_of(addr))
+            let (c, local) = self.route(addr);
+            (addr, c, local)
         });
         let write_route = self.staged_write.map(|(addr, w)| {
-            let c = self.channel_of(addr);
-            (addr, c, self.local_of(addr), w)
+            let (c, local) = self.route(addr);
+            (addr, c, local, w)
         });
-        let mut out = DramTick::default();
         for (c, ch) in self.channels.iter_mut().enumerate() {
             match read_route {
                 Some((_, rc, local)) if rc == c && self.cycle >= self.read_ready_at[c] => {
@@ -410,7 +366,11 @@ impl MultiChannelDram {
                 }
                 _ => ch.cancel_write(),
             }
-            let tick = ch.tick();
+        }
+
+        let mut out = DramTick::default();
+        for c in 0..self.channels.len() {
+            let tick = self.channels[c].tick();
             if tick.read_accepted.is_some() {
                 let (gaddr, _, _) = read_route.expect("accept implies a routed read");
                 out.read_accepted = Some(gaddr);
@@ -428,14 +388,6 @@ impl MultiChannelDram {
                 let (seq, gaddr) = self.pending[c]
                     .pop_front()
                     .expect("response implies an outstanding read");
-                if seq == self.next_deliver && out.response.is_none() {
-                    // Due now: deliver without parking (its slot, if the
-                    // buffer holds one, is the empty front).
-                    self.reorder.pop_front();
-                    out.response = Some((gaddr, w));
-                    self.next_deliver += 1;
-                    continue;
-                }
                 let slot = (seq - self.next_deliver) as usize;
                 if self.reorder.len() <= slot {
                     self.reorder.resize(slot + 1, None);
@@ -446,7 +398,7 @@ impl MultiChannelDram {
         }
 
         // Deliver the next in-order response, if it has arrived.
-        if out.response.is_none() && self.reorder.front().is_some_and(Option::is_some) {
+        if self.reorder.front().is_some_and(Option::is_some) {
             out.response = self.reorder.pop_front().flatten();
             self.parked -= 1;
             self.next_deliver += 1;
@@ -523,10 +475,10 @@ mod tests {
         assert_eq!(m.channel_of(7), 3);
         assert_eq!(m.channel_of(8), 0);
         // Local addresses are dense per channel.
-        assert_eq!(m.local_of(0), 0);
-        assert_eq!(m.local_of(1), 1);
-        assert_eq!(m.local_of(8), 2);
-        assert_eq!(m.local_of(9), 3);
+        assert_eq!(m.route(0).1, 0);
+        assert_eq!(m.route(1).1, 1);
+        assert_eq!(m.route(8).1, 2);
+        assert_eq!(m.route(9).1, 3);
     }
 
     #[test]

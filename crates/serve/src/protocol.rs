@@ -180,19 +180,8 @@ impl Request {
         if instances == 0 {
             return Err("`instances` must be >= 1".to_string());
         }
-        if spec.pipelined() {
-            if kind == RunKind::Trace {
-                return Err(
-                    "`trace` does not support pipelined specs (`timesteps`/`channels`)".to_string(),
-                );
-            }
-            if kind != RunKind::Plan && instances % spec.timesteps != 0 {
-                return Err(format!(
-                    "`instances` ({instances}) must be a multiple of `timesteps` ({}): \
-                     each DRAM pass of the pipeline advances the grid that many updates",
-                    spec.timesteps
-                ));
-            }
+        if kind != RunKind::Plan {
+            spec.passes(instances).map_err(|e| e.to_string())?;
         }
         let deadline_ms = opt_u64(&doc, "deadline_ms")?;
 
@@ -394,17 +383,19 @@ impl RunRequest {
 
     /// Builds the request's engine once — the spec's geometry, with the
     /// request's fault plan, and telemetry for a `trace` run — and runs it
-    /// under `mode`. Parse-time validation guarantees `instances %
-    /// timesteps == 0` by the time this runs.
+    /// under `mode`.
     fn run(&self, mode: ReplayMode) -> Result<(Json, Option<Arc<ControlSchedule>>), String> {
+        let passes = self
+            .spec
+            .passes(self.instances)
+            .map_err(|e| e.to_string())?;
         let input = seeded_input(self.spec.grid.len(), self.seed);
         let mut builder = self.spec.builder().fault_plan(self.fault_plan()?);
         if self.kind == RunKind::Trace {
             builder = builder.telemetry(TelemetryConfig::default());
         }
         let mut engine = builder.build().map_err(|e| e.to_string())?;
-        let outcome =
-            mode.capture_or_run(&mut engine, &input, self.instances / self.spec.timesteps);
+        let outcome = mode.capture_or_run(&mut engine, &input, passes);
         Ok(match outcome.map_err(|e| e.to_string())? {
             CaptureOutcome::Captured(report, schedule) => (report.to_json(), Some(schedule)),
             CaptureOutcome::FullSim(report) | CaptureOutcome::Fallback(report, _) => {
@@ -717,16 +708,14 @@ mod tests {
 
     #[test]
     fn pipelined_requests_validate_fork_keys_and_replay() {
-        // Parse-time validation: instances must divide by timesteps, and
-        // trace has no pipelined mode.
-        let err = Request::parse_line(
-            r#"{"cmd":"simulate","spec":{"grid":"8x8","timesteps":3},"instances":8}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("multiple of `timesteps`"), "{err}");
-        let err = Request::parse_line(r#"{"cmd":"trace","spec":{"grid":"8x8","timesteps":2}}"#)
+        // Parse-time validation: instances must divide by timesteps.
+        for cmd in ["simulate", "trace"] {
+            let err = Request::parse_line(&format!(
+                r#"{{"cmd":"{cmd}","spec":{{"grid":"8x8","timesteps":3}},"instances":8}}"#
+            ))
             .unwrap_err();
-        assert!(err.contains("does not support pipelined"), "{err}");
+            assert!(err.contains("multiple of `timesteps`"), "{err}");
+        }
 
         // The pipeline knobs fork both the result and the schedule key.
         let plain = run(r#"{"cmd":"simulate","spec":{"grid":"8x8"},"seed":1,"instances":4}"#);
@@ -751,6 +740,14 @@ mod tests {
                 .and_then(Json::as_str),
             Some("Smache-pipe2x2")
         );
+        // A pipelined trace runs the same pipeline with telemetry attached.
+        let traced = run(
+            r#"{"cmd":"trace","spec":{"grid":"8x8","timesteps":2,"channels":2},"seed":1,"instances":4}"#,
+        )
+        .execute()
+        .expect("pipelined trace");
+        assert_eq!(traced.get("output"), full.get("output"));
+        assert!(traced.get("telemetry").unwrap().get("counters").is_some());
         let (doc, schedule) = piped.execute_capture().expect("capture");
         let schedule = schedule.expect("pipelined simulate captures");
         assert_eq!(doc.get("output"), full.get("output"));

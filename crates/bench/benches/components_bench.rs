@@ -23,7 +23,7 @@ fn stream_buffer_shift(c: &mut Criterion) {
             .expect("plan");
         group.bench_function(label, |b| {
             b.iter_batched(
-                || StreamBuffer::from_plan(&plan).expect("buffer"),
+                || StreamBuffer::from_plan(&plan, 1).expect("buffer"),
                 |mut sb| {
                     for w in 0..4096u64 {
                         sb.stage_shift(w);
@@ -152,13 +152,12 @@ fn range_analysis(c: &mut Criterion) {
     group.finish();
 }
 
-/// Parallel compositions: multilane and a 4-deep temporal pipeline against
-/// the single-lane reference on the same physics.
+/// Parallel compositions: four lanes behind a four-word bus and a 4-deep
+/// temporal pipeline against the single-lane reference on the same physics.
 fn compositions(c: &mut Criterion) {
     use smache::arch::kernel::AverageKernel;
-    use smache::system::multilane::MultilaneSystem;
     use smache::system::smache_system::SystemConfig;
-    use smache::{PipelineConfig, TemporalPipeline};
+    use smache::{PipelineConfig, SmacheSystem, TemporalPipeline};
     use smache_stencil::BoundarySpec;
 
     let grid = GridSpec::d2(32, 32).expect("valid");
@@ -173,21 +172,16 @@ fn compositions(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("compositions_32x32_8steps");
     group.sample_size(10);
+    let lanes = |lanes| {
+        let mut config = SystemConfig::default();
+        config.dram.bus_words = lanes;
+        SmacheSystem::new(plan(), Box::new(AverageKernel), config).expect("system")
+    };
     group.bench_function("single_lane_8_passes", |b| {
-        b.iter(|| {
-            let mut sys =
-                MultilaneSystem::new(plan(), Box::new(AverageKernel), 1, SystemConfig::default())
-                    .expect("system");
-            sys.run(&input, 8).expect("run").metrics.cycles
-        })
+        b.iter(|| lanes(1).run(&input, 8).expect("run").metrics.cycles)
     });
     group.bench_function("four_lanes_8_passes", |b| {
-        b.iter(|| {
-            let mut sys =
-                MultilaneSystem::new(plan(), Box::new(AverageKernel), 4, SystemConfig::default())
-                    .expect("system");
-            sys.run(&input, 8).expect("run").metrics.cycles
-        })
+        b.iter(|| lanes(4).run(&input, 8).expect("run").metrics.cycles)
     });
     group.bench_function("pipeline4_2_passes", |b| {
         b.iter(|| {

@@ -205,7 +205,6 @@ fn row_miss_sensitivity() {
 /// Ablation 7: spatial parallelism — P-lane Smache throughput.
 fn lane_scaling() {
     use smache::arch::kernel::AverageKernel;
-    use smache::system::multilane::MultilaneSystem;
     println!("== Ablation 7: lane scaling (64x64 open boundaries, 4 instances) ==");
     let grid = GridSpec::d2(64, 64).expect("valid");
     let bounds = smache_stencil::BoundarySpec::all_open(2).expect("bounds");
@@ -216,13 +215,10 @@ fn lane_scaling() {
             .boundaries(bounds.clone())
             .plan()
             .expect("plan");
-        let mut sys = MultilaneSystem::new(
-            plan,
-            Box::new(AverageKernel),
-            lanes,
-            smache::system::smache_system::SystemConfig::default(),
-        )
-        .expect("system");
+        let mut config = smache::system::smache_system::SystemConfig::default();
+        config.dram.bus_words = lanes;
+        let mut sys =
+            smache::SmacheSystem::new(plan, Box::new(AverageKernel), config).expect("system");
         let r = sys.run(&input, 4).expect("run");
         (
             lanes,

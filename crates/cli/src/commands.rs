@@ -9,7 +9,7 @@ use smache::arch::kernel::Kernel as _;
 use smache::cost::{CostEstimate, CycleModel, FreqModel, SynthesisModel};
 use smache::functional::golden::golden_run;
 use smache::spec::seeded_input;
-use smache::system::{CaptureOutcome, DesignMetrics, ReplayMode, RunReport};
+use smache::system::{CaptureOutcome, DesignMetrics, ReplayMode, RunReport, SystemConfig};
 use smache::SmacheSystem;
 use smache_baseline::{BaselineConfig, BaselineSystem};
 use smache_codegen::{lint_verilog, VerilogGen};
@@ -143,7 +143,7 @@ SIMULATE OPTIONS:
   --instances N            work-instances           [100]
   --seed S                 input generator seed     [1]
   --design smache|baseline|both                     [smache]
-  --lanes P                multi-lane Smache (P elements/cycle) [1]
+  --lanes P                P-word DRAM bus: P elements/cycle [1]
   --batch N                run N seeds (seed, seed+1, ...) as a batch [off]
   --jobs J                 worker threads for --batch             [1]
   --chaos-profile P        off|jitter|storms|drain|heavy|flip:<k> [off]
@@ -301,7 +301,7 @@ fn cmd_plan(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "estimated Fmax: {:.1} MHz",
-        FreqModel.smache_fmax(&plan)
+        FreqModel.smache_fmax(&plan, 1)
     );
     Ok(out)
 }
@@ -642,11 +642,15 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let chaos = chaos_plan(args)?;
 
     let batch: u64 = args.get_num("batch", 0)?;
-    let lanes: usize = args.get_num("lanes", 1)?;
+    let mut config = SystemConfig {
+        fault_plan: chaos,
+        ..SystemConfig::default()
+    };
+    config.dram.bus_words = args.get_num("lanes", 1)?;
     if spec.pipelined() {
         for (key, unsupported) in [
             ("batch", batch > 0),
-            ("lanes", lanes > 1),
+            ("lanes", config.dram.bus_words > 1),
             ("design", design != "smache"),
         ] {
             if unsupported {
@@ -666,12 +670,11 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         None => None,
     };
     if trace_fmt.is_some() {
-        if batch > 0 || lanes > 1 || design == "baseline" {
+        if batch > 0 || design == "baseline" {
             return Err(ArgError::BadValue {
                 key: "trace".into(),
                 value: args.get_or("trace", "vcd").into(),
-                expected: "a single-system smache run (no --batch, --lanes or --design baseline)"
-                    .into(),
+                expected: "a single-system smache run (no --batch or --design baseline)".into(),
             }
             .into());
         }
@@ -683,7 +686,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         }
     }
     if batch > 0 {
-        return cmd_simulate_batch(args, &spec, instances, seed, batch);
+        return cmd_simulate_batch(args, &spec, config, instances, seed, batch);
     }
 
     let input = seeded_input(spec.grid.len(), seed);
@@ -692,61 +695,31 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let mode = replay_mode(args)?;
     let mut out = String::new();
     if design == "smache" || design == "both" {
-        if lanes > 1 {
-            if mode == ReplayMode::On {
-                return Err(smache::CoreError::Config(
-                    "--replay on does not support --lanes (multilane runs full sim)".into(),
-                )
-                .into());
-            }
-            let plan = spec.builder().plan()?;
-            let config = smache::system::smache_system::SystemConfig {
-                fault_plan: chaos,
-                ..Default::default()
-            };
-            let mut system = smache::system::multilane::MultilaneSystem::new(
-                plan,
-                Box::new(AverageKernel),
-                lanes,
-                config,
-            )?;
-            let report = system.run(&input, instances)?;
-            print_smache_run(
-                &mut out,
-                &report.metrics,
-                &report.output,
-                0,
-                "engine=full_sim",
-                &chaos,
-                golden.as_deref(),
-            )?;
-        } else {
-            let mut builder = spec.builder().fault_plan(chaos);
-            if trace_fmt.is_some() {
-                builder = builder.telemetry(smache_sim::TelemetryConfig::default());
-            }
-            let mut system = builder.build()?;
-            let (report, engine_note) = run_with_replay(mode, &mut system, &input, passes)?;
-            if spec.pipelined() {
-                let _ = writeln!(
-                    out,
-                    "pipeline: {} stage(s) x {passes} pass(es) = {instances} timestep(s), {} channel(s)",
-                    spec.timesteps, spec.channels
-                );
-            }
-            if let Some(fmt) = trace_fmt {
-                export_trace(&system, fmt, args, &mut out)?;
-            }
-            print_smache_run(
-                &mut out,
-                &report.metrics,
-                &report.output,
-                report.warmup_cycles,
-                &engine_note,
-                &chaos,
-                golden.as_deref(),
-            )?;
+        let mut builder = spec.builder().system_config(config);
+        if trace_fmt.is_some() {
+            builder = builder.telemetry(smache_sim::TelemetryConfig::default());
         }
+        let mut system = builder.build()?;
+        let (report, engine_note) = run_with_replay(mode, &mut system, &input, passes)?;
+        if spec.pipelined() {
+            let _ = writeln!(
+                out,
+                "pipeline: {} stage(s) x {passes} pass(es) = {instances} timestep(s), {} channel(s)",
+                spec.timesteps, spec.channels
+            );
+        }
+        if let Some(fmt) = trace_fmt {
+            export_trace(&system, fmt, args, &mut out)?;
+        }
+        print_smache_run(
+            &mut out,
+            &report.metrics,
+            &report.output,
+            report.warmup_cycles,
+            &engine_note,
+            &chaos,
+            golden.as_deref(),
+        )?;
     }
     if design == "baseline" || design == "both" {
         let mut baseline = BaselineSystem::new(
@@ -772,6 +745,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 fn cmd_simulate_batch(
     args: &Args,
     spec: &ProblemSpec,
+    config: SystemConfig,
     instances: u64,
     seed: u64,
     batch: u64,
@@ -782,11 +756,7 @@ fn cmd_simulate_batch(
         mut store,
         lane_block,
     } = batch_flags(args)?;
-    let chaos = chaos_plan(args)?;
-    let config = smache::system::smache_system::SystemConfig {
-        fault_plan: chaos,
-        ..Default::default()
-    };
+    let chaos = config.fault_plan;
     let plan = spec.builder().plan()?;
     let inputs: Vec<Vec<u64>> = (0..batch)
         .map(|lane| seeded_input(spec.grid.len(), seed + lane))
@@ -1292,6 +1262,42 @@ mod tests {
     }
 
     #[test]
+    fn multilane_simulation_reports_the_engine_warm_up() {
+        // The paper case prefetches its 22 static words before streaming.
+        let out = run_str("simulate --grid 11x11 --instances 4 --lanes 2").unwrap();
+        assert!(out.contains("Smache-x2"), "{out}");
+        assert!(out.contains("warm-up 30 cycles"), "{out}");
+    }
+
+    #[test]
+    fn multilane_batch_runs_every_seed_at_the_bus_width() {
+        let line = "simulate --grid 8x8 --rows open --cols open --instances 2 --lanes 4";
+        let single = run_str(line).unwrap();
+        assert!(single.contains("Smache-x4: 62 cycles"), "{single}");
+        let batch = run_str(&format!("{line} --batch 2")).unwrap();
+        assert_eq!(batch.matches("      62 cycles").count(), 2, "{batch}");
+    }
+
+    #[test]
+    fn multilane_replays_and_traces_like_one_lane() {
+        let fp = |out: &str| out.split("fp=").nth(1).map(|s| s[..32].to_string());
+        let sim = run_str("simulate --grid 11x11 --instances 3 --lanes 2 --replay off").unwrap();
+        let rep = run_str("simulate --grid 11x11 --instances 3 --lanes 2 --replay on").unwrap();
+        assert!(rep.contains("engine=replay"), "{rep}");
+        assert_eq!(fp(&sim), fp(&rep), "replay is bit-exact");
+        let path = std::env::temp_dir().join("smache_cli_multilane_trace_test.vcd");
+        let out = run_str(&format!(
+            "simulate --grid 11x11 --instances 3 --lanes 2 --trace vcd --trace-out {}",
+            path.display()
+        ))
+        .unwrap();
+        assert_eq!(fp(&out), fp(&sim), "tracing does not perturb the run");
+        let artifact = std::fs::read_to_string(&path).unwrap();
+        smache_sim::telemetry::vcd_self_check(&artifact).expect("well-formed VCD");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn trace_ascii_inline_renders_probes() {
         let out = run_str("trace --grid 8x8 --instances 1 --trace ascii").unwrap();
         assert!(out.contains("ctrl.phase"), "{out}");
@@ -1356,10 +1362,6 @@ mod tests {
         assert!(matches!(
             run_str("simulate --grid 8x8 --instances 1 --trace vcd"),
             Err(CliError::Args(ArgError::MissingValue(_)))
-        ));
-        assert!(matches!(
-            run_str("simulate --grid 8x8 --trace vcd --trace-out /tmp/x.vcd --lanes 2"),
-            Err(CliError::Args(ArgError::BadValue { .. }))
         ));
         assert!(matches!(
             run_str("simulate --grid 8x8 --trace vcd --trace-out /tmp/x.vcd --batch 2"),

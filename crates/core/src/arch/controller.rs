@@ -22,6 +22,18 @@
 //! position `A+1`, i.e. when `k = e + A + 2`; the tap for stream offset `o`
 //! then reads position `A+1−o`. After the last real element the controller
 //! flushes zeros until every element has passed the centre.
+//!
+//! ## Lanes
+//!
+//! A `P`-lane module (ref \[5\]'s spatial parallelism) shifts in up to `P`
+//! words per cycle and emits the tuples of up to `P` consecutive elements
+//! `g, g+1, …` at once, `g` a multiple of `P`. The group is ready once its
+//! last element has reached the centre; since shifts may run ahead of
+//! emission, lane taps read `applied − (e + A + 2)` positions deeper than
+//! the one-lane timeline (zero at `P = 1`), and lane `l` reads the static
+//! banks on BRAM port `l` (one lane keeps the plan's port).
+
+use std::ops::Range;
 
 use smache_sim::telemetry::{ProbeKind, ProbeRegistry, Probed};
 use smache_sim::{ResourceUsage, SimResult, Word};
@@ -64,6 +76,8 @@ impl SmacheResourceBreakdown {
 /// The Smache module proper.
 pub struct SmacheModule {
     plan: BufferPlan,
+    /// Elements emitted (and words shifted) per cycle at most.
+    lanes: usize,
     stream: StreamBuffer,
     banks: Vec<StaticBank>,
     phase: ControllerPhase,
@@ -86,9 +100,9 @@ pub struct SmacheModule {
 }
 
 impl SmacheModule {
-    /// Instantiates buffers and FSMs for a plan.
-    pub fn new(plan: BufferPlan) -> CoreResult<Self> {
-        let stream = StreamBuffer::from_plan(&plan)?;
+    /// Instantiates buffers and FSMs for a plan, `lanes` elements wide.
+    pub fn new(plan: BufferPlan, lanes: usize) -> CoreResult<Self> {
+        let stream = StreamBuffer::from_plan(&plan, lanes)?;
         let mut banks = Vec::with_capacity(plan.static_buffers.len());
         let mut prefetch_map = Vec::new();
         let mut prefetch_addrs = Vec::new();
@@ -106,6 +120,7 @@ impl SmacheModule {
         };
         Ok(SmacheModule {
             plan,
+            lanes,
             stream,
             banks,
             phase,
@@ -162,7 +177,8 @@ impl SmacheModule {
     /// (real data first, then flush zeros).
     pub fn wants_shift(&self) -> bool {
         self.phase == ControllerPhase::Streaming
-            && self.pushed < self.plan.grid.len() as u64 + self.plan.lookahead as u64 + 1
+            && self.pushed
+                < self.plan.grid.len() as u64 + self.plan.lookahead as u64 + self.lanes as u64
     }
 
     /// Number of *real* words this instance still needs from DRAM.
@@ -172,46 +188,49 @@ impl SmacheModule {
 
     /// FSM-2: stages a shift of the next word (a DRAM word while real data
     /// remains, a flush zero afterwards — the caller passes the right one).
+    /// Up to one word per lane may be staged per cycle.
     pub fn shift_in(&mut self, word: Word) {
         debug_assert!(self.wants_shift());
         self.stream.stage_shift(word);
         self.pushed += 1;
     }
 
-    /// FSM-2: the element whose tuple is complete *this* cycle, if any.
+    /// FSM-2: the group of elements whose tuples are complete *this*
+    /// cycle, if any — one element per lane.
     ///
-    /// Element `e` is ready in the cycle after its window position reaches
-    /// the centre, i.e. when `applied ≥ e + lookahead + 2` (applied counts
-    /// clock edges taken, so gather reads the settled register outputs).
-    /// `next_emit` advances one per gather, so emission proceeds at most
-    /// one element per cycle and can never skip an element.
-    pub fn emit_ready(&self) -> Option<usize> {
+    /// A group is ready in the cycle after its last element's window
+    /// position reaches the centre, i.e. when `applied ≥ e + lookahead + 2`
+    /// for that element `e` (applied counts clock edges taken, so gather
+    /// reads the settled register outputs). `next_emit` advances one per
+    /// gather, so emission proceeds at most one group per cycle and can
+    /// never skip an element.
+    pub fn emit_ready(&self) -> Option<Range<usize>> {
         if self.phase != ControllerPhase::Streaming {
             return None;
         }
-        let e = self.next_emit;
-        if e < self.plan.grid.len() && self.applied >= e as u64 + self.plan.lookahead as u64 + 2 {
-            Some(e)
-        } else {
-            None
-        }
+        let (first, n) = (self.next_emit, self.plan.grid.len());
+        let end = n.min(first + self.lanes);
+        let ready = first < n && self.applied >= (end - 1 + self.plan.lookahead) as u64 + 2;
+        ready.then_some(first..end)
     }
 
-    /// FSM-2: gathers the tuple of element `e` from the stream taps and
-    /// the (pre-issued) static bank outputs, positionally: `values[p]` is
-    /// shape point `p` and the returned mask has bit `p` set when present.
-    /// Call only when [`SmacheModule::emit_ready`] returned `Some(e)` this
-    /// cycle.
-    pub fn gather(&mut self, e: usize, values: &mut Vec<Word>) -> CoreResult<u64> {
+    /// FSM-2: gathers the tuple of element `e` on `lane` from the stream
+    /// taps and the (pre-issued) static bank outputs, positionally:
+    /// `values[p]` is shape point `p` and the returned mask has bit `p`
+    /// set when present. Call, in lane order, for each element of the
+    /// group [`SmacheModule::emit_ready`] returned this cycle.
+    pub fn gather(&mut self, e: usize, lane: usize, values: &mut Vec<Word>) -> CoreResult<u64> {
         values.clear();
         let mut sources = std::mem::take(&mut self.scratch_sources);
         self.plan.sources_for(e, &mut sources)?;
+        // How far shifts have run ahead of this element's centre cycle.
+        let ahead = (self.applied - (e + self.plan.lookahead) as u64 - 2) as usize;
         let mut mask = 0u64;
         for (p, src) in sources.iter().enumerate() {
             match *src {
                 None => values.push(0),
                 Some(SourceRef::Tap { pos }) => {
-                    values.push(self.stream.read_pos(pos)?);
+                    values.push(self.stream.read_pos(pos + ahead)?);
                     mask |= 1 << p;
                 }
                 Some(SourceRef::Static {
@@ -219,7 +238,7 @@ impl SmacheModule {
                     slot: _,
                     port,
                 }) => {
-                    values.push(self.banks[buffer].out_port(port));
+                    values.push(self.banks[buffer].out_port(self.bank_port(port, lane)));
                     mask |= 1 << p;
                 }
                 Some(SourceRef::Constant(v)) => {
@@ -233,18 +252,35 @@ impl SmacheModule {
         Ok(mask)
     }
 
-    /// FSM-2: pre-issues the static-bank reads for the element that will be
-    /// emitted next cycle (bank reads have one cycle of latency). Call once
-    /// per cycle, before [`SmacheModule::tick`].
+    /// The BRAM port a static read of `lane` uses. One lane uses the plan's
+    /// port, which is 1 for the second of two reads of one buffer by one
+    /// element. With more lanes each lane owns a port: their plans keep
+    /// one buffer per offset, so two reads of a buffer by one element (a
+    /// mirror folding two points onto one offset) hit the same slot.
+    fn bank_port(&self, port: usize, lane: usize) -> usize {
+        if self.lanes == 1 {
+            port
+        } else {
+            lane
+        }
+    }
+
+    /// FSM-2: pre-issues the static-bank reads for the group that will be
+    /// emitted next (bank reads have one cycle of latency), each lane on
+    /// its own port. Call once per cycle, before [`SmacheModule::tick`].
     pub fn preissue_static_reads(&mut self) -> CoreResult<()> {
-        if self.phase != ControllerPhase::Streaming || self.next_emit >= self.plan.grid.len() {
+        if self.phase != ControllerPhase::Streaming {
             return Ok(());
         }
+        let n = self.plan.grid.len();
         let mut sources = std::mem::take(&mut self.scratch_sources);
-        self.plan.sources_for(self.next_emit, &mut sources)?;
-        for src in sources.iter().flatten() {
-            if let SourceRef::Static { buffer, slot, port } = *src {
-                self.banks[buffer].stage_read_port(port, slot)?;
+        for (lane, e) in (self.next_emit..n.min(self.next_emit + self.lanes)).enumerate() {
+            self.plan.sources_for(e, &mut sources)?;
+            for src in sources.iter().flatten() {
+                if let SourceRef::Static { buffer, slot, port } = *src {
+                    let port = self.bank_port(port, lane);
+                    self.banks[buffer].stage_read_port(port, slot)?;
+                }
             }
         }
         self.scratch_sources = sources;
@@ -324,9 +360,7 @@ impl SmacheModule {
 
     /// Clocks the buffers. Call exactly once per cycle after staging.
     pub fn tick(&mut self) -> SimResult<()> {
-        if self.stream.shift_staged() {
-            self.applied += 1;
-        }
+        self.applied += self.stream.staged_shifts() as u64;
         self.stream.tick()?;
         for bank in &mut self.banks {
             bank.tick();
@@ -442,7 +476,7 @@ mod tests {
             32,
         )
         .unwrap();
-        SmacheModule::new(plan).unwrap()
+        SmacheModule::new(plan, 1).unwrap()
     }
 
     #[test]
@@ -483,7 +517,7 @@ mod tests {
             32,
         )
         .unwrap();
-        let m = SmacheModule::new(plan).unwrap();
+        let m = SmacheModule::new(plan, 1).unwrap();
         assert_eq!(m.phase(), ControllerPhase::Streaming);
         assert!(m.prefetch_addrs().is_empty());
     }
@@ -504,8 +538,8 @@ mod tests {
             m.shift_in(100 + k - 1);
             m.tick().unwrap();
         }
-        assert_eq!(m.emit_ready(), Some(0));
-        let mask = m.gather(0, &mut values).unwrap();
+        assert_eq!(m.emit_ready(), Some(0..1));
+        let mask = m.gather(0, 0, &mut values).unwrap();
         // Element 0 = NW corner: north (static B slot 0 = prefetch word 0),
         // east (element 1 = 101), south (element 11 = 111). West (point 1)
         // skipped: slot zeroed, mask bit clear.
@@ -534,10 +568,12 @@ mod tests {
                 };
                 m.shift_in(w);
             }
-            if let Some(e) = m.emit_ready() {
-                let mask = m.gather(e, &mut values).unwrap();
-                assert!(mask != 0);
-                emitted.push(e);
+            if let Some(group) = m.emit_ready() {
+                for e in group {
+                    let mask = m.gather(e, 0, &mut values).unwrap();
+                    assert!(mask != 0);
+                    emitted.push(e);
+                }
             }
             m.tick().unwrap();
             guard += 1;

@@ -8,6 +8,11 @@
 //! one concurrent read access", §III). Reads are only legal at register
 //! positions — the structural constraint that makes the hybrid valid is
 //! *enforced*, not assumed.
+//!
+//! A `P`-lane module shifts up to `P` words per cycle, which a BRAM FIFO
+//! cannot take, so its window is all registers and `3P + 4` words longer
+//! than the plan's: shifts may run up to a beat ahead of emission and the
+//! trailing group still needs its lookback.
 
 use smache_mem::{BramFifo, ShiftReg, Word};
 use smache_sim::{ResourceUsage, SimError, SimResult};
@@ -53,21 +58,63 @@ impl Section {
     }
 }
 
+/// Shifts one word through every section at once. Each section's
+/// outgoing word is read before that section moves, so all sections shift
+/// simultaneously (synchronous semantics).
+fn shift_sections(sections: &mut [Section], word: Word) -> SimResult<()> {
+    let mut carry = word;
+    for section in sections {
+        let tail = section.tail_value();
+        match section {
+            Section::Regs { regs, .. } => {
+                regs.stage_shift(carry);
+                regs.tick();
+            }
+            Section::Stretch {
+                in_reg,
+                fifo,
+                out_reg,
+                ..
+            } => {
+                // out_reg <= fifo head (once the delay line is primed);
+                // fifo <= in_reg; in_reg <= carry.
+                if fifo.is_full() {
+                    *out_reg = fifo.head().expect("full fifo has a head");
+                    fifo.stage_pop();
+                }
+                fifo.stage_push(*in_reg);
+                fifo.tick()?;
+                *in_reg = carry;
+            }
+        }
+        carry = tail;
+    }
+    Ok(())
+}
+
 /// The stream buffer.
 pub struct StreamBuffer {
     sections: Vec<Section>,
     capacity: usize,
     word_bits: u32,
-    staged_shift: Option<Word>,
+    /// Words staged this cycle, oldest first.
+    staged: Vec<Word>,
     /// Total words shifted in since construction/reset.
     pushed: u64,
 }
 
 impl StreamBuffer {
-    /// Builds the buffer from a plan's segmentation.
-    pub fn from_plan(plan: &BufferPlan) -> CoreResult<Self> {
+    /// Builds the buffer of a `lanes`-wide module from a plan's
+    /// segmentation (one lane) or as one register line (more lanes).
+    pub fn from_plan(plan: &BufferPlan, lanes: usize) -> CoreResult<Self> {
+        let (segments, capacity) = if lanes == 1 {
+            (plan.segments(), plan.capacity)
+        } else {
+            let len = plan.lookahead + plan.lookback + 3 * lanes + 4;
+            (vec![Segment::Regs { first: 0, len }], len)
+        };
         let mut sections = Vec::new();
-        for (i, seg) in plan.segments().into_iter().enumerate() {
+        for (i, seg) in segments.into_iter().enumerate() {
             match seg {
                 Segment::Regs { first, len } => sections.push(Section::Regs {
                     first,
@@ -84,9 +131,9 @@ impl StreamBuffer {
         }
         Ok(StreamBuffer {
             sections,
-            capacity: plan.capacity,
+            capacity,
             word_bits: plan.word_bits,
-            staged_shift: None,
+            staged: Vec::new(),
             pushed: 0,
         })
     }
@@ -101,20 +148,26 @@ impl StreamBuffer {
         self.pushed
     }
 
-    /// Stages a shift: `word` enters position 0 at the next tick.
-    /// Idempotent; absence of a staged shift holds the line (stall).
+    /// Stages a shift: `word` enters position 0 at the next tick, after
+    /// any word staged before it this cycle. Absence of a staged shift
+    /// holds the line (stall).
     pub fn stage_shift(&mut self, word: Word) {
-        self.staged_shift = Some(word);
+        self.staged.push(word);
     }
 
-    /// Cancels the staged shift.
+    /// Cancels the staged shifts.
     pub fn cancel_shift(&mut self) {
-        self.staged_shift = None;
+        self.staged.clear();
     }
 
     /// True when a shift is staged for the upcoming tick.
     pub fn shift_staged(&self) -> bool {
-        self.staged_shift.is_some()
+        !self.staged.is_empty()
+    }
+
+    /// Words staged for the upcoming tick.
+    pub fn staged_shifts(&self) -> usize {
+        self.staged.len()
     }
 
     /// Reads a register-resident window position. Reading inside a BRAM
@@ -152,42 +205,13 @@ impl StreamBuffer {
         }
     }
 
-    /// Applies the staged shift (or holds). Call once per cycle.
+    /// Applies the staged shifts (or holds). Call once per cycle.
     pub fn tick(&mut self) -> SimResult<()> {
-        let Some(input) = self.staged_shift.take() else {
-            return Ok(());
-        };
-        // Capture every section's outgoing word before anything moves
-        // (synchronous semantics: all sections shift simultaneously).
-        let tails: Vec<Word> = self.sections.iter().map(|s| s.tail_value()).collect();
-
-        let mut carry = input;
-        for (i, section) in self.sections.iter_mut().enumerate() {
-            match section {
-                Section::Regs { regs, .. } => {
-                    regs.stage_shift(carry);
-                    regs.tick();
-                }
-                Section::Stretch {
-                    in_reg,
-                    fifo,
-                    out_reg,
-                    ..
-                } => {
-                    // out_reg <= fifo head (once the delay line is primed);
-                    // fifo <= in_reg; in_reg <= carry.
-                    if fifo.is_full() {
-                        *out_reg = fifo.head().expect("full fifo has a head");
-                        fifo.stage_pop();
-                    }
-                    fifo.stage_push(*in_reg);
-                    fifo.tick()?;
-                    *in_reg = carry;
-                }
-            }
-            carry = tails[i];
+        for &word in &self.staged {
+            shift_sections(&mut self.sections, word)?;
         }
-        self.pushed += 1;
+        self.pushed += self.staged.len() as u64;
+        self.staged.clear();
         Ok(())
     }
 
@@ -286,7 +310,7 @@ mod tests {
     #[test]
     fn case_r_behaves_as_shift_line() {
         let p = plan(HybridMode::CaseR);
-        let mut sb = StreamBuffer::from_plan(&p).unwrap();
+        let mut sb = StreamBuffer::from_plan(&p, 1).unwrap();
         let words: Vec<Word> = (1..=40).collect();
         for &w in &words {
             sb.stage_shift(w);
@@ -302,8 +326,8 @@ mod tests {
         // any number of shifts, including through warm-up.
         let pr = plan(HybridMode::CaseR);
         let ph = plan(HybridMode::default());
-        let mut r = StreamBuffer::from_plan(&pr).unwrap();
-        let mut h = StreamBuffer::from_plan(&ph).unwrap();
+        let mut r = StreamBuffer::from_plan(&pr, 1).unwrap();
+        let mut h = StreamBuffer::from_plan(&ph, 1).unwrap();
         for step in 0..100u64 {
             let w = step.wrapping_mul(0x9e37_79b9) & 0xffff_ffff;
             r.stage_shift(w);
@@ -322,7 +346,7 @@ mod tests {
     #[test]
     fn taps_read_correct_elements() {
         let p = plan(HybridMode::default());
-        let mut sb = StreamBuffer::from_plan(&p).unwrap();
+        let mut sb = StreamBuffer::from_plan(&p, 1).unwrap();
         // Push elements 0..60 (values = indices). When k words are pushed,
         // position q holds element k-1-q.
         for w in 0..60u64 {
@@ -339,7 +363,7 @@ mod tests {
     #[test]
     fn reading_inside_a_stretch_is_rejected() {
         let p = plan(HybridMode::default());
-        let sb = StreamBuffer::from_plan(&p).unwrap();
+        let sb = StreamBuffer::from_plan(&p, 1).unwrap();
         // Positions 3..=9 are BRAM interior in the 11×11 plan.
         assert!(sb.read_pos(5).is_err());
         assert!(sb.read_pos(0).is_ok(), "staging head is a register");
@@ -351,7 +375,7 @@ mod tests {
     #[test]
     fn stall_holds_the_window() {
         let p = plan(HybridMode::default());
-        let mut sb = StreamBuffer::from_plan(&p).unwrap();
+        let mut sb = StreamBuffer::from_plan(&p, 1).unwrap();
         for w in 0..30u64 {
             sb.stage_shift(w);
             sb.tick().unwrap();
@@ -371,7 +395,7 @@ mod tests {
         use crate::cost::SynthesisModel;
         for hybrid in [HybridMode::CaseR, HybridMode::default()] {
             let p = plan(hybrid);
-            let sb = StreamBuffer::from_plan(&p).unwrap();
+            let sb = StreamBuffer::from_plan(&p, 1).unwrap();
             let m = SynthesisModel.memory(&p);
             assert_eq!(sb.resources().registers, m.r_stream, "{hybrid:?}");
             assert_eq!(sb.resources().bram_bits, m.b_stream, "{hybrid:?}");
@@ -390,7 +414,7 @@ mod tests {
             32,
         )
         .unwrap();
-        let mut sb = StreamBuffer::from_plan(&p).unwrap();
+        let mut sb = StreamBuffer::from_plan(&p, 1).unwrap();
         let n = 3 * p.capacity as u64;
         for w in 0..n {
             sb.stage_shift(w);

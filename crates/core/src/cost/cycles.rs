@@ -86,7 +86,7 @@ impl CycleModel {
         CyclePrediction {
             cycles: warmup + start_latency + instances * per_instance,
             warmup_cycles: warmup,
-            fmax_mhz: FreqModel.smache_fmax(plan),
+            fmax_mhz: FreqModel.smache_fmax(plan, 1),
         }
     }
 
@@ -116,10 +116,10 @@ impl CycleModel {
         }
     }
 
-    /// Predicts the `lanes`-wide multilane system: the group rate divides
-    /// the streamed element count by `lanes`; fill, flush and drain scale
-    /// with the window, and the gather mux costs `⌈log2 lanes⌉` Fmax
-    /// levels.
+    /// Predicts the `lanes`-wide engine (a `lanes`-word DRAM bus): the
+    /// group rate divides the streamed element count by `lanes`; fill,
+    /// flush and drain scale with the window, and the gather mux costs
+    /// `⌈log2 lanes⌉` Fmax levels.
     pub fn multilane(
         &self,
         plan: &BufferPlan,
@@ -139,14 +139,10 @@ impl CycleModel {
         let groups = n.div_ceil(p);
         let fill = (plan.lookahead as u64 + p + 1).div_ceil(p);
         let per_instance = groups + fill + kernel_latency + 4;
-        let fmax = FreqModel.fmax_mhz(
-            FreqModel.smache_levels(plan.n_cases as u64) + crate::cost::synthesis::clog2(p),
-            n,
-        );
         CyclePrediction {
             cycles: warmup + start_latency + instances * per_instance,
             warmup_cycles: warmup,
-            fmax_mhz: fmax,
+            fmax_mhz: FreqModel.smache_fmax(plan, lanes),
         }
     }
 
@@ -170,7 +166,7 @@ impl CycleModel {
         CyclePrediction {
             cycles: start_latency + passes * per_pass,
             warmup_cycles: 0,
-            fmax_mhz: FreqModel.smache_fmax(plan),
+            fmax_mhz: FreqModel.smache_fmax(plan, 1),
         }
     }
 
@@ -197,7 +193,7 @@ mod tests {
     use super::*;
     use crate::arch::kernel::{AverageKernel, Kernel};
     use crate::builder::SmacheBuilder;
-    use crate::system::smache_system::SystemConfig;
+    use crate::system::smache_system::{SmacheSystem, SystemConfig};
     use crate::HybridMode;
     use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
 
@@ -286,9 +282,6 @@ mod tests {
 
     #[test]
     fn multilane_prediction_tracks_simulation() {
-        use crate::system::multilane::MultilaneSystem;
-        use smache_stencil::Boundary;
-        let _ = Boundary::Open; // silence unused when features shift
         let bounds = BoundarySpec::all_open(2).expect("bounds");
         let grid = GridSpec::d2(32, 32).expect("grid");
         let input: Vec<u64> = (0..1024).collect();
@@ -297,11 +290,11 @@ mod tests {
                 .boundaries(bounds.clone())
                 .plan()
                 .expect("plan");
-            let config = SystemConfig::default();
+            let mut config = SystemConfig::default();
+            config.dram.bus_words = lanes;
             let predicted =
                 CycleModel.multilane(&plan, &config.dram, AverageKernel.latency(), lanes, 6);
-            let mut sys =
-                MultilaneSystem::new(plan, Box::new(AverageKernel), lanes, config).expect("sys");
+            let mut sys = SmacheSystem::new(plan, Box::new(AverageKernel), config).expect("sys");
             let measured = sys.run(&input, 6).expect("run");
             let err = (predicted.cycles as f64 - measured.metrics.cycles as f64).abs()
                 / measured.metrics.cycles as f64;

@@ -55,11 +55,12 @@ impl FreqModel {
         self.fmax_mhz(self.baseline_levels(), n)
     }
 
-    /// Fmax of a Smache instance. The case count comes from the plan's
-    /// static analysis (nine for the paper's validation grid).
-    pub fn smache_fmax(&self, plan: &BufferPlan) -> f64 {
+    /// Fmax of a `lanes`-wide Smache instance. The case count comes from
+    /// the plan's static analysis (nine for the paper's validation grid);
+    /// the lane multiplexing adds `⌈log2 lanes⌉` levels.
+    pub fn smache_fmax(&self, plan: &BufferPlan, lanes: usize) -> f64 {
         self.fmax_mhz(
-            self.smache_levels(plan.n_cases as u64),
+            self.smache_levels(plan.n_cases as u64) + clog2(lanes as u64),
             plan.grid.len() as u64,
         )
     }
@@ -94,7 +95,7 @@ mod tests {
 
     #[test]
     fn smache_anchor_within_one_percent() {
-        let f = FreqModel.smache_fmax(&plan11());
+        let f = FreqModel.smache_fmax(&plan11(), 1);
         let err = (f - 235.3).abs() / 235.3;
         assert!(err < 0.01, "smache fmax {f} vs paper 235.3");
     }
@@ -102,7 +103,7 @@ mod tests {
     #[test]
     fn smache_is_slower_than_baseline() {
         // The paper's point: Smache clocks lower yet wins overall.
-        assert!(FreqModel.smache_fmax(&plan11()) < FreqModel.baseline_fmax(121));
+        assert!(FreqModel.smache_fmax(&plan11(), 1) < FreqModel.baseline_fmax(121));
     }
 
     #[test]

@@ -96,8 +96,8 @@ pub enum CoreError {
         /// Maximum supported.
         max: usize,
     },
-    /// An active fault plan was given to a system that has no chaos
-    /// wrappers (multi-lane keeps the plain DRAM model).
+    /// An active fault plan was given to a geometry that has no chaos
+    /// wrappers (a multi-lane engine's wide DRAM beats bypass them).
     ChaosUnsupported {
         /// The rejecting system.
         system: &'static str,

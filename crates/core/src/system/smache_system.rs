@@ -15,6 +15,14 @@
 //! an on-chip [`StageLink`] and only the last stage writes back, so one
 //! DRAM pass advances the grid `depth` timesteps. The paper's system is
 //! the one-stage, one-channel case ([`PipelineConfig::single_step`]).
+//!
+//! The DRAM bus width `dram.bus_words = P` is the engine's lane count
+//! (ref \[5\]'s spatial parallelism): each cycle stage 0 reads one
+//! `P`-word beat, its module shifts in and emits up to `P` elements, and
+//! write-back stores one `P`-word beat. The last beat of a grid
+//! over-fetches up to `P − 1` pad words: they count as DRAM traffic and
+//! are discarded at the instance boundary. At `P = 1` every step is the
+//! single-word step; a wider bus needs one stage over one channel.
 
 use std::collections::VecDeque;
 
@@ -36,6 +44,9 @@ pub use crate::system::report::RunReport;
 
 /// Component name the single-step stall-storm generator reports under.
 pub const STALL_COMPONENT: &str = "sys.stall";
+
+/// Widest DRAM bus, in words, and so the most lanes the engine runs.
+const MAX_LANES: usize = 16;
 
 /// Tunables of the simulated system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,6 +108,7 @@ struct Geometry {
 
 impl Geometry {
     fn new(config: &PipelineConfig, plan: &BufferPlan) -> Self {
+        let lanes = config.system.dram.bus_words;
         if config.single_step() {
             Geometry {
                 double_buffering: config.system.double_buffering,
@@ -108,7 +120,11 @@ impl Geometry {
                     "axi.resp",
                     "axi.write_accept",
                 ],
-                metric_name: format!("Smache-{}", plan.hybrid.label()),
+                metric_name: if lanes == 1 {
+                    format!("Smache-{}", plan.hybrid.label())
+                } else {
+                    format!("Smache-x{lanes}")
+                },
                 key_suffix: String::new(),
                 device_view: true,
             }
@@ -206,7 +222,11 @@ pub struct SmacheSystem {
     /// Per-stage kernel pipelines: (remaining latency, element, result).
     pipes: Vec<VecDeque<(u64, usize, Word)>>,
 
+    /// Elements per cycle: the DRAM bus width in words.
+    lanes: usize,
     write_queue: VecDeque<(usize, Word)>,
+    /// The words of the write beat staged this cycle.
+    write_beat: Vec<Word>,
     writes_done: usize,
     passes_left: u64,
     /// Passes requested by the last [`arm`](Self::arm) — selects the
@@ -243,13 +263,47 @@ impl SmacheSystem {
     /// builds the paper's single-step system; a [`PipelineConfig`] chains
     /// `depth` stages over `channels` DRAM channels. Every stage executes
     /// the same plan and kernel — the pipeline *is* the same timestep
-    /// applied `depth` times per pass.
+    /// applied `depth` times per pass. A `P`-word DRAM bus runs `P` lanes
+    /// (see the module docs).
     pub fn new(
         plan: BufferPlan,
         kernel: Box<dyn Kernel>,
         config: impl Into<PipelineConfig>,
     ) -> CoreResult<Self> {
         let config = config.into();
+        let fault_plan = config.system.fault_plan;
+        let lanes = config.system.dram.bus_words;
+        if lanes == 0 || lanes > MAX_LANES {
+            return Err(CoreError::LaneCountUnsupported {
+                lanes,
+                max: MAX_LANES,
+            });
+        }
+        if lanes > 1 {
+            if config.depth > 1 || config.channels > 1 {
+                return Err(CoreError::Config(format!(
+                    "a {lanes}-word DRAM bus needs one stage over one channel"
+                )));
+            }
+            // Wide beats bypass the chaos release queue.
+            if fault_plan.is_active() {
+                return Err(CoreError::ChaosUnsupported {
+                    system: "multilane",
+                });
+            }
+            if plan.statics_are_regions {
+                return Err(CoreError::Config(
+                    "multi-lane requires per-offset static buffers (no region dedupe)".into(),
+                ));
+            }
+            if !plan.static_buffers.is_empty() && lanes > 2 {
+                return Err(CoreError::Config(
+                    "static buffers expose two BRAM ports: more than two lanes \
+                     would need P-way slot banking (not implemented)"
+                        .into(),
+                ));
+            }
+        }
         if kernel.latency() == 0 {
             return Err(CoreError::KernelLatencyZero);
         }
@@ -257,12 +311,12 @@ impl SmacheSystem {
             return Err(CoreError::Config("pipeline depth must be >= 1".into()));
         }
         let geometry = Geometry::new(&config, &plan);
-        let fault_plan = config.system.fault_plan;
         let n = plan.grid.len();
         // Ping-pong regions aligned to DRAM rows so reads and writes of one
-        // instance live in distinct rows.
+        // instance live in distinct rows; each holds the grid plus the pad
+        // words the last beat over-fetches.
         let row = config.system.dram.row_words;
-        let region = n.div_ceil(row) * row;
+        let region = (n + lanes - 1).div_ceil(row) * row;
         let dram = MultiChannelDram::new(
             2 * region + row,
             MultiChannelConfig {
@@ -276,7 +330,7 @@ impl SmacheSystem {
         let storm = (fault_plan.is_active() && fault_plan.profile.stall_storm_prob > 0.0)
             .then(|| StormGen::new(fault_plan, geometry.storm));
         let stages = (0..config.depth)
-            .map(|_| SmacheModule::new(plan.clone()))
+            .map(|_| SmacheModule::new(plan.clone(), lanes))
             .collect::<CoreResult<Vec<_>>>()?;
         Ok(SmacheSystem {
             stages,
@@ -295,7 +349,9 @@ impl SmacheSystem {
             links: (1..config.depth).map(|_| StageLink::new(n)).collect(),
             link_prefetch_issue: vec![0; config.depth - 1],
             pipes: (0..config.depth).map(|_| VecDeque::new()).collect(),
+            lanes,
             write_queue: VecDeque::new(),
+            write_beat: Vec::with_capacity(lanes),
             writes_done: 0,
             passes_left: 0,
             armed_passes: 0,
@@ -525,9 +581,9 @@ impl SmacheSystem {
             }
             ControllerPhase::Streaming => {
                 if self.read_ptr < self.n
-                    && self.resp_queue.len() < self.config.system.resp_high_water
+                    && self.resp_queue.len() < self.config.system.resp_high_water * self.lanes
                 {
-                    self.dram.hold_read(in_base + self.read_ptr)?;
+                    self.dram.hold_read_beat(in_base + self.read_ptr)?;
                     self.issued_kind = ReadKind::Stream;
                 }
             }
@@ -538,8 +594,14 @@ impl SmacheSystem {
         }
 
         // --- Last-stage DRAM write channel -------------------------------
-        if let Some(&(addr, w)) = self.write_queue.front() {
-            self.dram.hold_write(addr, w)?;
+        // Results enter the queue a whole emission group at a time, so the
+        // front `lanes` words are one group: consecutive addresses.
+        let write_beat = self.write_queue.len().min(self.lanes);
+        if let Some(&(addr, _)) = self.write_queue.front() {
+            self.write_beat.clear();
+            self.write_beat
+                .extend(self.write_queue.iter().take(write_beat).map(|&(_, w)| w));
+            self.dram.hold_write_beat(addr, &self.write_beat)?;
         } else {
             self.dram.cancel_write();
         }
@@ -563,7 +625,7 @@ impl SmacheSystem {
                     self.prefetch_issue += 1;
                     self.prefetch_resp_remaining += 1;
                 }
-                ReadKind::Stream => self.read_ptr += 1,
+                ReadKind::Stream => self.read_ptr = self.n.min(self.read_ptr + self.lanes),
                 ReadKind::None => {
                     return Err(CoreError::Config(
                         "DRAM accepted a read the system did not stage".into(),
@@ -571,6 +633,7 @@ impl SmacheSystem {
                 }
             }
         }
+        let responded = report.response.is_some() || report.wide_response.is_some();
         if let Some((_, w)) = report.response {
             if self.prefetch_resp_remaining > 0 {
                 self.stages[0].prefetch_word(w)?;
@@ -579,9 +642,12 @@ impl SmacheSystem {
                 self.resp_queue.push_back(w);
             }
         }
+        for w in report.wide_response.into_iter().flat_map(|(_, beat)| beat) {
+            self.resp_queue.push_back(w);
+        }
         if report.write_accepted.is_some() {
-            self.write_queue.pop_front();
-            self.writes_done += 1;
+            self.write_queue.drain(..write_beat);
+            self.writes_done += write_beat;
         }
 
         // Warm-up attribution is stage 0's (the DRAM-facing FSM-1). The
@@ -622,32 +688,39 @@ impl SmacheSystem {
                     continue;
                 }
                 // Emission reads the settled (pre-edge) window and bank state.
-                if let Some(e) = stage.emit_ready() {
+                if let Some(group) = stage.emit_ready() {
                     let mut values = std::mem::take(&mut self.scratch_values);
-                    let mask = stage.gather(e, &mut values)?;
-                    let result = self.kernel.apply(&values, mask);
+                    for (lane, e) in group.enumerate() {
+                        let mask = stage.gather(e, lane, &mut values)?;
+                        let result = self.kernel.apply(&values, mask);
+                        self.pipes[t].push_back((self.kernel.latency(), e, result));
+                    }
                     self.scratch_values = values;
-                    self.pipes[t].push_back((self.kernel.latency(), e, result));
                     if t + 1 == depth {
                         emitted = true;
                     }
                 }
-                // Shift in the next word (real data, then flush zeros).
-                if stage.wants_shift() {
-                    if stage.real_words_remaining() > 0 {
-                        let word = if t == 0 {
-                            self.resp_queue.pop_front()
-                        } else {
-                            self.links[t - 1].pop_next()
-                        };
-                        match word {
-                            Some(w) => stage.shift_in(w),
-                            None if t == 0 => starved_dram = true,
-                            None => starved_link = true,
-                        }
-                    } else {
-                        stage.shift_in(0);
+                // Shift in up to one word per lane (real data, then flush
+                // zeros).
+                for _ in 0..self.lanes {
+                    if !stage.wants_shift() {
+                        break;
                     }
+                    if stage.real_words_remaining() == 0 {
+                        stage.shift_in(0);
+                        continue;
+                    }
+                    let word = if t == 0 {
+                        self.resp_queue.pop_front()
+                    } else {
+                        self.links[t - 1].pop_next()
+                    };
+                    let Some(w) = word else {
+                        starved_dram |= t == 0;
+                        starved_link |= t > 0;
+                        break;
+                    };
+                    stage.shift_in(w);
                 }
                 // Pre-issue next element's static reads (1-cycle bank latency).
                 stage.preissue_static_reads()?;
@@ -712,6 +785,8 @@ impl SmacheSystem {
             self.writes_done = 0;
             self.read_ptr = 0;
             self.in_region = 1 - self.in_region;
+            // Drop the pad words the last beat over-fetched.
+            self.resp_queue.clear();
         }
 
         // --- Cycle accounting ---------------------------------------------
@@ -738,7 +813,7 @@ impl SmacheSystem {
                 "dram.read_accept",
                 report.read_accepted.is_some() as u64,
             );
-            tracer.sample(self.cycle, "dram.resp", report.response.is_some() as u64);
+            tracer.sample(self.cycle, "dram.resp", responded as u64);
             tracer.sample(
                 self.cycle,
                 "dram.write_accept",
@@ -759,7 +834,7 @@ impl SmacheSystem {
             starved_link,
             emitted,
             read_accepted: report.read_accepted.is_some(),
-            responded: report.response.is_some(),
+            responded,
             write_accepted: report.write_accepted.is_some(),
         };
         if let Some(mut tel) = self.telemetry.take() {
@@ -787,7 +862,7 @@ impl SmacheSystem {
             if starved_dram || starved_link {
                 flags |= CycleRecord::STARVED;
             }
-            if report.response.is_some() {
+            if responded {
                 flags |= CycleRecord::RESPONDED;
             }
             rec.record(CycleRecord::pack(phase_code(self.stages[0].phase()), flags));
@@ -1016,7 +1091,7 @@ impl SmacheSystem {
         let metrics = DesignMetrics {
             name: self.geometry.metric_name.clone(),
             cycles: self.cycle,
-            fmax_mhz: FreqModel.smache_fmax(plan),
+            fmax_mhz: FreqModel.smache_fmax(plan, self.lanes),
             dram: dram_stats,
             ops: plan.shape.ops_per_point() * self.n as u64 * depth * passes,
             resources: self.resources(),
@@ -1036,11 +1111,21 @@ impl SmacheSystem {
 
     /// Synthesised resources of the full design: every stage's module and
     /// kernel, plus the inter-stage link storage (one grid-sized BRAM
-    /// buffer per link).
+    /// buffer per link). Lanes replicate the gather logic and the kernel,
+    /// so ALMs and kernel resources scale with the lane count; the window
+    /// and static banks are shared.
     pub fn resources(&self) -> ResourceUsage {
+        let lanes = self.lanes as u64;
+        let kernel = self.kernel.resources();
         let mut total = ResourceUsage::default();
         for s in &self.stages {
-            total += s.resource_breakdown().total() + self.kernel.resources();
+            let module = s.resource_breakdown().total();
+            total += ResourceUsage {
+                alms: (module.alms + kernel.alms) * lanes,
+                registers: module.registers + kernel.registers * lanes,
+                bram_bits: module.bram_bits + kernel.bram_bits * lanes,
+                dsps: module.dsps + kernel.dsps * lanes,
+            };
         }
         total
             + ResourceUsage {
@@ -1462,6 +1547,188 @@ mod tests {
         assert_eq!(s.transfers, 121 * 4, "one emission per element");
         assert_eq!(s.cycles, s.transfers + s.stall_cycles + s.idle_cycles);
         assert_eq!(s.stall_cycles, 0, "no stalls without back-pressure");
+    }
+
+    /// A `lanes`-wide system: a 4-point plan of `h × w` under `bounds`
+    /// behind a `lanes`-word DRAM bus.
+    fn lanes_system(
+        h: usize,
+        w: usize,
+        bounds: &BoundarySpec,
+        lanes: usize,
+        mut config: SystemConfig,
+    ) -> CoreResult<SmacheSystem> {
+        let plan = crate::SmacheBuilder::new(GridSpec::d2(h, w).unwrap())
+            .boundaries(bounds.clone())
+            .plan()
+            .unwrap();
+        config.dram.bus_words = lanes;
+        SmacheSystem::new(plan, Box::new(AverageKernel), config)
+    }
+
+    fn golden_bounds(
+        h: usize,
+        w: usize,
+        bounds: &BoundarySpec,
+        input: &[Word],
+        n: u64,
+    ) -> Vec<Word> {
+        golden_run(
+            &GridSpec::d2(h, w).unwrap(),
+            bounds,
+            &StencilShape::four_point_2d(),
+            &AverageKernel,
+            input,
+            n,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn open_boundaries_scale_to_many_lanes() {
+        let bounds = BoundarySpec::all_open(2).unwrap();
+        let input: Vec<Word> = (0..240u64).map(|i| (i * 37 + 1) % 1021).collect();
+        let expected = golden_bounds(12, 20, &bounds, &input, 3);
+        let mut cycles = Vec::new();
+        for lanes in [1usize, 2, 4, 8] {
+            let mut sys = lanes_system(12, 20, &bounds, lanes, SystemConfig::default()).unwrap();
+            let report = sys.run(&input, 3).unwrap();
+            assert_eq!(report.output, expected, "{lanes} lanes");
+            let name = match lanes {
+                1 => "Smache-h".to_string(),
+                _ => format!("Smache-x{lanes}"),
+            };
+            assert_eq!(report.metrics.name, name);
+            cycles.push(report.metrics.cycles);
+        }
+        // Throughput scales: 4 lanes at least 2.5x faster than 1.
+        let speedup = cycles[0] as f64 / cycles[2] as f64;
+        assert!(speedup > 2.5, "4-lane speed-up {speedup:.2}");
+    }
+
+    #[test]
+    fn two_lanes_with_wrap_boundaries_match_golden() {
+        let bounds = BoundarySpec::paper_case();
+        let input: Vec<Word> = (0..121).collect();
+        let expected = golden_bounds(11, 11, &bounds, &input, 5);
+        let mut two = lanes_system(11, 11, &bounds, 2, SystemConfig::default()).unwrap();
+        let report = two.run(&input, 5).unwrap();
+        assert_eq!(report.output, expected);
+        // Two lanes beat one on cycles for the same workload.
+        let mut one = lanes_system(11, 11, &bounds, 1, SystemConfig::default()).unwrap();
+        let single = one.run(&input, 5).unwrap();
+        assert_eq!(single.output, expected);
+        assert!(report.metrics.cycles < single.metrics.cycles);
+        // Both prefetch the same static buffers.
+        assert_eq!(report.warmup_cycles, single.warmup_cycles);
+    }
+
+    #[test]
+    fn single_lane_matches_the_reference_system() {
+        // A one-word bus is the paper's system, cycle for cycle.
+        let input: Vec<Word> = (0..121).map(|i| i * 3 + 1).collect();
+        let mut one = lanes_system(
+            11,
+            11,
+            &BoundarySpec::paper_case(),
+            1,
+            SystemConfig::default(),
+        )
+        .unwrap();
+        let m = one.run(&input, 4).unwrap();
+        let mut reference = crate::SmacheBuilder::new(GridSpec::d2(11, 11).unwrap())
+            .build()
+            .unwrap();
+        let r = reference.run(&input, 4).unwrap();
+        assert_eq!(m.output, r.output);
+        assert_eq!(m.metrics.cycles, r.metrics.cycles);
+    }
+
+    #[test]
+    fn two_lanes_without_double_buffering_match_golden() {
+        let bounds = BoundarySpec::paper_case();
+        let input: Vec<Word> = (0..121).map(|i| i * 5 + 2).collect();
+        let config = SystemConfig {
+            double_buffering: false,
+            ..SystemConfig::default()
+        };
+        let mut sys = lanes_system(11, 11, &bounds, 2, config).unwrap();
+        let report = sys.run(&input, 4).unwrap();
+        assert_eq!(report.output, golden_bounds(11, 11, &bounds, &input, 4));
+    }
+
+    #[test]
+    fn invalid_lane_configurations_rejected() {
+        let wrap = BoundarySpec::paper_case();
+        let open = BoundarySpec::all_open(2).unwrap();
+        let default = SystemConfig::default;
+        for lanes in [0, MAX_LANES + 1] {
+            assert!(matches!(
+                lanes_system(8, 8, &open, lanes, default()).map(|_| ()),
+                Err(CoreError::LaneCountUnsupported { .. })
+            ));
+        }
+        // Wrap boundaries (static buffers) cap lanes at the two BRAM ports.
+        let err = lanes_system(11, 11, &wrap, 4, default())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("ports"), "{err}");
+        let mut deduped = crate::SmacheBuilder::new(GridSpec::d2(11, 11).unwrap())
+            .plan()
+            .unwrap();
+        deduped.dedupe_static_regions();
+        let mut config = default();
+        config.dram.bus_words = 2;
+        assert!(SmacheSystem::new(deduped, Box::new(AverageKernel), config)
+            .map(|_| ())
+            .is_err());
+        // A wide beat bypasses the chaos wrappers.
+        let chaos = SystemConfig {
+            fault_plan: smache_mem::FaultPlan::new(3, smache_mem::ChaosProfile::jitter()),
+            ..default()
+        };
+        assert!(matches!(
+            lanes_system(8, 8, &open, 2, chaos).map(|_| ()),
+            Err(CoreError::ChaosUnsupported {
+                system: "multilane"
+            })
+        ));
+        // A wide bus needs one stage over one channel.
+        let plan = crate::SmacheBuilder::new(GridSpec::d2(8, 8).unwrap())
+            .boundaries(open.clone())
+            .plan()
+            .unwrap();
+        for (depth, channels) in [(2, 1), (1, 2)] {
+            let pipeline = PipelineConfig {
+                depth,
+                channels,
+                system: config,
+                ..PipelineConfig::default()
+            };
+            assert!(
+                SmacheSystem::new(plan.clone(), Box::new(AverageKernel), pipeline)
+                    .map(|_| ())
+                    .is_err()
+            );
+        }
+    }
+
+    #[test]
+    fn traffic_is_unchanged_by_lanes() {
+        let bounds = BoundarySpec::all_open(2).unwrap();
+        let input: Vec<Word> = (0..256).collect();
+        let run = |lanes| {
+            let mut sys = lanes_system(16, 16, &bounds, lanes, SystemConfig::default()).unwrap();
+            sys.run(&input, 4).unwrap().metrics
+        };
+        let one = run(1);
+        let four = run(4);
+        assert_eq!(one.dram.total_bytes(), four.dram.total_bytes());
+        assert_eq!(one.ops, four.ops);
+        assert!(
+            four.fmax_mhz < one.fmax_mhz,
+            "wider mux clocks a little lower"
+        );
     }
 
     #[test]

@@ -639,6 +639,17 @@ impl FaultyDram {
         self.inner.hold_write(addr, data)
     }
 
+    /// Holds a wide read (see [`Dram::hold_read_wide`]). Wide responses
+    /// bypass the chaos release queue.
+    pub fn hold_read_wide(&mut self, addr: usize) -> SimResult<()> {
+        self.inner.hold_read_wide(addr)
+    }
+
+    /// Holds a wide write (see [`Dram::hold_write_wide`]).
+    pub fn hold_write_wide(&mut self, addr: usize, words: &[Word]) -> SimResult<()> {
+        self.inner.hold_write_wide(addr, words)
+    }
+
     /// Withdraws a held write request.
     pub fn cancel_write(&mut self) {
         self.inner.cancel_write();

@@ -22,7 +22,9 @@
 //!
 //! With `channels = 1`, `interleave_words = 1` and `cmd_gap = 1` the model
 //! is cycle-identical to a bare [`FaultyDram`]: routing and reordering add
-//! no latency.
+//! no latency. A one-channel port also moves **wide beats** of
+//! `bus_words` consecutive words per command (the bus of a multi-lane
+//! datapath); a one-word beat is the narrow command.
 
 use std::collections::VecDeque;
 
@@ -75,7 +77,11 @@ pub struct MultiChannelDram {
     words: usize,
 
     staged_read: Option<usize>,
+    /// The staged read is a wide beat.
+    staged_read_wide: bool,
     staged_write: Option<(usize, Word)>,
+    /// A wide write beat is staged on the one channel.
+    staged_write_wide: bool,
     /// Next cycle each channel may accept a read command.
     read_ready_at: Vec<u64>,
     /// Issue-order bookkeeping: per channel, the (sequence, global address)
@@ -130,7 +136,9 @@ impl MultiChannelDram {
             channels,
             words,
             staged_read: None,
+            staged_read_wide: false,
             staged_write: None,
+            staged_write_wide: false,
             read_ready_at: vec![0; c],
             pending: (0..c).map(|_| VecDeque::new()).collect(),
             reorder: VecDeque::new(),
@@ -258,7 +266,8 @@ impl MultiChannelDram {
     /// counters) without touching memory contents or statistics.
     pub fn reset_port(&mut self) {
         self.staged_read = None;
-        self.staged_write = None;
+        self.staged_read_wide = false;
+        self.cancel_write();
         self.read_ready_at = vec![0; self.channels.len()];
         for q in &mut self.pending {
             q.clear();
@@ -319,24 +328,70 @@ impl MultiChannelDram {
     pub fn hold_read(&mut self, addr: usize) -> SimResult<()> {
         self.check_addr(addr)?;
         self.staged_read = Some(addr);
+        self.staged_read_wide = false;
+        Ok(())
+    }
+
+    /// Stages one read beat for the next tick: `bus_words` consecutive
+    /// words from `addr`, delivered together as a
+    /// [`DramTick::wide_response`]. On a one-word bus this is
+    /// [`hold_read`](Self::hold_read). A wider beat needs a one-channel
+    /// port: it bypasses the reorder buffer, which orders single words.
+    pub fn hold_read_beat(&mut self, addr: usize) -> SimResult<()> {
+        self.hold_read(addr)?;
+        if self.config.channel.bus_words > 1 {
+            self.check_wide_port()?;
+            self.staged_read_wide = true;
+        }
         Ok(())
     }
 
     /// Withdraws any staged read.
     pub fn cancel_read(&mut self) {
         self.staged_read = None;
+        self.staged_read_wide = false;
     }
 
     /// Stages a write command for the next tick (idempotent).
     pub fn hold_write(&mut self, addr: usize, data: Word) -> SimResult<()> {
         self.check_addr(addr)?;
+        self.cancel_write();
         self.staged_write = Some((addr, data));
+        Ok(())
+    }
+
+    /// Stages one write beat of up to `bus_words` consecutive words at
+    /// `addr`. A one-word beat is [`hold_write`](Self::hold_write); a
+    /// wider one needs a one-channel port.
+    pub fn hold_write_beat(&mut self, addr: usize, words: &[Word]) -> SimResult<()> {
+        if let [word] = words {
+            return self.hold_write(addr, *word);
+        }
+        self.check_wide_port()?;
+        self.cancel_write();
+        // One channel: the address map is the identity.
+        self.channels[0].hold_write_wide(addr, words)?;
+        self.staged_write_wide = true;
         Ok(())
     }
 
     /// Withdraws any staged write.
     pub fn cancel_write(&mut self) {
         self.staged_write = None;
+        if std::mem::take(&mut self.staged_write_wide) {
+            self.channels[0].cancel_write();
+        }
+    }
+
+    fn check_wide_port(&self) -> SimResult<()> {
+        if self.channels.len() == 1 {
+            Ok(())
+        } else {
+            Err(SimError::Config(format!(
+                "mcdram: wide beats need one channel, not {}",
+                self.channels.len()
+            )))
+        }
     }
 
     /// Advances every channel one cycle and reports, in global terms, what
@@ -356,7 +411,12 @@ impl MultiChannelDram {
         for (c, ch) in self.channels.iter_mut().enumerate() {
             match read_route {
                 Some((_, rc, local)) if rc == c && self.cycle >= self.read_ready_at[c] => {
-                    ch.hold_read(local).expect("local address in range");
+                    if self.staged_read_wide {
+                        ch.hold_read_wide(local)
+                    } else {
+                        ch.hold_read(local)
+                    }
+                    .expect("local address in range");
                 }
                 _ => ch.cancel_read(),
             }
@@ -364,6 +424,8 @@ impl MultiChannelDram {
                 Some((_, wc, local, w)) if wc == c => {
                     ch.hold_write(local, w).expect("local address in range");
                 }
+                // A wide beat stays staged on the channel it was held on.
+                _ if self.staged_write_wide => {}
                 _ => ch.cancel_write(),
             }
         }
@@ -374,15 +436,20 @@ impl MultiChannelDram {
             if tick.read_accepted.is_some() {
                 let (gaddr, _, _) = read_route.expect("accept implies a routed read");
                 out.read_accepted = Some(gaddr);
-                self.pending[c].push_back((self.next_seq, gaddr));
-                self.next_seq += 1;
+                if !self.staged_read_wide {
+                    self.pending[c].push_back((self.next_seq, gaddr));
+                    self.next_seq += 1;
+                }
                 self.read_ready_at[c] = self.cycle + self.config.cmd_gap;
-                self.staged_read = None;
+                self.cancel_read();
             }
-            if tick.write_accepted.is_some() {
-                let (gaddr, ..) = write_route.expect("accept implies a routed write");
-                out.write_accepted = Some(gaddr);
-                self.staged_write = None;
+            if let Some(local) = tick.write_accepted {
+                // A wide beat's one channel maps addresses to themselves.
+                out.write_accepted = Some(write_route.map_or(local, |(gaddr, ..)| gaddr));
+                self.cancel_write();
+            }
+            if tick.wide_response.is_some() {
+                out.wide_response = tick.wide_response;
             }
             if let Some((_, w)) = tick.response {
                 let (seq, gaddr) = self.pending[c]
@@ -593,6 +660,36 @@ mod tests {
             stream_reads(&mut m, 128, 65536)
         };
         assert_eq!(mk(), mk(), "same seed, same timing");
+    }
+
+    #[test]
+    fn one_channel_moves_wide_beats() {
+        let wide = MultiChannelConfig {
+            channel: DramConfig {
+                bus_words: 4,
+                ..DramConfig::default()
+            },
+            ..MultiChannelConfig::default()
+        };
+        let mut m = clean(16, wide);
+        m.preload(0, &(0..16).collect::<Vec<Word>>()).unwrap();
+        m.hold_read_beat(4).unwrap();
+        let beat = (0..16).find_map(|_| m.tick().wide_response);
+        assert_eq!(beat, Some((4, vec![4, 5, 6, 7])));
+        m.hold_write_beat(8, &[9, 8, 7]).unwrap();
+        assert_eq!(m.tick().write_accepted, Some(8));
+        assert_eq!(m.dump(8, 4).unwrap(), vec![9, 8, 7, 11]);
+        assert!(m.hold_write_beat(0, &[1; 5]).is_err(), "wider than the bus");
+        // A wide beat bypasses the reorder buffer, so it needs one channel.
+        let mut two = clean(
+            16,
+            MultiChannelConfig {
+                channels: 2,
+                ..wide
+            },
+        );
+        assert!(two.hold_read_beat(0).is_err());
+        assert!(two.hold_write_beat(0, &[1, 2]).is_err());
     }
 
     #[test]

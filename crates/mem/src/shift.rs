@@ -98,9 +98,8 @@ impl ShiftReg {
         match self.staged_in.take() {
             Some(input) => {
                 let expelled = *self.regs.last().expect("len>0");
-                for i in (1..self.regs.len()).rev() {
-                    self.regs[i] = self.regs[i - 1];
-                }
+                let len = self.regs.len();
+                self.regs.copy_within(..len - 1, 1);
                 self.regs[0] = input;
                 Some(expelled)
             }

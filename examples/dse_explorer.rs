@@ -88,7 +88,7 @@ fn main() {
             candidate: c.clone(),
             registers: m.r_total(),
             bram_bits: m.b_total(),
-            fmax: FreqModel.smache_fmax(&plan),
+            fmax: FreqModel.smache_fmax(&plan, 1),
         })
     });
 

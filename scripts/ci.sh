@@ -46,6 +46,16 @@ seq_fp=$(cargo run -p smache-cli --release -- simulate --grid 11x11 --instances 
   --replay off | grep -o 'fp=[0-9a-f]*' | head -n1)
 [ -n "$pipe_fp" ] && [ "$pipe_fp" = "$seq_fp" ] || {
   echo "T=4 pipeline diverged from 4 sequential single-step runs: $pipe_fp vs $seq_fp"; exit 1; }
+
+echo "== lanes smoke (a 2-word DRAM bus runs 2 lanes, bit-exact vs one lane) =="
+lanes_out=$(cargo run -p smache-cli --release -- simulate --grid 11x11 --instances 4 --seed 7 \
+  --lanes 2 --verify)
+echo "$lanes_out" | grep -q 'Smache-x2' || { echo "--lanes 2 did not run two lanes"; exit 1; }
+echo "$lanes_out" | grep -q 'warm-up [1-9][0-9]* cycles' || {
+  echo "--lanes 2 reported no warm-up for a plan with static buffers"; exit 1; }
+lanes_fp=$(echo "$lanes_out" | grep -o 'fp=[0-9a-f]*' | head -n1)
+[ -n "$lanes_fp" ] && [ "$lanes_fp" = "$seq_fp" ] || {
+  echo "2 lanes diverged from one lane: $lanes_fp vs $seq_fp"; exit 1; }
 # Regenerate the temporal artefact at a temp path (the committed
 # BENCH_temporal.json documents one measured run; the bench itself
 # asserts traffic falls with depth and cycles fall with channels).

@@ -2,9 +2,8 @@
 //! loud, typed, and descriptive.
 
 use smache::arch::kernel::AverageKernel;
-use smache::system::multilane::MultilaneSystem;
 use smache::system::smache_system::SystemConfig;
-use smache::{CoreError, SmacheBuilder};
+use smache::{CoreError, SmacheBuilder, SmacheSystem};
 use smache_sim::SimError;
 use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
 
@@ -40,12 +39,14 @@ fn stall_released_before_budget_recovers() {
 
 #[test]
 fn config_errors_are_descriptive() {
-    // Multilane refuses too many lanes against dual-port banks.
+    // A three-word bus is refused against dual-port banks.
     let plan = SmacheBuilder::new(GridSpec::d2(8, 8).expect("grid"))
         .boundaries(BoundarySpec::paper_case())
         .plan()
         .expect("plan");
-    let err = MultilaneSystem::new(plan, Box::new(AverageKernel), 3, SystemConfig::default())
+    let mut config = SystemConfig::default();
+    config.dram.bus_words = 3;
+    let err = SmacheSystem::new(plan, Box::new(AverageKernel), config)
         .map(|_| ())
         .expect_err("lanes capped");
     assert!(err.to_string().contains("ports"), "{err}");

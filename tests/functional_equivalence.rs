@@ -105,13 +105,12 @@ proptest! {
         let report = system.run(&input, instances).expect("cycle-accurate run");
         prop_assert_eq!(&report.output, &golden, "cycle-accurate diverged from golden");
 
-        // Multi-lane system (two lanes fit the dual-port static banks).
-        let mut multilane = smache::system::multilane::MultilaneSystem::new(
-            plan,
-            kernel_of(kernel_id, shape_len),
-            2,
-            smache::system::smache_system::SystemConfig::default(),
-        ).expect("multilane system");
+        // Two lanes behind a two-word bus (two lanes fit the dual-port
+        // static banks).
+        let mut config = smache::system::smache_system::SystemConfig::default();
+        config.dram.bus_words = 2;
+        let mut multilane = smache::SmacheSystem::new(plan, kernel_of(kernel_id, shape_len), config)
+            .expect("multilane system");
         let m = multilane.run(&input, instances).expect("multilane run");
         prop_assert_eq!(&m.output, &golden, "multilane diverged from golden");
     }

@@ -84,6 +84,44 @@ fn nine_case_grid_replays_bit_exactly() {
     }
 }
 
+/// A wide DRAM bus runs several lanes per cycle; its schedules replay
+/// like any other: two lanes over the nine-case grid (static buffers on
+/// both BRAM ports) and four lanes over an open 32×32 grid. Each replay
+/// equals its own full simulation in output, cycles and report bytes.
+#[test]
+fn wide_bus_schedules_replay_bit_exactly() {
+    for (side, bounds, lanes) in [
+        (W, BoundarySpec::paper_case(), 2usize),
+        (32, BoundarySpec::all_open(2).expect("bounds"), 4),
+    ] {
+        let system = || {
+            let mut config = smache::system::SystemConfig::default();
+            config.dram.bus_words = lanes;
+            SmacheBuilder::new(GridSpec::d2(side, side).expect("grid"))
+                .boundaries(bounds.clone())
+                .system_config(config)
+                .build()
+                .expect("build")
+        };
+        let n = side * side;
+        let (_, schedule) = system().run_captured(&seeded(n, 0), 3).expect("capture");
+        for seed in 1..=3u64 {
+            let input = seeded(n, seed);
+            let replayed = schedule.replay(&AverageKernel, &input).expect("replay");
+            let mut full = system().run(&input, 3).expect("run");
+            assert_eq!(full.metrics.name, format!("Smache-x{lanes}"));
+            assert_eq!(replayed.output, full.output, "{lanes} lanes, seed {seed}");
+            assert_eq!(replayed.metrics.cycles, full.metrics.cycles);
+            full.engine = RunEngine::Replay;
+            assert_eq!(
+                replayed.to_json().compact(),
+                full.to_json().compact(),
+                "{lanes} lanes, seed {seed}: report bytes"
+            );
+        }
+    }
+}
+
 /// The batched sweep path: the unified `run_batch` in auto mode captures
 /// once, lane-batch-replays the rest, and agrees with full simulation
 /// lane for lane — at every lane-block size.

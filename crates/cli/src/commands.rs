@@ -249,7 +249,23 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
     }
 }
 
+/// Refuses `--lanes` other than 1 for a command whose model covers one
+/// lane only.
+fn one_lane_only(args: &Args, command: &str) -> Result<(), CliError> {
+    let lanes: usize = args.get_num("lanes", 1)?;
+    if lanes == 1 {
+        return Ok(());
+    }
+    Err(ArgError::BadValue {
+        key: "lanes".into(),
+        value: lanes.to_string(),
+        expected: format!("1 (`{command}` models a one-word bus; `predict` models lanes)"),
+    }
+    .into())
+}
+
 fn cmd_plan(args: &Args) -> Result<String, CliError> {
+    one_lane_only(args, "plan")?;
     let spec = spec_from_args(args)?;
     let mut builder = spec.builder();
     if let Some(b) = args.get("budget-bits") {
@@ -307,6 +323,7 @@ fn cmd_plan(args: &Args) -> Result<String, CliError> {
 }
 
 fn cmd_cost(args: &Args) -> Result<String, CliError> {
+    one_lane_only(args, "cost")?;
     let spec = spec_from_args(args)?;
     let plan = spec.builder().plan()?;
     let est = CostEstimate.memory(&plan);
@@ -341,11 +358,24 @@ fn cmd_cost(args: &Args) -> Result<String, CliError> {
 fn cmd_predict(args: &Args) -> Result<String, CliError> {
     let spec = spec_from_args(args)?;
     let instances: u64 = args.get_num("instances", 100)?;
+    let lanes: usize = args.get_num("lanes", 1)?;
+    if !(1..=smache_mem::MAX_BEAT_WORDS).contains(&lanes) {
+        return Err(ArgError::BadValue {
+            key: "lanes".into(),
+            value: lanes.to_string(),
+            expected: format!("1..={}", smache_mem::MAX_BEAT_WORDS),
+        }
+        .into());
+    }
     let plan = spec.builder().plan()?;
     let dram = smache_mem::DramConfig::default();
     let kernel = smache::arch::kernel::AverageKernel;
 
-    let sm = CycleModel.smache(&plan, &dram, kernel.latency(), instances);
+    let sm = if lanes == 1 {
+        CycleModel.smache(&plan, &dram, kernel.latency(), instances)
+    } else {
+        CycleModel.multilane(&plan, &dram, kernel.latency(), lanes, instances)
+    };
     let avg_reads = CycleModel.avg_reads(&plan);
     let bl = CycleModel.baseline(plan.grid.len() as u64, avg_reads, 0.0, &dram, instances);
 
@@ -1044,6 +1074,72 @@ mod tests {
         assert!(out.contains("speed-up"));
         // The closed-form numbers land in the Fig. 2 regime.
         assert!(out.contains("1394") || out.contains("1395"), "{out}");
+    }
+
+    /// The smache cycle count `predict` prints.
+    fn predicted_cycles(out: &str) -> u64 {
+        let line = out
+            .lines()
+            .find(|l| l.contains("smache:"))
+            .expect("smache line");
+        line.split_whitespace()
+            .nth(1)
+            .expect("cycles")
+            .parse()
+            .expect("a number")
+    }
+
+    /// The cycle count `simulate` prints for the Smache design.
+    fn simulated_cycles(out: &str) -> u64 {
+        let line = out
+            .lines()
+            .find(|l| l.contains(" cycles @"))
+            .expect("cycles line");
+        let (_, rest) = line.split_once(": ").expect("design label");
+        rest.split_whitespace()
+            .next()
+            .expect("cycles")
+            .parse()
+            .expect("a number")
+    }
+
+    #[test]
+    fn predict_models_the_bus_width() {
+        let line = "--grid 32x32 --rows open --cols open --instances 4 --lanes 4";
+        let predicted = predicted_cycles(&run_str(&format!("predict {line}")).unwrap());
+        let simulated = simulated_cycles(&run_str(&format!("simulate {line}")).unwrap());
+        assert_eq!(simulated, 1102);
+        let error = predicted.abs_diff(simulated) as f64 / simulated as f64;
+        assert!(
+            error <= 0.06,
+            "predicted {predicted} vs simulated {simulated}"
+        );
+        let one = predicted_cycles(
+            &run_str("predict --grid 32x32 --rows open --cols open --instances 4").unwrap(),
+        );
+        assert!(
+            one > 3 * predicted,
+            "one lane {one} vs four lanes {predicted}"
+        );
+        for bad in ["0", "17"] {
+            let err = run_str(&format!("predict --lanes {bad}")).unwrap_err();
+            assert!(err.to_string().starts_with("--lanes"), "{err}");
+        }
+    }
+
+    #[test]
+    fn plan_and_cost_refuse_lanes_they_cannot_model() {
+        for command in ["plan", "cost"] {
+            let err = run_str(&format!("{command} --lanes 2")).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(ArgError::BadValue { key, .. }) if key == "lanes"),
+                "{command}: {err}"
+            );
+            assert!(
+                run_str(&format!("{command} --lanes 1")).is_ok(),
+                "{command}"
+            );
+        }
     }
 
     #[test]

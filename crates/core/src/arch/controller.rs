@@ -32,12 +32,23 @@
 //! emission, lane taps read `applied − (e + A + 2)` positions deeper than
 //! the one-lane timeline (zero at `P = 1`), and lane `l` reads the static
 //! banks on BRAM port `l` (one lane keeps the plan's port).
+//!
+//! ## Sources
+//!
+//! FSM-2 reads where each stencil point comes from out of the engine's
+//! [`SourceRows`], lowered from the plan once and shared by every stage
+//! and the sealed schedule: per slot a grid index `g` (or a constant or
+//! hole row) and a tag naming a stream tap or a static bank and port. A
+//! tap reads window position `A + 1 − (g − e)`; a static read takes slot
+//! `g − region_start` of its bank.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use smache_sim::telemetry::{ProbeKind, ProbeRegistry, Probed};
 use smache_sim::{ResourceUsage, SimResult, Word};
 
+use crate::arch::source_rows::SourceRows;
 use crate::arch::static_buffer::StaticBank;
 use crate::arch::stream_buffer::StreamBuffer;
 use crate::config::{BufferPlan, SourceRef};
@@ -76,6 +87,8 @@ impl SmacheResourceBreakdown {
 /// The Smache module proper.
 pub struct SmacheModule {
     plan: BufferPlan,
+    /// The plan's per-element sources, shared by every stage.
+    rows: Arc<SourceRows>,
     /// Elements emitted (and words shifted) per cycle at most.
     lanes: usize,
     stream: StreamBuffer,
@@ -96,12 +109,12 @@ pub struct SmacheModule {
     next_emit: usize,
     /// Current work-instance number.
     instance: u64,
-    scratch_sources: Vec<Option<SourceRef>>,
 }
 
 impl SmacheModule {
-    /// Instantiates buffers and FSMs for a plan, `lanes` elements wide.
-    pub fn new(plan: BufferPlan, lanes: usize) -> CoreResult<Self> {
+    /// Instantiates buffers and FSMs for a plan, `lanes` elements wide,
+    /// gathering from `rows` ([`SourceRows::lower`] of the same plan).
+    pub fn new(plan: BufferPlan, lanes: usize, rows: Arc<SourceRows>) -> CoreResult<Self> {
         let stream = StreamBuffer::from_plan(&plan, lanes)?;
         let mut banks = Vec::with_capacity(plan.static_buffers.len());
         let mut prefetch_map = Vec::new();
@@ -120,6 +133,7 @@ impl SmacheModule {
         };
         Ok(SmacheModule {
             plan,
+            rows,
             lanes,
             stream,
             banks,
@@ -131,13 +145,17 @@ impl SmacheModule {
             applied: 0,
             next_emit: 0,
             instance: 0,
-            scratch_sources: Vec::new(),
         })
     }
 
     /// The plan this module implements.
     pub fn plan(&self) -> &BufferPlan {
         &self.plan
+    }
+
+    /// The lowered sources this module gathers from.
+    pub fn rows(&self) -> &Arc<SourceRows> {
+        &self.rows
     }
 
     /// Current phase.
@@ -221,69 +239,41 @@ impl SmacheModule {
     /// group [`SmacheModule::emit_ready`] returned this cycle.
     pub fn gather(&mut self, e: usize, lane: usize, values: &mut Vec<Word>) -> CoreResult<u64> {
         values.clear();
-        let mut sources = std::mem::take(&mut self.scratch_sources);
-        self.plan.sources_for(e, &mut sources)?;
         // How far shifts have run ahead of this element's centre cycle.
         let ahead = (self.applied - (e + self.plan.lookahead) as u64 - 2) as usize;
-        let mut mask = 0u64;
-        for (p, src) in sources.iter().enumerate() {
-            match *src {
-                None => values.push(0),
-                Some(SourceRef::Tap { pos }) => {
-                    values.push(self.stream.read_pos(pos + ahead)?);
-                    mask |= 1 << p;
+        let rows = &*self.rows;
+        let (row, mask) = rows.gather().row(e);
+        for (&r, &tag) in row.iter().zip(rows.tags(e)) {
+            values.push(match rows.decode(e, r, tag) {
+                None => 0,
+                Some(SourceRef::Tap { pos }) => self.stream.read_pos(pos + ahead)?,
+                Some(SourceRef::Static { buffer, port, .. }) => {
+                    self.banks[buffer].out_port(bank_port(self.lanes, port, lane))
                 }
-                Some(SourceRef::Static {
-                    buffer,
-                    slot: _,
-                    port,
-                }) => {
-                    values.push(self.banks[buffer].out_port(self.bank_port(port, lane)));
-                    mask |= 1 << p;
-                }
-                Some(SourceRef::Constant(v)) => {
-                    values.push(v);
-                    mask |= 1 << p;
-                }
-            }
+                Some(SourceRef::Constant(v)) => v,
+            });
         }
-        self.scratch_sources = sources;
         self.next_emit = e + 1;
         Ok(mask)
-    }
-
-    /// The BRAM port a static read of `lane` uses. One lane uses the plan's
-    /// port, which is 1 for the second of two reads of one buffer by one
-    /// element. With more lanes each lane owns a port: their plans keep
-    /// one buffer per offset, so two reads of a buffer by one element (a
-    /// mirror folding two points onto one offset) hit the same slot.
-    fn bank_port(&self, port: usize, lane: usize) -> usize {
-        if self.lanes == 1 {
-            port
-        } else {
-            lane
-        }
     }
 
     /// FSM-2: pre-issues the static-bank reads for the group that will be
     /// emitted next (bank reads have one cycle of latency), each lane on
     /// its own port. Call once per cycle, before [`SmacheModule::tick`].
     pub fn preissue_static_reads(&mut self) -> CoreResult<()> {
-        if self.phase != ControllerPhase::Streaming {
+        if self.phase != ControllerPhase::Streaming || self.banks.is_empty() {
             return Ok(());
         }
         let n = self.plan.grid.len();
-        let mut sources = std::mem::take(&mut self.scratch_sources);
+        let rows = &*self.rows;
         for (lane, e) in (self.next_emit..n.min(self.next_emit + self.lanes)).enumerate() {
-            self.plan.sources_for(e, &mut sources)?;
-            for src in sources.iter().flatten() {
-                if let SourceRef::Static { buffer, slot, port } = *src {
-                    let port = self.bank_port(port, lane);
-                    self.banks[buffer].stage_read_port(port, slot)?;
+            let (row, _) = rows.gather().row(e);
+            for (&r, &tag) in row.iter().zip(rows.tags(e)) {
+                if let Some((bank, slot, port)) = rows.static_read(e, r, tag) {
+                    self.banks[bank].stage_read_port(bank_port(self.lanes, port, lane), slot)?;
                 }
             }
         }
-        self.scratch_sources = sources;
         Ok(())
     }
 
@@ -401,6 +391,20 @@ impl SmacheModule {
     }
 }
 
+/// The BRAM port a static read of `lane` uses on a `lanes`-wide module.
+/// One lane uses the plan's port, which is 1 for the second of two reads
+/// of one buffer by one element. With more lanes each lane owns a port:
+/// their plans keep one buffer per offset, so two reads of a buffer by one
+/// element (a mirror folding two points onto one offset) hit the same
+/// slot.
+fn bank_port(lanes: usize, port: usize, lane: usize) -> usize {
+    if lanes == 1 {
+        port
+    } else {
+        lane
+    }
+}
+
 /// Labels for the [`ControllerPhase`] telemetry probe; indices match the
 /// numeric encoding used in traces (0 = warmup, 1 = streaming, 2 = done).
 pub const PHASE_LABELS: &[&str] = &["warmup", "streaming", "done"];
@@ -476,7 +480,8 @@ mod tests {
             32,
         )
         .unwrap();
-        SmacheModule::new(plan, 1).unwrap()
+        let rows = Arc::new(SourceRows::lower(&plan).unwrap());
+        SmacheModule::new(plan, 1, rows).unwrap()
     }
 
     #[test]
@@ -517,7 +522,8 @@ mod tests {
             32,
         )
         .unwrap();
-        let m = SmacheModule::new(plan, 1).unwrap();
+        let rows = Arc::new(SourceRows::lower(&plan).unwrap());
+        let m = SmacheModule::new(plan, 1, rows).unwrap();
         assert_eq!(m.phase(), ControllerPhase::Streaming);
         assert!(m.prefetch_addrs().is_empty());
     }

@@ -95,6 +95,9 @@ fn shift_sections(sections: &mut [Section], word: Word) -> SimResult<()> {
 /// The stream buffer.
 pub struct StreamBuffer {
     sections: Vec<Section>,
+    /// The section holding each window position, resolved once at
+    /// construction ([`StreamBuffer::NO_SECTION`] where none does).
+    section_at: Vec<u32>,
     capacity: usize,
     word_bits: u32,
     /// Words staged this cycle, oldest first.
@@ -104,6 +107,9 @@ pub struct StreamBuffer {
 }
 
 impl StreamBuffer {
+    /// Marks a window position no section holds.
+    const NO_SECTION: u32 = u32::MAX;
+
     /// Builds the buffer of a `lanes`-wide module from a plan's
     /// segmentation (one lane) or as one register line (more lanes).
     pub fn from_plan(plan: &BufferPlan, lanes: usize) -> CoreResult<Self> {
@@ -129,8 +135,14 @@ impl StreamBuffer {
                 }),
             }
         }
+        let mut section_at = vec![Self::NO_SECTION; capacity];
+        for (i, s) in sections.iter().enumerate() {
+            let covered = s.first().min(capacity)..(s.first() + s.len()).min(capacity);
+            section_at[covered].fill(i as u32);
+        }
         Ok(StreamBuffer {
             sections,
+            section_at,
             capacity,
             word_bits: plan.word_bits,
             staged: Vec::new(),
@@ -175,10 +187,10 @@ impl StreamBuffer {
     /// errors — the hybrid's structural constraint.
     pub fn read_pos(&self, pos: usize) -> SimResult<Word> {
         let section = self
-            .sections
-            .iter()
-            .find(|s| pos >= s.first() && pos < s.first() + s.len())
-            .ok_or(SimError::AddressOutOfRange {
+            .section_at
+            .get(pos)
+            .and_then(|&i| self.sections.get(i as usize))
+            .ok_or_else(|| SimError::AddressOutOfRange {
                 memory: "stream_buffer".into(),
                 addr: pos,
                 depth: self.capacity,

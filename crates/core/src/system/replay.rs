@@ -56,10 +56,10 @@ use std::sync::Arc;
 
 use smache_mem::Word;
 use smache_sim::hash::fingerprint128;
-use smache_sim::{ControlTrace, GatherTable, ReplayUnsupported, SlotSource};
+use smache_sim::{ControlTrace, GatherTable, ReplayUnsupported};
 
 use crate::arch::kernel::Kernel;
-use crate::config::{BufferPlan, SourceRef};
+use crate::config::BufferPlan;
 use crate::error::CoreError;
 use crate::system::report::{RunEngine, RunReport};
 use crate::system::smache_system::{SmacheSystem, SystemConfig};
@@ -156,7 +156,8 @@ pub struct ControlSchedule {
     instances: u64,
     kernel_name: String,
     kernel_latency: u64,
-    gather: GatherTable,
+    /// The engine's lowered gather rows, shared with its controllers.
+    gather: Arc<GatherTable>,
     trace: ControlTrace,
     /// The capture run's report with the output cleared: every remaining
     /// field (cycles, DRAM traffic, resources, warm-up, stats) is
@@ -213,7 +214,7 @@ impl ControlSchedule {
         instances: u64,
         kernel_name: String,
         kernel_latency: u64,
-        gather: GatherTable,
+        gather: Arc<GatherTable>,
         trace: ControlTrace,
         template: RunReport,
     ) -> ControlSchedule {
@@ -234,8 +235,8 @@ impl ControlSchedule {
         &self.trace
     }
 
-    /// The per-element gather table.
-    pub fn gather(&self) -> &GatherTable {
+    /// The per-element gather table (shared with the capturing engine).
+    pub fn gather(&self) -> &Arc<GatherTable> {
         &self.gather
     }
 
@@ -362,71 +363,11 @@ impl ControlSchedule {
     }
 }
 
-/// Derives the per-element gather table from the plan and lowers it to
-/// fixed-arity rows. Every architectural source resolves to a
-/// current-instance grid index: a stream tap at window position `p` serves
-/// offset `lookahead + 1 − p`, i.e. grid index `e + o`; a static-bank slot
-/// holds grid index `region_start + slot` of the current input (the
-/// previous instance's captured output).
-pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
-    let n = plan.grid.len();
-    let arity = plan.shape.len();
-    let mut sources = Vec::with_capacity(n * arity);
-    let mut masks = Vec::with_capacity(n);
-    let mut srcs: Vec<Option<SourceRef>> = Vec::new();
-    for e in 0..n {
-        plan.sources_for(e, &mut srcs)?;
-        if srcs.len() != arity {
-            return Err(CoreError::Config(format!(
-                "gather: element {e} has {} slots, the shape has {arity}",
-                srcs.len()
-            )));
-        }
-        let mut mask = 0u64;
-        for (p, src) in srcs.iter().enumerate() {
-            let slot = match *src {
-                None => SlotSource::Hole,
-                Some(SourceRef::Constant(v)) => {
-                    mask |= 1 << p;
-                    SlotSource::Const(v)
-                }
-                Some(SourceRef::Tap { pos }) => {
-                    mask |= 1 << p;
-                    let offset = plan.lookahead as i64 + 1 - pos as i64;
-                    let g = e as i64 + offset;
-                    if g < 0 || g >= n as i64 {
-                        return Err(CoreError::Config(format!(
-                            "gather: tap offset {offset} of element {e} escapes the grid"
-                        )));
-                    }
-                    SlotSource::Grid(g as u32)
-                }
-                Some(SourceRef::Static { buffer, slot, .. }) => {
-                    mask |= 1 << p;
-                    let b = plan.static_buffers.get(buffer).ok_or_else(|| {
-                        CoreError::Config(format!("gather: unknown static buffer {buffer}"))
-                    })?;
-                    let g = b.region_start + slot;
-                    if g >= n {
-                        return Err(CoreError::Config(format!(
-                            "gather: static slot {slot} of buffer {buffer} escapes the grid"
-                        )));
-                    }
-                    SlotSource::Grid(g as u32)
-                }
-            };
-            sources.push(slot);
-        }
-        masks.push(mask);
-    }
-    GatherTable::lower(arity, &sources, masks)
-        .map_err(|e| CoreError::Config(format!("gather: {e}")))
-}
-
 /// Seals a recording run into a [`ControlSchedule`]: the one sealing path
 /// every capturing engine goes through.
 ///
-/// `trace` is the control trace recorded while the engine ran `input`,
+/// `gather` is the engine's lowered gather rows (shared, not copied),
+/// `trace` the control trace recorded while the engine ran `input`,
 /// `report` that run's report, and `instances` the timesteps the schedule
 /// must replay. Before the schedule is handed out, sealing checks that
 /// the trace totals reproduce the run's cycle accounting, clears the
@@ -438,14 +379,16 @@ pub(crate) fn build_gather_table(plan: &BufferPlan) -> CoreResult<GatherTable> {
 /// — a loud, typed failure instead of a silently wrong schedule.
 pub(crate) fn seal_capture(
     key: (u64, u64),
-    plan: &BufferPlan,
+    gather: Arc<GatherTable>,
     kernel: &dyn Kernel,
     instances: u64,
-    trace: ControlTrace,
-    report: RunReport,
+    mut trace: ControlTrace,
+    mut report: RunReport,
     input: &[Word],
 ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
-    let gather = build_gather_table(plan)?;
+    // The trace grew a cycle at a time; a cached schedule keeps only its
+    // records.
+    trace.shrink_to_fit();
     let totals = trace.totals();
     let diverged =
         |detail: String| CoreError::ReplayRefused(ReplayUnsupported::ScheduleDivergence { detail });
@@ -460,11 +403,12 @@ pub(crate) fn seal_capture(
         )));
     }
 
-    let mut template = report.clone();
-    template.output = Vec::new();
+    let output = std::mem::take(&mut report.output);
+    let template = report.clone();
+    report.output = output;
     let schedule = ControlSchedule {
         key,
-        n: plan.grid.len(),
+        n: gather.len(),
         instances,
         kernel_name: kernel.name().to_string(),
         kernel_latency: kernel.latency(),
@@ -583,7 +527,7 @@ impl SmacheSystem {
         let key = fingerprint128(self.schedule_key_text(passes).as_bytes());
         seal_capture(
             key,
-            self.plan(),
+            Arc::clone(self.source_rows().gather()),
             self.kernel(),
             self.depth() as u64 * passes,
             trace,
@@ -598,6 +542,8 @@ mod tests {
     use super::*;
     use crate::arch::kernel::{AverageKernel, MaxKernel};
     use crate::builder::SmacheBuilder;
+    use crate::config::SourceRef;
+    use smache_sim::SlotSource;
     use smache_stencil::GridSpec;
 
     fn paper_system() -> SmacheSystem {
@@ -904,7 +850,7 @@ mod tests {
     #[test]
     fn gather_table_covers_every_element() {
         let sys = paper_system();
-        let table = build_gather_table(sys.plan()).expect("gather");
+        let table = sys.source_rows().gather();
         assert_eq!(table.len(), 121);
         // Interior element: four grid sources, full mask.
         assert_eq!(table.arity(), 4);
@@ -922,5 +868,79 @@ mod tests {
         assert_eq!(table.row(0).1, 0b1101);
         assert_eq!(table.source(0, 0), SlotSource::Grid(110));
         assert_eq!(table.source(0, 1), SlotSource::Hole);
+    }
+
+    /// The gather table as sealing derived it per element before the
+    /// engine lowered it once: [`BufferPlan::sources_for`] for every
+    /// element, each source mapped to the grid index it reads.
+    fn per_element_gather_table(plan: &BufferPlan) -> GatherTable {
+        let (n, arity) = (plan.grid.len(), plan.shape.len());
+        let mut rows = GatherTable::builder(n, arity).expect("arity");
+        let mut masks = Vec::with_capacity(n);
+        let mut srcs = Vec::new();
+        for e in 0..n {
+            plan.sources_for(e, &mut srcs).expect("sources");
+            let mut mask = 0u64;
+            for (p, src) in srcs.iter().enumerate() {
+                let slot = match *src {
+                    None => SlotSource::Hole,
+                    Some(SourceRef::Constant(v)) => SlotSource::Const(v),
+                    Some(SourceRef::Tap { pos }) => {
+                        let offset = plan.lookahead as i64 + 1 - pos as i64;
+                        SlotSource::Grid((e as i64 + offset) as u32)
+                    }
+                    Some(SourceRef::Static { buffer, slot, .. }) => {
+                        SlotSource::Grid((plan.static_buffers[buffer].region_start + slot) as u32)
+                    }
+                };
+                if src.is_some() {
+                    mask |= 1 << p;
+                }
+                rows.push(slot).expect("slot");
+            }
+            masks.push(mask);
+        }
+        rows.finish(masks).expect("table")
+    }
+
+    #[test]
+    fn lowered_table_equals_the_per_element_derivation() {
+        use smache_stencil::{AxisBoundaries, Boundary, BoundarySpec, StencilShape};
+        let uniform = |b: Boundary| BoundarySpec::new(&[AxisBoundaries::both(b); 2]).expect("2D");
+        let shapes = [
+            StencilShape::four_point_2d(),
+            StencilShape::nine_point_2d(),
+            StencilShape::cross_2d(3).expect("cross"),
+        ];
+        let mut compared = 0;
+        for shape in shapes {
+            for bounds in [
+                BoundarySpec::paper_case(),
+                BoundarySpec::all_open(2).expect("open"),
+                BoundarySpec::all_circular(2).expect("torus"),
+                uniform(Boundary::Mirror),
+                uniform(Boundary::Constant(5)),
+            ] {
+                for dedupe in [false, true] {
+                    // Region dedupe can fold three reads of one element
+                    // onto one buffer, which no engine builds.
+                    let Ok(sys) = SmacheBuilder::new(GridSpec::d2(9, 12).expect("grid"))
+                        .shape(shape.clone())
+                        .boundaries(bounds.clone())
+                        .dedupe_static_regions(dedupe)
+                        .build()
+                    else {
+                        continue;
+                    };
+                    compared += 1;
+                    assert_eq!(
+                        **sys.source_rows().gather(),
+                        per_element_gather_table(sys.plan()),
+                        "{shape:?} {bounds:?} dedupe={dedupe}"
+                    );
+                }
+            }
+        }
+        assert!(compared >= 20, "only {compared} engines built");
     }
 }

@@ -25,6 +25,7 @@
 //! single-word step; a wider bus needs one stage over one channel.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use smache_mem::{DramConfig, FaultPlan, FaultyFifo, MultiChannelConfig, MultiChannelDram};
 use smache_mem::{StormGen, Word};
@@ -33,6 +34,7 @@ use smache_sim::{Beat, CycleStats, ResourceUsage};
 
 use crate::arch::controller::{ControllerPhase, SmacheModule, SmacheResourceBreakdown};
 use crate::arch::kernel::Kernel;
+use crate::arch::source_rows::SourceRows;
 use crate::config::BufferPlan;
 use crate::cost::FreqModel;
 use crate::error::{CoreError, FaultDiagnostic};
@@ -329,8 +331,11 @@ impl SmacheSystem {
         )?;
         let storm = (fault_plan.is_active() && fault_plan.profile.stall_storm_prob > 0.0)
             .then(|| StormGen::new(fault_plan, geometry.storm));
+        // The plan's sources are lowered once and shared by every stage
+        // (and by any schedule this engine seals).
+        let rows = Arc::new(SourceRows::lower(&plan)?);
         let stages = (0..config.depth)
-            .map(|_| SmacheModule::new(plan.clone(), lanes))
+            .map(|_| SmacheModule::new(plan.clone(), lanes, Arc::clone(&rows)))
             .collect::<CoreResult<Vec<_>>>()?;
         Ok(SmacheSystem {
             stages,
@@ -373,6 +378,11 @@ impl SmacheSystem {
     /// The plan every stage executes.
     pub fn plan(&self) -> &BufferPlan {
         self.stages[0].plan()
+    }
+
+    /// The plan's lowered sources, shared by every stage.
+    pub fn source_rows(&self) -> &Arc<SourceRows> {
+        self.stages[0].rows()
     }
 
     /// The per-stage system configuration.
@@ -1226,6 +1236,33 @@ mod tests {
         )
         .unwrap();
         SmacheSystem::new(plan, Box::new(AverageKernel), SystemConfig::default()).unwrap()
+    }
+
+    /// The plan is lowered once per engine: every stage gathers from the
+    /// same rows, a sealed schedule replays from the same table, and the
+    /// rows cost at most 4 B per slot, 1 tag byte per slot and 8 B per
+    /// element beyond the constants and the bank routes.
+    #[test]
+    fn stages_and_the_sealed_schedule_share_one_lowering() {
+        let plan = crate::SmacheBuilder::new(GridSpec::d2(11, 11).unwrap())
+            .plan()
+            .unwrap();
+        let config = PipelineConfig {
+            depth: 3,
+            ..PipelineConfig::default()
+        };
+        let mut sys = SmacheSystem::new(plan, Box::new(AverageKernel), config).unwrap();
+        let rows = Arc::clone(sys.source_rows());
+        assert_eq!(sys.stages.len(), 3);
+        for stage in &sys.stages {
+            assert!(Arc::ptr_eq(stage.rows(), &rows));
+        }
+        let input: Vec<Word> = (0..121).collect();
+        let (_, schedule) = sys.run_captured(&input, 2).unwrap();
+        assert!(Arc::ptr_eq(schedule.gather(), rows.gather()));
+        let (n, slots) = (121, 121 * 4);
+        let statics = sys.plan().static_buffers.len();
+        assert!(rows.approx_bytes() <= slots * 4 + slots + n * 8 + 8 + statics * 32);
     }
 
     fn golden_for(h: usize, w: usize, input: &[Word], instances: u64) -> Vec<Word> {

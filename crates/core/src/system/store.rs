@@ -18,7 +18,7 @@
 //!    slots, grid-index bounds, trace totals vs template stats) and lowers
 //!    the table to fixed-arity rows before handing a schedule out.
 //! 2. **Corruption is a typed miss, never a wrong answer.** Every entry
-//!    carries a [`fingerprint128`] checksum over all of its other bytes;
+//!    carries a [`fingerprint128`](smache_sim::hash::fingerprint128) checksum over all of its other bytes;
 //!    any single bit flip, truncation or version skew surfaces as a
 //!    [`StoreError`] and the caller recaptures. There is no code path
 //!    from a damaged file to a silently divergent replay.
@@ -67,7 +67,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-use smache_sim::hash::fingerprint128;
+use smache_sim::hash::fingerprint128_split;
 use smache_sim::{ControlTrace, CycleRecord, GatherTable, Json, SlotSource};
 
 use crate::system::replay::ControlSchedule;
@@ -88,6 +88,8 @@ const PACK_MAGIC: &[u8; 8] = b"SMSCPACK";
 const HEADER_LEN: usize = 56;
 /// Offset of the checksum field — the only bytes the checksum excludes.
 const CHECKSUM_OFFSET: usize = 40;
+/// Bytes of one slot source in an entry: a tag byte and a `u64` value.
+const SOURCE_BYTES: usize = 9;
 
 /// Why a store operation failed. Every way an entry can be damaged —
 /// foreign file, future format, truncation, bit flip, structural rot —
@@ -605,26 +607,53 @@ fn parse_entry_name(name: &str) -> Option<(u64, u64)> {
 
 /// Encodes one schedule as a self-contained, checksummed entry.
 pub fn encode_entry(key: (u64, u64), schedule: &ControlSchedule) -> Vec<u8> {
-    let mut payload = Vec::new();
-    let sched_key = schedule.key();
-    payload.extend_from_slice(&sched_key.0.to_le_bytes());
-    payload.extend_from_slice(&sched_key.1.to_le_bytes());
     let name = schedule.kernel_name().as_bytes();
-    payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    payload.extend_from_slice(name);
-    payload.extend_from_slice(&schedule.kernel_latency().to_le_bytes());
-    payload.extend_from_slice(&(schedule.len() as u64).to_le_bytes());
-    payload.extend_from_slice(&schedule.instances().to_le_bytes());
+    let gather = schedule.gather();
+    let (n, arity) = (gather.len(), gather.arity());
+    let records = schedule.trace().records();
+    let template = schedule.template().to_json().compact();
+    // The entry is written once, into a buffer of its exact size: the
+    // header (checksum patched in last), then the payload.
+    let payload_len = 16
+        + 4
+        + name.len()
+        + 3 * 8
+        + 8
+        + (n + 1) * 4
+        + 8
+        + n * arity * SOURCE_BYTES
+        + 8
+        + n * 8
+        + 8
+        + records.len()
+        + 8
+        + template.len();
+    let mut entry = Vec::with_capacity(HEADER_LEN + payload_len);
+    entry.extend_from_slice(ENTRY_MAGIC);
+    entry.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
+    entry.extend_from_slice(&0u32.to_le_bytes()); // reserved
+    entry.extend_from_slice(&key.0.to_le_bytes());
+    entry.extend_from_slice(&key.1.to_le_bytes());
+    entry.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    debug_assert_eq!(entry.len(), CHECKSUM_OFFSET);
+    entry.resize(HEADER_LEN, 0);
+
+    let sched_key = schedule.key();
+    entry.extend_from_slice(&sched_key.0.to_le_bytes());
+    entry.extend_from_slice(&sched_key.1.to_le_bytes());
+    entry.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    entry.extend_from_slice(name);
+    entry.extend_from_slice(&schedule.kernel_latency().to_le_bytes());
+    entry.extend_from_slice(&(schedule.len() as u64).to_le_bytes());
+    entry.extend_from_slice(&schedule.instances().to_le_bytes());
 
     // The gather table goes to disk in the v1 CSR layout: row starts, the
     // un-lowered slot sources, then the masks.
-    let gather = schedule.gather();
-    let (n, arity) = (gather.len(), gather.arity());
-    payload.extend_from_slice(&(n as u64 + 1).to_le_bytes());
+    entry.extend_from_slice(&(n as u64 + 1).to_le_bytes());
     for e in 0..=n {
-        payload.extend_from_slice(&((e * arity) as u32).to_le_bytes());
+        entry.extend_from_slice(&((e * arity) as u32).to_le_bytes());
     }
-    payload.extend_from_slice(&((n * arity) as u64).to_le_bytes());
+    entry.extend_from_slice(&((n * arity) as u64).to_le_bytes());
     for e in 0..n {
         for s in gather.slots(e) {
             let (tag, value): (u8, u64) = match s {
@@ -632,38 +661,25 @@ pub fn encode_entry(key: (u64, u64), schedule: &ControlSchedule) -> Vec<u8> {
                 SlotSource::Const(v) => (1, v),
                 SlotSource::Hole => (2, 0),
             };
-            payload.push(tag);
-            payload.extend_from_slice(&value.to_le_bytes());
+            entry.push(tag);
+            entry.extend_from_slice(&value.to_le_bytes());
         }
     }
-    payload.extend_from_slice(&(n as u64).to_le_bytes());
+    entry.extend_from_slice(&(n as u64).to_le_bytes());
     for e in 0..n {
-        payload.extend_from_slice(&gather.row(e).1.to_le_bytes());
+        entry.extend_from_slice(&gather.row(e).1.to_le_bytes());
     }
 
-    let records = schedule.trace().records();
-    payload.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    for r in records {
-        payload.push(r.0);
-    }
+    entry.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    entry.extend(records.iter().map(|r| r.0));
 
-    let template = schedule.template().to_json().compact();
-    payload.extend_from_slice(&(template.len() as u64).to_le_bytes());
-    payload.extend_from_slice(template.as_bytes());
+    entry.extend_from_slice(&(template.len() as u64).to_le_bytes());
+    entry.extend_from_slice(template.as_bytes());
+    debug_assert_eq!(entry.len(), HEADER_LEN + payload_len);
 
-    let mut entry = Vec::with_capacity(HEADER_LEN + payload.len());
-    entry.extend_from_slice(ENTRY_MAGIC);
-    entry.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-    entry.extend_from_slice(&0u32.to_le_bytes()); // reserved
-    entry.extend_from_slice(&key.0.to_le_bytes());
-    entry.extend_from_slice(&key.1.to_le_bytes());
-    entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    debug_assert_eq!(entry.len(), CHECKSUM_OFFSET);
-    let checksum = entry_checksum(&entry, &payload);
-    entry.extend_from_slice(&checksum.0.to_le_bytes());
-    entry.extend_from_slice(&checksum.1.to_le_bytes());
-    debug_assert_eq!(entry.len(), HEADER_LEN);
-    entry.extend_from_slice(&payload);
+    let checksum = entry_checksum(&entry, &entry[HEADER_LEN..]);
+    entry[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.0.to_le_bytes());
+    entry[CHECKSUM_OFFSET + 8..HEADER_LEN].copy_from_slice(&checksum.1.to_le_bytes());
     entry
 }
 
@@ -671,10 +687,7 @@ pub fn encode_entry(key: (u64, u64), schedule: &ControlSchedule) -> Vec<u8> {
 /// the pre-checksum header (magic, version, key, length) concatenated
 /// with the payload.
 fn entry_checksum(header_prefix: &[u8], payload: &[u8]) -> (u64, u64) {
-    let mut covered = Vec::with_capacity(CHECKSUM_OFFSET + payload.len());
-    covered.extend_from_slice(&header_prefix[..CHECKSUM_OFFSET]);
-    covered.extend_from_slice(payload);
-    fingerprint128(&covered)
+    fingerprint128_split(&header_prefix[..CHECKSUM_OFFSET], payload)
 }
 
 /// Decodes and fully validates one entry, returning the storage key from
@@ -748,20 +761,10 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
     for _ in 0..starts_len {
         starts.push(cur.read_u32()?);
     }
+    // Slot sources are 9 bytes each (a tag and a value); they are lowered
+    // once the row structure around them has been validated.
     let sources_len = cur.read_u64()? as usize;
-    let mut sources = Vec::with_capacity(sources_len.min(payload.len()));
-    for _ in 0..sources_len {
-        let tag = cur.read_u8()?;
-        let value = cur.read_u64()?;
-        sources.push(match tag {
-            0 => SlotSource::Grid(
-                u32::try_from(value).map_err(|_| malformed("grid index exceeds u32 range"))?,
-            ),
-            1 => SlotSource::Const(value),
-            2 => SlotSource::Hole,
-            t => return Err(malformed(format!("unknown slot-source tag {t}"))),
-        });
-    }
+    let source_bytes = cur.take(sources_len.saturating_mul(SOURCE_BYTES))?;
     let masks_len = cur.read_u64()? as usize;
     let mut masks = Vec::with_capacity(masks_len.min(payload.len()));
     for _ in 0..masks_len {
@@ -802,7 +805,7 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
     if starts.windows(2).any(|w| w[0] > w[1]) {
         return Err(malformed("CSR starts must be monotonic"));
     }
-    if starts.last().copied() != Some(sources.len() as u32) {
+    if starts.last().copied() != Some(sources_len as u32) {
         return Err(malformed("CSR sentinel does not cover the source table"));
     }
     // Replay reads fixed-arity rows: every element must have as many
@@ -817,7 +820,21 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
             starts[e + 1] - starts[e]
         )));
     }
-    let gather = GatherTable::lower(arity, &sources, masks).map_err(malformed)?;
+    let mut rows = GatherTable::builder(n, arity).map_err(malformed)?;
+    rows.reserve(sources_len);
+    for source in source_bytes.chunks_exact(SOURCE_BYTES) {
+        let value = u64::from_le_bytes(source[1..].try_into().expect("8 value bytes"));
+        rows.push(match source[0] {
+            0 => SlotSource::Grid(
+                u32::try_from(value).map_err(|_| malformed("grid index exceeds u32 range"))?,
+            ),
+            1 => SlotSource::Const(value),
+            2 => SlotSource::Hole,
+            t => return Err(malformed(format!("unknown slot-source tag {t}"))),
+        })
+        .map_err(malformed)?;
+    }
+    let gather = Arc::new(rows.finish(masks).map_err(malformed)?);
     if !template.output.is_empty() {
         return Err(malformed("report template must carry no output"));
     }
@@ -873,10 +890,6 @@ impl<'a> Cursor<'a> {
         let slice = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(slice)
-    }
-
-    fn read_u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
     }
 
     fn read_u32(&mut self) -> Result<u32, StoreError> {

@@ -92,6 +92,48 @@ impl DramStats {
     }
 }
 
+/// Most words one wide command moves: the widest bus a [`Dram`] takes.
+pub const MAX_BEAT_WORDS: usize = 16;
+
+/// The up to [`MAX_BEAT_WORDS`] consecutive words one wide command moves,
+/// held inline so that holding, issuing and delivering a beat allocate
+/// nothing. Reads as a slice of its words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WideBeat {
+    words: [Word; MAX_BEAT_WORDS],
+    len: usize,
+}
+
+impl WideBeat {
+    /// A beat of `words`. Callers check the bus width first: more than
+    /// [`MAX_BEAT_WORDS`] words panic.
+    fn from_slice(words: &[Word]) -> WideBeat {
+        let mut beat = WideBeat {
+            words: [0; MAX_BEAT_WORDS],
+            len: words.len(),
+        };
+        beat.words[..words.len()].copy_from_slice(words);
+        beat
+    }
+}
+
+impl std::ops::Deref for WideBeat {
+    type Target = [Word];
+
+    fn deref(&self) -> &[Word] {
+        &self.words[..self.len]
+    }
+}
+
+impl IntoIterator for WideBeat {
+    type Item = Word;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Word, MAX_BEAT_WORDS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.words.into_iter().take(self.len)
+    }
+}
+
 /// Report of what the DRAM did during one clock tick.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramTick {
@@ -103,7 +145,7 @@ pub struct DramTick {
     pub response: Option<(usize, Word)>,
     /// A wide read response (base address, words) delivered this cycle, if
     /// any (only produced for commands issued via `hold_read_wide`).
-    pub wide_response: Option<(usize, Vec<Word>)>,
+    pub wide_response: Option<(usize, WideBeat)>,
 }
 
 /// The DRAM device plus its controller front-end.
@@ -122,11 +164,11 @@ pub struct Dram {
     /// In-flight read responses: (deliver_at_cycle, addr, data).
     inflight: VecDeque<(u64, usize, Word)>,
     /// In-flight wide responses: (deliver_at_cycle, base addr, words).
-    inflight_wide: VecDeque<(u64, usize, Vec<Word>)>,
+    inflight_wide: VecDeque<(u64, usize, WideBeat)>,
     staged_read: Option<usize>,
     staged_read_wide: Option<usize>,
     staged_write: Option<(usize, Word)>,
-    staged_write_wide: Option<(usize, Vec<Word>)>,
+    staged_write_wide: Option<(usize, WideBeat)>,
     cycle: u64,
     stats: DramStats,
 }
@@ -141,6 +183,12 @@ impl Dram {
             return Err(SimError::Config(
                 "dram: banks and row_words must be positive".into(),
             ));
+        }
+        if config.bus_words > MAX_BEAT_WORDS {
+            return Err(SimError::Config(format!(
+                "dram: a {}-word bus exceeds the {MAX_BEAT_WORDS}-word beat",
+                config.bus_words
+            )));
         }
         Ok(Dram {
             storage: vec![0; words],
@@ -329,7 +377,7 @@ impl Dram {
             });
         }
         self.staged_write = None;
-        self.staged_write_wide = Some((addr, words.to_vec()));
+        self.staged_write_wide = Some((addr, WideBeat::from_slice(words)));
         Ok(())
     }
 
@@ -394,7 +442,7 @@ impl Dram {
                     self.inflight_wide.push_back((
                         due,
                         addr,
-                        self.storage[addr..addr + width].to_vec(),
+                        WideBeat::from_slice(&self.storage[addr..addr + width]),
                     ));
                     self.staged_read_wide = None;
                 } else {
@@ -422,16 +470,15 @@ impl Dram {
                 self.staged_write = None;
                 report.write_accepted = Some(addr);
             }
-        } else if let Some((addr, words)) = self.staged_write_wide.take() {
+        } else if let Some((addr, words)) = self.staged_write_wide {
             if self.cycle >= self.write_busy_until {
                 let width = words.len();
                 self.storage[addr..addr + width].copy_from_slice(&words);
                 self.write_busy_until = self.cycle + 1;
                 self.stats.writes += 1;
                 self.stats.bytes_written += self.config.word_bytes as u64 * width as u64;
+                self.staged_write_wide = None;
                 report.write_accepted = Some(addr);
-            } else {
-                self.staged_write_wide = Some((addr, words));
             }
         }
 
@@ -709,7 +756,7 @@ mod tests {
             }
         }
         assert_eq!(
-            words.unwrap(),
+            words.unwrap().to_vec(),
             vec![9, 10],
             "clamped to the remaining words"
         );

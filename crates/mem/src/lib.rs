@@ -45,7 +45,7 @@ pub mod shift;
 
 pub use bram::Bram;
 pub use double_buffer::{DoubleBuffer, MemKind};
-pub use dram::{Dram, DramConfig, DramStats};
+pub use dram::{Dram, DramConfig, DramStats, WideBeat, MAX_BEAT_WORDS};
 pub use fault::{
     ChaosProfile, ChaosRng, FaultCounters, FaultEvent, FaultKind, FaultPlan, FaultyDram,
     FaultyFifo, StormGen, DRAM_COMPONENT, FIFO_COMPONENT,

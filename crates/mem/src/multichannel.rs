@@ -675,7 +675,10 @@ mod tests {
         m.preload(0, &(0..16).collect::<Vec<Word>>()).unwrap();
         m.hold_read_beat(4).unwrap();
         let beat = (0..16).find_map(|_| m.tick().wide_response);
-        assert_eq!(beat, Some((4, vec![4, 5, 6, 7])));
+        assert_eq!(
+            beat.map(|(a, w)| (a, w.to_vec())),
+            Some((4, vec![4, 5, 6, 7]))
+        );
         m.hold_write_beat(8, &[9, 8, 7]).unwrap();
         assert_eq!(m.tick().write_accepted, Some(8));
         assert_eq!(m.dump(8, 4).unwrap(), vec![9, 8, 7, 11]);

@@ -20,7 +20,11 @@
 /// The offset basis and prime are the standard Fowler–Noll–Vo constants,
 /// so values can be cross-checked against any independent implementation.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a state `h` over `bytes`.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -56,9 +60,21 @@ pub fn stream_seed(seed: u64, name: &str) -> u64 {
 /// accidental collisions in a content-addressed cache implausible
 /// (birthday bound ~2^64 entries) without pulling in a crypto hash.
 pub fn fingerprint128(bytes: &[u8]) -> (u64, u64) {
-    let h1 = fnv1a(bytes);
-    let mut h2 = splitmix64(h1 ^ bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
+    fingerprint128_split(&[], bytes)
+}
+
+/// [`fingerprint128`] of `head` followed by `tail`, without copying them
+/// into one buffer. `head` must be a whole number of 8-byte words, so
+/// lane two's words never straddle the seam.
+pub fn fingerprint128_split(head: &[u8], tail: &[u8]) -> (u64, u64) {
+    assert!(
+        head.len().is_multiple_of(8),
+        "fingerprint head of {} bytes",
+        head.len()
+    );
+    let h1 = fnv1a_from(fnv1a(head), tail);
+    let mut h2 = splitmix64(h1 ^ (head.len() + tail.len()) as u64);
+    for chunk in head.chunks(8).chain(tail.chunks(8)) {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
         h2 = splitmix64(h2 ^ u64::from_le_bytes(word));
@@ -86,6 +102,19 @@ mod tests {
         assert_eq!(stream_seed(7, "mem.dram"), 7 ^ fnv1a(b"mem.dram"));
         assert_eq!(stream_seed(7, "mem.dram"), 0x12f5_7058_8239_7673);
         assert_eq!(stream_seed(7, "axi.stream"), 0x9018_cac3_ca07_cefc);
+    }
+
+    #[test]
+    fn split_fingerprint_equals_the_joined_one() {
+        let bytes: Vec<u8> = (0..203u32).map(|i| (i * 37 + 11) as u8).collect();
+        for cut in (0..=200).step_by(8) {
+            assert_eq!(
+                fingerprint128_split(&bytes[..cut], &bytes[cut..]),
+                fingerprint128(&bytes),
+                "cut at {cut}"
+            );
+        }
+        assert_eq!(fingerprint128_split(&[], &[]), fingerprint128(&[]));
     }
 
     #[test]

@@ -104,8 +104,8 @@ pub use json::{Json, JsonError};
 pub use module::{Module, Sensitivity};
 pub use parallel::{run_batch, run_scatter};
 pub use replay::{
-    ControlTrace, CycleRecord, GatherTable, ReplayUnsupported, ScheduleCache, SlotSource,
-    TraceTotals,
+    ControlTrace, CycleRecord, GatherRows, GatherTable, ReplayUnsupported, ScheduleCache,
+    SlotSource, TraceTotals,
 };
 pub use resources::ResourceUsage;
 pub use sched::SchedStats;

@@ -63,10 +63,11 @@ pub enum SlotSource {
 /// distinct boundary constant, then a final zero row that boundary holes
 /// read. Element `e`'s slots are the `arity` row indices
 /// [`GatherTable::row`] returns, and its kernel mask keeps bit `p` set
-/// when slot `p` is present. The lowering happens when a schedule is
-/// sealed or loaded from the store, so a replay indexes and never matches
-/// on a [`SlotSource`]. [`GatherTable::source`] recovers the source a row
-/// index stands for.
+/// when slot `p` is present. The lowering happens once, slot by slot
+/// through [`GatherTable::builder`], when an engine is built or a schedule
+/// is loaded from the store, so a replay indexes and never matches on a
+/// [`SlotSource`]. [`GatherTable::source`] recovers the source a row index
+/// stands for.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GatherTable {
     arity: usize,
@@ -83,62 +84,22 @@ impl GatherTable {
     /// Most slots a row may have: kernel masks are `u64`.
     pub const MAX_ARITY: usize = 64;
 
-    /// Lowers a per-element gather pattern: element `e`'s slots are
-    /// `sources[e * arity..(e + 1) * arity]` and its kernel mask is
-    /// `masks[e]`, so `masks.len()` is the element count `n`.
-    ///
-    /// Fails, naming the fault, when `arity` exceeds
-    /// [`GatherTable::MAX_ARITY`], `sources` is not `n * arity` long, a
-    /// grid index escapes the grid, or the extended grid outgrows `u32`
-    /// row indices.
-    pub fn lower(
-        arity: usize,
-        sources: &[SlotSource],
-        masks: Vec<u64>,
-    ) -> Result<GatherTable, String> {
-        let n = masks.len();
+    /// Starts lowering the gather pattern of `n` elements with `arity`
+    /// slots each: push every slot in element-major order with
+    /// [`GatherRows::push`], then seal the rows with
+    /// [`GatherRows::finish`]. Fails when `arity` exceeds
+    /// [`GatherTable::MAX_ARITY`].
+    pub fn builder(n: usize, arity: usize) -> Result<GatherRows, String> {
         if arity > Self::MAX_ARITY {
             return Err(format!("gather arity {arity} exceeds {}", Self::MAX_ARITY));
         }
-        if Some(sources.len()) != n.checked_mul(arity) {
-            return Err(format!(
-                "{} slot sources do not form {n} rows of {arity}",
-                sources.len()
-            ));
-        }
-        let mut consts: Vec<Word> = Vec::new();
-        let mut const_rows: BTreeMap<Word, usize> = BTreeMap::new();
-        for s in sources {
-            if let SlotSource::Const(v) = *s {
-                const_rows.entry(v).or_insert_with(|| {
-                    consts.push(v);
-                    n + consts.len() - 1
-                });
-            }
-        }
-        let hole = n + consts.len();
-        if hole > u32::MAX as usize {
-            return Err(format!(
-                "extended grid of {} rows exceeds u32 indices",
-                hole + 1
-            ));
-        }
-        let mut rows = Vec::with_capacity(sources.len());
-        for s in sources {
-            rows.push(match *s {
-                SlotSource::Grid(i) if (i as usize) < n => i,
-                SlotSource::Grid(i) => {
-                    return Err(format!("grid index {i} escapes the {n}-element grid"))
-                }
-                SlotSource::Const(v) => const_rows[&v] as u32,
-                SlotSource::Hole => hole as u32,
-            });
-        }
-        Ok(GatherTable {
+        Ok(GatherRows {
+            n,
             arity,
-            rows,
-            masks,
-            consts,
+            rows: Vec::new(),
+            consts: Vec::new(),
+            const_rows: BTreeMap::new(),
+            holes: false,
         })
     }
 
@@ -195,7 +156,13 @@ impl GatherTable {
     /// The source slot `p` of element `e` reads, recovered from its row
     /// index.
     pub fn source(&self, e: usize, p: usize) -> SlotSource {
-        let r = self.rows[e * self.arity + p] as usize;
+        self.row_source(self.rows[e * self.arity + p])
+    }
+
+    /// The source extended-grid row `r` stands for.
+    #[inline]
+    pub fn row_source(&self, r: u32) -> SlotSource {
+        let r = r as usize;
         match r.checked_sub(self.len()) {
             None => SlotSource::Grid(r as u32),
             Some(c) if c < self.consts.len() => SlotSource::Const(self.consts[c]),
@@ -211,6 +178,109 @@ impl GatherTable {
     /// Approximate heap footprint in bytes (cache accounting).
     pub fn approx_bytes(&self) -> usize {
         self.rows.len() * 4 + self.masks.len() * 8 + self.consts.len() * 8
+    }
+}
+
+/// A [`GatherTable`] being lowered one slot at a time, element-major.
+///
+/// A slot is written straight into its `u32` row: a grid cell is its own
+/// index, a boundary constant gets its row on first use, and a hole is
+/// pointed at the zero row once the constant count (and so the hole
+/// row's index) is known.
+#[derive(Debug)]
+pub struct GatherRows {
+    n: usize,
+    arity: usize,
+    rows: Vec<u32>,
+    consts: Vec<Word>,
+    const_rows: BTreeMap<Word, u32>,
+    /// Some slot is a hole, written as [`GatherRows::HOLE`] until
+    /// [`GatherRows::finish`].
+    holes: bool,
+}
+
+impl GatherRows {
+    /// Placeholder row of a hole before the hole row is known. No grid or
+    /// constant row can take it: both lie below the hole row, which must
+    /// itself fit a `u32`.
+    const HOLE: u32 = u32::MAX;
+
+    /// Reserves room for `slots` more slots.
+    pub fn reserve(&mut self, slots: usize) {
+        self.rows.reserve(slots);
+    }
+
+    /// Lowers the next slot. Fails, naming the fault, when a grid index
+    /// escapes the grid or a constant row outgrows `u32` indices.
+    pub fn push(&mut self, source: SlotSource) -> Result<(), String> {
+        let row = match source {
+            SlotSource::Grid(i) if (i as usize) < self.n => i,
+            SlotSource::Grid(i) => {
+                return Err(format!(
+                    "grid index {i} escapes the {}-element grid",
+                    self.n
+                ))
+            }
+            SlotSource::Const(v) => match self.const_rows.get(&v) {
+                Some(&row) => row,
+                None => {
+                    let row = u32::try_from(self.n + self.consts.len())
+                        .ok()
+                        .filter(|&r| r != Self::HOLE)
+                        .ok_or_else(|| {
+                            format!(
+                                "constant row {} exceeds u32 indices",
+                                self.n + self.consts.len()
+                            )
+                        })?;
+                    self.consts.push(v);
+                    self.const_rows.insert(v, row);
+                    row
+                }
+            },
+            SlotSource::Hole => {
+                self.holes = true;
+                Self::HOLE
+            }
+        };
+        self.rows.push(row);
+        Ok(())
+    }
+
+    /// Seals the rows with their kernel masks, one per element. Fails
+    /// when the pushed slots do not form `n` rows of `arity`, `masks` does
+    /// not cover `n` elements, or the extended grid outgrows `u32` row
+    /// indices.
+    pub fn finish(mut self, masks: Vec<u64>) -> Result<GatherTable, String> {
+        let n = self.n;
+        if masks.len() != n {
+            return Err(format!("{} masks for {n} elements", masks.len()));
+        }
+        if Some(self.rows.len()) != n.checked_mul(self.arity) {
+            return Err(format!(
+                "{} slot sources do not form {n} rows of {}",
+                self.rows.len(),
+                self.arity
+            ));
+        }
+        let hole = n + self.consts.len();
+        if hole > u32::MAX as usize {
+            return Err(format!(
+                "extended grid of {} rows exceeds u32 indices",
+                hole + 1
+            ));
+        }
+        if self.holes {
+            for r in self.rows.iter_mut().filter(|r| **r == Self::HOLE) {
+                *r = hole as u32;
+            }
+        }
+        Ok(GatherTable {
+            arity: self.arity,
+            rows: self.rows,
+            masks,
+            consts: self.consts,
+        })
     }
 }
 
@@ -290,6 +360,11 @@ impl ControlTrace {
     #[inline]
     pub fn record(&mut self, record: CycleRecord) {
         self.records.push(record);
+    }
+
+    /// Releases the record buffer's spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
     }
 
     /// Number of recorded cycles.
@@ -605,6 +680,16 @@ mod tests {
         assert_eq!(totals.stall_cycles, 1);
     }
 
+    /// Lowers `sources` (element-major, `arity` per element) through the
+    /// builder; `masks.len()` is the element count.
+    fn lower(arity: usize, sources: &[SlotSource], masks: Vec<u64>) -> Result<GatherTable, String> {
+        let mut rows = GatherTable::builder(masks.len(), arity)?;
+        for &s in sources {
+            rows.push(s)?;
+        }
+        rows.finish(masks)
+    }
+
     #[test]
     fn gather_table_lowers_to_fixed_arity_rows() {
         let sources = [
@@ -615,7 +700,7 @@ mod tests {
             SlotSource::Const(9),
             SlotSource::Grid(0),
         ];
-        let table = GatherTable::lower(2, &sources, vec![0b01, 0b11, 0b11]).expect("lower");
+        let table = lower(2, &sources, vec![0b01, 0b11, 0b11]).expect("lower");
         assert_eq!(table.len(), 3);
         assert_eq!(table.arity(), 2);
         // Extended grid: 3 cells, constants 9 and 0, then the hole row.
@@ -638,12 +723,12 @@ mod tests {
     #[test]
     fn gather_table_refuses_unlowerable_patterns() {
         let grid = |n: usize| vec![SlotSource::Grid(0); n];
-        assert!(GatherTable::lower(65, &grid(65), vec![0]).is_err());
-        assert!(GatherTable::lower(64, &grid(64), vec![0]).is_ok());
-        assert!(GatherTable::lower(2, &grid(3), vec![0, 0]).is_err());
+        assert!(lower(65, &grid(65), vec![0]).is_err());
+        assert!(lower(64, &grid(64), vec![0]).is_ok());
+        assert!(lower(2, &grid(3), vec![0, 0]).is_err());
         let escapes = [SlotSource::Grid(1)];
-        assert!(GatherTable::lower(1, &escapes, vec![1]).is_err());
-        let empty = GatherTable::lower(0, &[], Vec::new()).expect("empty");
+        assert!(lower(1, &escapes, vec![1]).is_err());
+        let empty = lower(0, &[], Vec::new()).expect("empty");
         assert!(empty.is_empty());
         assert_eq!(empty.extended_len(), 1);
     }

@@ -67,6 +67,24 @@ rm -f "$temporal_json"
 grep -q '"artefact": "temporal_sweep"' BENCH_temporal.json || {
   echo "committed BENCH_temporal.json is missing or malformed"; exit 1; }
 
+echo "== capture smoke (lowered source rows: replay matches full sim at 1 and 2 lanes) =="
+for lanes in 1 2; do
+  capture_args="simulate --grid 64x64 --shape nine --rows mirror --instances 3 --seed 7 --lanes $lanes"
+  capture_out=$(cargo run -p smache-cli --release -- $capture_args --replay on --verify)
+  echo "$capture_out" | grep -q 'engine=replay' || {
+    echo "--replay on did not replay at $lanes lane(s)"; exit 1; }
+  echo "$capture_out" | grep -q 'verified against golden' || {
+    echo "capture at $lanes lane(s) failed golden verification"; exit 1; }
+  capture_fp=$(echo "$capture_out" | grep -o 'fp=[0-9a-f]*' | head -n1)
+  capture_full_fp=$(cargo run -p smache-cli --release -- $capture_args --replay off \
+    | grep -o 'fp=[0-9a-f]*' | head -n1)
+  [ -n "$capture_fp" ] && [ "$capture_fp" = "$capture_full_fp" ] || {
+    echo "replay at $lanes lane(s) diverged from full sim: $capture_fp vs $capture_full_fp"; exit 1; }
+done
+predict_one=$(cargo run -p smache-cli --release -- predict --lanes 1 | grep 'smache:')
+predict_four=$(cargo run -p smache-cli --release -- predict --lanes 4 | grep 'smache:')
+[ "$predict_one" != "$predict_four" ] || { echo "predict ignores --lanes"; exit 1; }
+
 echo "== cli smoke =="
 cargo run -p smache-cli --release -- plan >/dev/null
 cargo run -p smache-cli --release -- cost --grid 64x64 >/dev/null

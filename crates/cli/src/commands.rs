@@ -10,7 +10,7 @@ use smache::cost::{CostEstimate, CycleModel, FreqModel, SynthesisModel};
 use smache::functional::golden::golden_run;
 use smache::spec::seeded_input;
 use smache::system::{CaptureOutcome, DesignMetrics, ReplayMode, RunReport, SystemConfig};
-use smache::SmacheSystem;
+use smache::{PipelineConfig, SmacheSystem};
 use smache_baseline::{BaselineConfig, BaselineSystem};
 use smache_codegen::{lint_verilog, VerilogGen};
 
@@ -359,16 +359,18 @@ fn cmd_predict(args: &Args) -> Result<String, CliError> {
     let spec = spec_from_args(args)?;
     let instances: u64 = args.get_num("instances", 100)?;
     let lanes: usize = args.get_num("lanes", 1)?;
-    if !(1..=smache_mem::MAX_BEAT_WORDS).contains(&lanes) {
-        return Err(ArgError::BadValue {
-            key: "lanes".into(),
-            value: lanes.to_string(),
-            expected: format!("1..={}", smache_mem::MAX_BEAT_WORDS),
-        }
-        .into());
-    }
+    single_step_only(args, &spec, &[("lanes", lanes > 1)])?;
     let plan = spec.builder().plan()?;
-    let dram = smache_mem::DramConfig::default();
+    // Predict only the geometries `simulate` builds, refusing the others
+    // with the engine's own error.
+    let mut config = PipelineConfig {
+        depth: spec.timesteps as usize,
+        channels: spec.channels,
+        ..PipelineConfig::default()
+    };
+    config.system.dram.bus_words = lanes;
+    SmacheSystem::check_lanes(&plan, &config)?;
+    let dram = config.system.dram;
     let kernel = smache::arch::kernel::AverageKernel;
 
     let sm = if lanes == 1 {
@@ -406,6 +408,30 @@ fn cmd_predict(args: &Args) -> Result<String, CliError> {
         bl.exec_us() / sm.exec_us()
     );
     Ok(out)
+}
+
+/// Refuses, for a pipelined spec, each flag whose `unsupported` is set:
+/// pipelined `--timesteps`/`--channels` runs are the temporal pipeline
+/// only.
+fn single_step_only(
+    args: &Args,
+    spec: &ProblemSpec,
+    flags: &[(&str, bool)],
+) -> Result<(), CliError> {
+    if !spec.pipelined() {
+        return Ok(());
+    }
+    match flags.iter().find(|(_, unsupported)| *unsupported) {
+        Some((key, _)) => Err(ArgError::BadValue {
+            key: (*key).into(),
+            value: args.get_or(key, "").into(),
+            expected: "a single-step spec (pipelined --timesteps/--channels runs \
+                       the Smache temporal pipeline only)"
+                .into(),
+        }
+        .into()),
+        None => Ok(()),
+    }
 }
 
 /// Parses `--chaos-seed`/`--chaos-profile` into a [`smache_mem::FaultPlan`].
@@ -677,24 +703,15 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         ..SystemConfig::default()
     };
     config.dram.bus_words = args.get_num("lanes", 1)?;
-    if spec.pipelined() {
-        for (key, unsupported) in [
+    single_step_only(
+        args,
+        &spec,
+        &[
             ("batch", batch > 0),
             ("lanes", config.dram.bus_words > 1),
             ("design", design != "smache"),
-        ] {
-            if unsupported {
-                return Err(ArgError::BadValue {
-                    key: key.into(),
-                    value: args.get_or(key, "").into(),
-                    expected: "a single-step spec (pipelined --timesteps/--channels runs \
-                               the Smache temporal pipeline only)"
-                        .into(),
-                }
-                .into());
-            }
-        }
-    }
+        ],
+    )?;
     let trace_fmt: Option<&str> = match args.get("trace") {
         Some(_) => Some(trace_format(args, "vcd")?),
         None => None,
@@ -1121,9 +1138,20 @@ mod tests {
             one > 3 * predicted,
             "one lane {one} vs four lanes {predicted}"
         );
-        for bad in ["0", "17"] {
-            let err = run_str(&format!("predict --lanes {bad}")).unwrap_err();
-            assert!(err.to_string().starts_with("--lanes"), "{err}");
+    }
+
+    #[test]
+    fn predict_refuses_the_lanes_simulate_refuses() {
+        for line in [
+            "--lanes 0",
+            "--lanes 17",
+            // The paper case keeps static buffers: two BRAM ports, two lanes.
+            "--grid 32x32 --instances 4 --lanes 4",
+            "--grid 8x8 --timesteps 2 --instances 4 --lanes 2",
+        ] {
+            let predicted = run_str(&format!("predict {line}")).unwrap_err();
+            let simulated = run_str(&format!("simulate {line}")).unwrap_err();
+            assert_eq!(predicted.to_string(), simulated.to_string(), "{line}");
         }
     }
 

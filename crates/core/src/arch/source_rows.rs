@@ -3,8 +3,8 @@
 //! [`BufferPlan::sources_for`] answers "where does shape point `p` of
 //! element `e` come from?" by rebuilding the element's coordinates,
 //! resolving its boundaries and scanning the static buffers. The answer is
-//! a static function of the plan (the paper's premise), so an engine
-//! lowers it once, walking the elements in stream order, into
+//! a static function of the plan (the paper's premise), so an engine asks
+//! it once per element, in stream order, and lowers the answers into
 //! [`SourceRows`]:
 //!
 //! * the [`GatherTable`]'s `u32` rows — per slot a grid index, a constant
@@ -14,8 +14,8 @@
 //!   a stream tap, or a static bank and BRAM port.
 //!
 //! Every stage's controller and the sealed schedule share one lowering
-//! through an [`Arc`]. `sources_for` stays the reference oracle:
-//! [`SourceRows::source`] decodes a slot back into its [`SourceRef`].
+//! through an [`Arc`]. [`SourceRows::source`] decodes a slot back into
+//! the [`SourceRef`] `sources_for` gave it.
 //!
 //! Every architectural source of element `e` resolves to a
 //! current-instance grid index `g`: a tap serves stream offset `g − e` at
@@ -25,7 +25,6 @@
 use std::sync::Arc;
 
 use smache_sim::{GatherTable, SlotSource};
-use smache_stencil::AxisOutcome;
 
 use crate::config::{BufferPlan, SourceRef};
 use crate::error::CoreError;
@@ -67,119 +66,49 @@ pub struct SourceRows {
 }
 
 impl SourceRows {
-    /// Lowers `plan`'s sources for every element. Decoding a slot yields
-    /// exactly what [`BufferPlan::sources_for`] returns for it, and fails
-    /// where it fails.
+    /// Lowers `plan`'s sources for every element through
+    /// [`BufferPlan::sources_for`], so decoding a slot yields exactly what
+    /// it returns, and lowering fails where it fails.
     pub fn lower(plan: &BufferPlan) -> CoreResult<SourceRows> {
-        let dims = plan.grid.dims();
-        let offsets = plan.shape.offsets();
-        if plan.bounds.ndim() != dims.len() || offsets.iter().any(|o| o.len() != dims.len()) {
-            return Err(CoreError::Config(format!(
-                "gather: a {}-axis grid needs {0}-axis boundaries and offsets",
-                dims.len()
-            )));
-        }
-        let (n, arity) = (plan.grid.len(), offsets.len());
+        let (n, arity) = (plan.grid.len(), plan.shape.offsets().len());
         let gather_err = |e: String| CoreError::Config(format!("gather: {e}"));
+        let grid = |g: usize| {
+            u32::try_from(g)
+                .map(SlotSource::Grid)
+                .map_err(|_| gather_err(format!("grid index {g} exceeds u32")))
+        };
         let mut rows = GatherTable::builder(n, arity).map_err(gather_err)?;
         rows.reserve(n * arity);
         let mut tags = Vec::with_capacity(n * arity);
         let mut masks = Vec::with_capacity(n);
-        let decisions = &plan.decisions[..];
-        let mut cursor = 0;
-        let mut coords = vec![0usize; dims.len()];
-        // Banks this element reads, in slot order (a bank's second read
-        // takes port 1).
-        let mut read_banks = Vec::with_capacity(arity);
+        let mut sources = Vec::with_capacity(arity);
         for e in 0..n {
-            let covers = |i: usize| {
-                decisions
-                    .get(i)
-                    .is_some_and(|d| e >= d.range.start && e < d.range.end())
-            };
-            if !covers(cursor) {
-                cursor = if covers(cursor + 1) {
-                    cursor + 1
-                } else {
-                    (0..decisions.len()).find(|&i| covers(i)).ok_or_else(|| {
-                        CoreError::Config(format!("element {e} not covered by any range"))
-                    })?
-                };
-            }
-            let decision = &decisions[cursor];
-            read_banks.clear();
+            plan.sources_for(e, &mut sources)?;
             let mut mask = 0u64;
-            for (p, off) in offsets.iter().enumerate() {
-                // Resolve axis by axis as `access::resolve` does: a skip on
-                // any axis wins, else a constant on any axis.
-                let (mut lin, mut constant, mut skip) = (0usize, None, false);
-                for (axis, (&c, &d)) in coords.iter().zip(dims).enumerate() {
-                    match plan.bounds.resolve_axis(axis, c as isize + off[axis], d)? {
-                        AxisOutcome::Index(i) => lin = lin * d + i,
-                        AxisOutcome::Skip => {
-                            skip = true;
-                            break;
-                        }
-                        AxisOutcome::Constant(v) => {
-                            constant = Some(v);
-                            lin *= d;
-                        }
+            for (p, source) in sources.iter().enumerate() {
+                // Every architectural source resolves to the grid index it
+                // reads (see the module docs).
+                let (slot, tag) = match *source {
+                    None => (SlotSource::Hole, TAP),
+                    Some(SourceRef::Constant(v)) => (SlotSource::Const(v), TAP),
+                    Some(SourceRef::Tap { pos }) => (grid(e + plan.lookahead + 1 - pos)?, TAP),
+                    Some(SourceRef::Static { buffer, slot, port }) => {
+                        let bank = &plan.static_buffers[buffer];
+                        let g = if plan.statics_are_regions {
+                            bank.region_start + slot
+                        } else {
+                            (e as i64 + bank.offset) as usize
+                        };
+                        (grid(g)?, static_tag(buffer, port))
                     }
-                }
-                let (source, tag) = if skip {
-                    (SlotSource::Hole, TAP)
-                } else if let Some(v) = constant {
-                    (SlotSource::Const(v), TAP)
-                } else {
-                    let o = lin as i64 - e as i64;
-                    let tag = if decision.static_offsets.contains(&o) {
-                        let bank = plan
-                            .static_buffers
-                            .iter()
-                            .position(|b| {
-                                if plan.statics_are_regions {
-                                    b.contains_region(lin)
-                                } else {
-                                    b.offset == o && e >= b.range_start && e < b.range_start + b.len
-                                }
-                            })
-                            .ok_or_else(|| {
-                                CoreError::Config(format!(
-                                    "no static buffer for offset {o} serving element {e}"
-                                ))
-                            })?;
-                        let id = plan.static_buffers[bank].id;
-                        let port = read_banks.iter().filter(|&&b| b == id).count();
-                        if port >= 2 {
-                            return Err(CoreError::Config(format!(
-                                "element {e} needs more than two concurrent reads \
-                                 of static buffer {id}"
-                            )));
-                        }
-                        read_banks.push(id);
-                        static_tag(id, port)
-                    } else {
-                        TAP
-                    };
-                    let g = u32::try_from(lin)
-                        .map_err(|_| gather_err(format!("grid index {lin} exceeds u32")))?;
-                    (SlotSource::Grid(g), tag)
                 };
-                if source != SlotSource::Hole {
+                if source.is_some() {
                     mask |= 1 << p;
                 }
-                rows.push(source).map_err(gather_err)?;
+                rows.push(slot).map_err(gather_err)?;
                 tags.push(tag);
             }
             masks.push(mask);
-            // Next element's coordinates: a row-major odometer.
-            for (c, &d) in coords.iter_mut().zip(dims).rev() {
-                *c += 1;
-                if *c < d {
-                    break;
-                }
-                *c = 0;
-            }
         }
         let banks = plan
             .static_buffers

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use smache_mem::MemKind;
-use smache_stencil::{access, split_ranges, BoundarySpec, GridSpec, LinearAccess, StencilShape};
+use smache_stencil::{access, split_ranges, Access, BoundarySpec, GridSpec, StencilShape};
 
 use smache_stencil::RangeSpec;
 
@@ -567,11 +567,16 @@ impl BufferPlan {
             .sum()
     }
 
-    /// Finds the decision covering stream element `e`.
+    /// Finds the decision covering stream element `e`: a binary search
+    /// over the ranges, which an analysed plan lays out in stream order,
+    /// then a scan for a plan whose ranges are not in order.
     pub fn decision_for(&self, e: usize) -> CoreResult<&RangeDecision> {
+        let covers = |d: &&RangeDecision| e >= d.range.start && e < d.range.end();
+        let i = self.decisions.partition_point(|d| d.range.end() <= e);
         self.decisions
-            .iter()
-            .find(|d| e >= d.range.start && e < d.range.end())
+            .get(i)
+            .filter(covers)
+            .or_else(|| self.decisions.iter().find(covers))
             .ok_or_else(|| CoreError::Config(format!("element {e} not covered by any range")))
     }
 
@@ -581,15 +586,14 @@ impl BufferPlan {
     pub fn sources_for(&self, e: usize, out: &mut Vec<Option<SourceRef>>) -> CoreResult<()> {
         out.clear();
         let coords = self.grid.coords(e)?;
-        let accesses = access::linear_tuple(&self.grid, &self.bounds, &self.shape, &coords)?;
         let decision = self.decision_for(e)?;
-        for a in accesses {
-            match a {
-                LinearAccess::Skip => out.push(None),
-                LinearAccess::Constant(v) => out.push(Some(SourceRef::Constant(v))),
-                LinearAccess::Rel(o) => {
+        for off in self.shape.offsets() {
+            match access::resolve(&self.grid, &self.bounds, &coords, off)? {
+                Access::Skip => out.push(None),
+                Access::Constant(v) => out.push(Some(SourceRef::Constant(v))),
+                Access::Inside(target) => {
+                    let o = target as i64 - e as i64;
                     if decision.static_offsets.contains(&o) {
-                        let target = (e as i64 + o) as usize;
                         let buffer = if self.statics_are_regions {
                             self.static_buffers
                                 .iter()

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use smache_mem::{DramConfig, FaultPlan, FaultyFifo, MultiChannelConfig, MultiChannelDram};
-use smache_mem::{StormGen, Word};
+use smache_mem::{StormGen, Word, MAX_BEAT_WORDS};
 use smache_sim::telemetry::{ProbeKind, Probed, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use smache_sim::{Beat, CycleStats, ResourceUsage};
 
@@ -46,9 +46,6 @@ pub use crate::system::report::RunReport;
 
 /// Component name the single-step stall-storm generator reports under.
 pub const STALL_COMPONENT: &str = "sys.stall";
-
-/// Widest DRAM bus, in words, and so the most lanes the engine runs.
-const MAX_LANES: usize = 16;
 
 /// Tunables of the simulated system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -261,24 +258,17 @@ pub struct SmacheSystem {
 }
 
 impl SmacheSystem {
-    /// Builds the system around a plan and a kernel. A [`SystemConfig`]
-    /// builds the paper's single-step system; a [`PipelineConfig`] chains
-    /// `depth` stages over `channels` DRAM channels. Every stage executes
-    /// the same plan and kernel — the pipeline *is* the same timestep
-    /// applied `depth` times per pass. A `P`-word DRAM bus runs `P` lanes
-    /// (see the module docs).
-    pub fn new(
-        plan: BufferPlan,
-        kernel: Box<dyn Kernel>,
-        config: impl Into<PipelineConfig>,
-    ) -> CoreResult<Self> {
-        let config = config.into();
-        let fault_plan = config.system.fault_plan;
+    /// Refuses a DRAM bus width the engine cannot run `plan` at under
+    /// `config`, with the error [`SmacheSystem::new`] gives: more lanes
+    /// than a beat carries, a wide bus under a pipeline, several channels
+    /// or an active fault plan, region-deduplicated static buffers, or more
+    /// lanes than the two BRAM ports of a static buffer serve.
+    pub fn check_lanes(plan: &BufferPlan, config: &PipelineConfig) -> CoreResult<()> {
         let lanes = config.system.dram.bus_words;
-        if lanes == 0 || lanes > MAX_LANES {
+        if lanes == 0 || lanes > MAX_BEAT_WORDS {
             return Err(CoreError::LaneCountUnsupported {
                 lanes,
-                max: MAX_LANES,
+                max: MAX_BEAT_WORDS,
             });
         }
         if lanes > 1 {
@@ -288,7 +278,7 @@ impl SmacheSystem {
                 )));
             }
             // Wide beats bypass the chaos release queue.
-            if fault_plan.is_active() {
+            if config.system.fault_plan.is_active() {
                 return Err(CoreError::ChaosUnsupported {
                     system: "multilane",
                 });
@@ -306,6 +296,24 @@ impl SmacheSystem {
                 ));
             }
         }
+        Ok(())
+    }
+
+    /// Builds the system around a plan and a kernel. A [`SystemConfig`]
+    /// builds the paper's single-step system; a [`PipelineConfig`] chains
+    /// `depth` stages over `channels` DRAM channels. Every stage executes
+    /// the same plan and kernel — the pipeline *is* the same timestep
+    /// applied `depth` times per pass. A `P`-word DRAM bus runs `P` lanes
+    /// (see the module docs).
+    pub fn new(
+        plan: BufferPlan,
+        kernel: Box<dyn Kernel>,
+        config: impl Into<PipelineConfig>,
+    ) -> CoreResult<Self> {
+        let config = config.into();
+        Self::check_lanes(&plan, &config)?;
+        let fault_plan = config.system.fault_plan;
+        let lanes = config.system.dram.bus_words;
         if kernel.latency() == 0 {
             return Err(CoreError::KernelLatencyZero);
         }
@@ -1699,7 +1707,7 @@ mod tests {
         let wrap = BoundarySpec::paper_case();
         let open = BoundarySpec::all_open(2).unwrap();
         let default = SystemConfig::default;
-        for lanes in [0, MAX_LANES + 1] {
+        for lanes in [0, MAX_BEAT_WORDS + 1] {
             assert!(matches!(
                 lanes_system(8, 8, &open, lanes, default()).map(|_| ()),
                 Err(CoreError::LaneCountUnsupported { .. })

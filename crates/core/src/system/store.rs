@@ -62,12 +62,12 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-use smache_sim::hash::fingerprint128_split;
+use smache_sim::hash::{fingerprint128_finish, fingerprint128_split, fnv1a, fnv1a_extend};
 use smache_sim::{ControlTrace, CycleRecord, GatherTable, Json, SlotSource};
 
 use crate::system::replay::ControlSchedule;
@@ -408,8 +408,8 @@ impl ScheduleStore {
     /// entries.
     pub fn load(&mut self, key: (u64, u64)) -> Result<Option<Arc<ControlSchedule>>, StoreError> {
         let path = self.entry_path(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
+        let mut file = match std::fs::File::open(&path) {
+            Ok(file) => file,
             Err(e) if e.kind() == ErrorKind::NotFound => {
                 // Another process may have evicted it under us.
                 if let Some(old) = self.index.remove(&key) {
@@ -420,6 +420,9 @@ impl ScheduleStore {
             }
             Err(e) => return Err(io_err("read", &path, e)),
         };
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)
+            .map_err(|e| io_err("read", &path, e))?;
         let (stored_key, schedule) = decode_entry(&bytes)?;
         if stored_key != key {
             return Err(StoreError::KeyMismatch {
@@ -438,9 +441,7 @@ impl ScheduleStore {
         entry.last_used = self.tick;
         self.stats.hits += 1;
         // Best-effort mtime touch so LRU recency survives a restart.
-        if let Ok(file) = std::fs::File::open(&path) {
-            file.set_modified(SystemTime::now()).ok();
-        }
+        file.set_modified(SystemTime::now()).ok();
         Ok(Some(Arc::new(schedule)))
     }
 
@@ -731,13 +732,18 @@ pub fn decode_entry(bytes: &[u8]) -> Result<((u64, u64), ControlSchedule), Store
         });
     }
     let stored_checksum = (cur.read_u64()?, cur.read_u64()?);
-    let payload = &bytes[HEADER_LEN..];
-    if entry_checksum(bytes, payload) != stored_checksum {
+    let (head, payload) = (&bytes[..CHECKSUM_OFFSET], &bytes[HEADER_LEN..]);
+    // The payload decodes while its bytes fold into the checksum's
+    // byte-serial FNV-1a lane, so decoding costs no time of its own; the
+    // whole checksum is still judged before anything decoded is handed
+    // out, so a damaged entry reads as a checksum mismatch, as before.
+    let mut payload_cur = Cursor::hashing(payload, fnv1a(head));
+    let schedule = decode_payload(&mut payload_cur);
+    let fnv = payload_cur.fnv_to_end().expect("a hashing cursor");
+    if fingerprint128_finish(fnv, head, payload) != stored_checksum {
         return Err(StoreError::ChecksumMismatch);
     }
-
-    let schedule = decode_payload(payload)?;
-    Ok((key, schedule))
+    Ok((key, schedule?))
 }
 
 fn malformed(detail: impl Into<String>) -> StoreError {
@@ -746,8 +752,7 @@ fn malformed(detail: impl Into<String>) -> StoreError {
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
-    let mut cur = Cursor::new(payload);
+fn decode_payload(cur: &mut Cursor) -> Result<ControlSchedule, StoreError> {
     let sched_key = (cur.read_u64()?, cur.read_u64()?);
     let name_len = cur.read_u32()? as usize;
     let kernel_name = String::from_utf8(cur.take(name_len)?.to_vec())
@@ -757,16 +762,61 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
     let instances = cur.read_u64()?;
 
     let starts_len = cur.read_u64()? as usize;
-    let mut starts = Vec::with_capacity(starts_len.min(payload.len()));
+    let mut starts = Vec::with_capacity(starts_len.min(cur.remaining() / 4));
     for _ in 0..starts_len {
         starts.push(cur.read_u32()?);
     }
-    // Slot sources are 9 bytes each (a tag and a value); they are lowered
-    // once the row structure around them has been validated.
     let sources_len = cur.read_u64()? as usize;
-    let source_bytes = cur.take(sources_len.saturating_mul(SOURCE_BYTES))?;
+
+    // Structural invariants replay relies on without rechecking. The row
+    // structure is checked first, so the slot sources lower as they are
+    // read.
+    if Some(starts.len()) != n.checked_add(1) {
+        return Err(malformed(format!(
+            "CSR starts has {} rows for {n} elements",
+            starts.len()
+        )));
+    }
+    if starts.first() != Some(&0) {
+        return Err(malformed("CSR starts must begin at 0"));
+    }
+    if starts.windows(2).any(|w| w[0] > w[1]) {
+        return Err(malformed("CSR starts must be monotonic"));
+    }
+    if starts.last().map(|&s| s as usize) != Some(sources_len) {
+        return Err(malformed("CSR sentinel does not cover the source table"));
+    }
+    // Replay reads fixed-arity rows: every element must have as many
+    // slots as the first.
+    let arity = starts.get(1).map_or(0, |&s| s as usize);
+    if let Some(e) = starts
+        .windows(2)
+        .position(|w| (w[1] - w[0]) as usize != arity)
+    {
+        return Err(malformed(format!(
+            "ragged gather rows: element {e} has {} slots, element 0 has {arity}",
+            starts[e + 1] - starts[e]
+        )));
+    }
+    // Slot sources are 9 bytes each: a tag and a value.
+    cur.ensure(sources_len.saturating_mul(SOURCE_BYTES))?;
+    let mut rows = GatherTable::builder(n, arity).map_err(malformed)?;
+    rows.reserve(sources_len);
+    for _ in 0..sources_len {
+        let source = cur.take(SOURCE_BYTES)?;
+        let value = u64::from_le_bytes(source[1..].try_into().expect("8 value bytes"));
+        rows.push(match source[0] {
+            0 => SlotSource::Grid(
+                u32::try_from(value).map_err(|_| malformed("grid index exceeds u32 range"))?,
+            ),
+            1 => SlotSource::Const(value),
+            2 => SlotSource::Hole,
+            t => return Err(malformed(format!("unknown slot-source tag {t}"))),
+        })
+        .map_err(malformed)?;
+    }
     let masks_len = cur.read_u64()? as usize;
-    let mut masks = Vec::with_capacity(masks_len.min(payload.len()));
+    let mut masks = Vec::with_capacity(masks_len.min(cur.remaining() / 8));
     for _ in 0..masks_len {
         masks.push(cur.read_u64()?);
     }
@@ -786,53 +836,11 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
     let template = RunReport::from_json(&template_doc)
         .map_err(|e| malformed(format!("report template: {e}")))?;
 
-    // Structural invariants replay relies on without rechecking.
     if masks.len() != n {
         return Err(malformed(format!(
             "mask table covers {} elements, header says {n}",
             masks.len()
         )));
-    }
-    if starts.len() != n + 1 {
-        return Err(malformed(format!(
-            "CSR starts has {} rows for {n} elements",
-            starts.len()
-        )));
-    }
-    if starts.first() != Some(&0) {
-        return Err(malformed("CSR starts must begin at 0"));
-    }
-    if starts.windows(2).any(|w| w[0] > w[1]) {
-        return Err(malformed("CSR starts must be monotonic"));
-    }
-    if starts.last().copied() != Some(sources_len as u32) {
-        return Err(malformed("CSR sentinel does not cover the source table"));
-    }
-    // Replay reads fixed-arity rows: every element must have as many
-    // slots as the first.
-    let arity = starts.get(1).map_or(0, |&s| s as usize);
-    if let Some(e) = starts
-        .windows(2)
-        .position(|w| (w[1] - w[0]) as usize != arity)
-    {
-        return Err(malformed(format!(
-            "ragged gather rows: element {e} has {} slots, element 0 has {arity}",
-            starts[e + 1] - starts[e]
-        )));
-    }
-    let mut rows = GatherTable::builder(n, arity).map_err(malformed)?;
-    rows.reserve(sources_len);
-    for source in source_bytes.chunks_exact(SOURCE_BYTES) {
-        let value = u64::from_le_bytes(source[1..].try_into().expect("8 value bytes"));
-        rows.push(match source[0] {
-            0 => SlotSource::Grid(
-                u32::try_from(value).map_err(|_| malformed("grid index exceeds u32 range"))?,
-            ),
-            1 => SlotSource::Const(value),
-            2 => SlotSource::Hole,
-            t => return Err(malformed(format!("unknown slot-source tag {t}"))),
-        })
-        .map_err(malformed)?;
     }
     let gather = Arc::new(rows.finish(masks).map_err(malformed)?);
     if !template.output.is_empty() {
@@ -865,18 +873,35 @@ fn decode_payload(payload: &[u8]) -> Result<ControlSchedule, StoreError> {
 }
 
 /// A bounds-checked little-endian reader over a byte slice; every overrun
-/// is a typed [`StoreError::Truncated`].
+/// is a typed [`StoreError::Truncated`]. A hashing cursor folds every
+/// byte it hands out into an FNV-1a state, so a decoder's work overlaps
+/// the checksum's byte-serial lane.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    fnv: Option<u64>,
 }
 
 impl<'a> Cursor<'a> {
     fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
+        Cursor {
+            bytes,
+            pos: 0,
+            fnv: None,
+        }
     }
 
-    fn take(&mut self, len: usize) -> Result<&'a [u8], StoreError> {
+    /// A reader over `bytes` that continues the FNV-1a state `fnv`.
+    fn hashing(bytes: &'a [u8], fnv: u64) -> Cursor<'a> {
+        Cursor {
+            bytes,
+            pos: 0,
+            fnv: Some(fnv),
+        }
+    }
+
+    /// Checks that `len` more bytes remain, returning where they end.
+    fn ensure(&self, len: usize) -> Result<usize, StoreError> {
         let end = self.pos.checked_add(len).ok_or(StoreError::Truncated {
             expected: usize::MAX,
             actual: self.bytes.len(),
@@ -887,9 +912,28 @@ impl<'a> Cursor<'a> {
                 actual: self.bytes.len(),
             });
         }
+        Ok(end)
+    }
+
+    fn take(&mut self, len: usize) -> Result<&'a [u8], StoreError> {
+        let end = self.ensure(len)?;
         let slice = &self.bytes[self.pos..end];
+        if let Some(fnv) = &mut self.fnv {
+            *fnv = fnv1a_extend(*fnv, slice);
+        }
         self.pos = end;
         Ok(slice)
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// A hashing cursor's FNV-1a state with every byte folded in, read
+    /// or not.
+    fn fnv_to_end(&self) -> Option<u64> {
+        self.fnv
+            .map(|fnv| fnv1a_extend(fnv, &self.bytes[self.pos..]))
     }
 
     fn read_u32(&mut self) -> Result<u32, StoreError> {

@@ -20,11 +20,12 @@
 /// The offset basis and prime are the standard Fowler–Noll–Vo constants,
 /// so values can be cross-checked against any independent implementation.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
 
-/// Continues an FNV-1a state `h` over `bytes`.
-fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
+/// Continues an FNV-1a state `h` over `bytes`:
+/// `fnv1a_extend(fnv1a(a), b)` is the [`fnv1a`] of `a` followed by `b`.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -67,12 +68,18 @@ pub fn fingerprint128(bytes: &[u8]) -> (u64, u64) {
 /// into one buffer. `head` must be a whole number of 8-byte words, so
 /// lane two's words never straddle the seam.
 pub fn fingerprint128_split(head: &[u8], tail: &[u8]) -> (u64, u64) {
+    fingerprint128_finish(fnv1a_extend(fnv1a(head), tail), head, tail)
+}
+
+/// [`fingerprint128_split`] of `head` and `tail` from its lane one, `h1`
+/// (the [`fnv1a`] of `head` followed by `tail`), for a reader that folded
+/// the bytes into FNV-1a as it consumed them.
+pub fn fingerprint128_finish(h1: u64, head: &[u8], tail: &[u8]) -> (u64, u64) {
     assert!(
         head.len().is_multiple_of(8),
         "fingerprint head of {} bytes",
         head.len()
     );
-    let h1 = fnv1a_from(fnv1a(head), tail);
     let mut h2 = splitmix64(h1 ^ (head.len() + tail.len()) as u64);
     for chunk in head.chunks(8).chain(tail.chunks(8)) {
         let mut word = [0u8; 8];
@@ -115,6 +122,13 @@ mod tests {
             );
         }
         assert_eq!(fingerprint128_split(&[], &[]), fingerprint128(&[]));
+        let (head, tail) = bytes.split_at(48);
+        let h1 = fnv1a_extend(fnv1a(&head[..5]), &bytes[5..]);
+        assert_eq!(h1, fnv1a(&bytes));
+        assert_eq!(
+            fingerprint128_finish(h1, head, tail),
+            fingerprint128(&bytes)
+        );
     }
 
     #[test]

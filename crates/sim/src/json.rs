@@ -13,6 +13,8 @@
 //! accepts standard JSON and preserves the integer/float distinction, so
 //! `parse(compact(x)) == x` and `compact(parse(s))` is a canonical form.
 
+use std::fmt::Write as _;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -148,10 +150,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => write_int(out, *i),
             Json::Num(n) => {
                 if n.is_finite() {
-                    out.push_str(&n.to_string());
+                    let _ = write!(out, "{n}");
                 } else {
                     out.push_str("null");
                 }
@@ -226,6 +228,26 @@ impl std::fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Writes `i` in decimal, as its `Display` does, without the formatting
+/// machinery: a report's output grid is thousands of integers.
+fn write_int(out: &mut String, i: i64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut v = i.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
@@ -434,19 +456,30 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.i;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.i += 1;
         }
         let mut integral = true;
+        // An integer of at most 18 digits always fits `i64`, so its value
+        // is summed while scanning; longer ones take the general parse.
+        let mut value: i64 = 0;
         while let Some(c) = self.peek() {
             match c {
-                b'0'..=b'9' => self.i += 1,
+                b'0'..=b'9' => {
+                    value = value.wrapping_mul(10).wrapping_add(i64::from(c - b'0'));
+                    self.i += 1;
+                }
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
                     integral = false;
                     self.i += 1;
                 }
                 _ => break,
             }
+        }
+        let digits = self.i - start - usize::from(negative);
+        if integral && (1..=18).contains(&digits) {
+            return Ok(Json::Int(if negative { -value } else { value }));
         }
         let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii number");
         if integral {
@@ -542,6 +575,32 @@ mod tests {
         // Integers beyond i64 degrade to float rather than failing.
         assert!(matches!(
             Json::parse("99999999999999999999").unwrap(),
+            Json::Num(_)
+        ));
+    }
+
+    #[test]
+    fn parse_reads_integers_at_every_width() {
+        for i in [
+            0,
+            -1,
+            999_999_999_999_999_999,
+            -999_999_999_999_999_999,
+            1_000_000_000_000_000_000,
+            i64::MAX,
+            i64::MIN,
+        ] {
+            let text = Json::Int(i).compact();
+            assert_eq!(Json::parse(&text).unwrap(), Json::Int(i), "{text}");
+        }
+        for i in [0, 7, -7, 10, -10, i64::MAX, i64::MIN, 1 << 40] {
+            assert_eq!(Json::Int(i).compact(), i.to_string());
+        }
+        assert_eq!(Json::parse("-0").unwrap(), Json::Int(0));
+        assert_eq!(Json::parse("007").unwrap(), Json::Int(7));
+        assert!(Json::parse("-").is_err());
+        assert!(matches!(
+            Json::parse("9223372036854775808").unwrap(),
             Json::Num(_)
         ));
     }

@@ -49,25 +49,27 @@ pub fn resolve(
             grid.ndim()
         )));
     }
-    let mut resolved = Vec::with_capacity(grid.ndim());
+    // Row-major linear index of the resolved point; every resolved axis
+    // index is in range.
+    let mut lin = 0usize;
     let mut constant: Option<Word> = None;
-    for axis in 0..grid.ndim() {
+    for (axis, &len) in grid.dims().iter().enumerate() {
         let idx = coords[axis] as isize + offset[axis];
-        match bounds.resolve_axis(axis, idx, grid.dims()[axis])? {
-            AxisOutcome::Index(i) => resolved.push(i),
+        match bounds.resolve_axis(axis, idx, len)? {
+            AxisOutcome::Index(i) => lin = lin * len + i,
             AxisOutcome::Skip => return Ok(Access::Skip),
             AxisOutcome::Constant(v) => {
                 // A constant on any axis makes the whole point constant;
                 // remaining axes are still checked for skips (a skip wins).
                 constant = Some(v);
-                resolved.push(0);
+                lin *= len;
             }
         }
     }
-    if let Some(v) = constant {
-        return Ok(Access::Constant(v));
-    }
-    Ok(Access::Inside(grid.lin(&resolved)?))
+    Ok(match constant {
+        Some(v) => Access::Constant(v),
+        None => Access::Inside(lin),
+    })
 }
 
 /// Resolves the full tuple of one element into stream-relative accesses.

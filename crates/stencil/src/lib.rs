@@ -35,7 +35,7 @@ pub mod shape;
 pub mod tuple;
 
 pub use access::{gather_masked, gather_values, linear_tuple, resolve, Access, LinearAccess};
-pub use boundary::{AxisBoundaries, AxisOutcome, Boundary, BoundarySpec};
+pub use boundary::{AxisBoundaries, Boundary, BoundarySpec};
 pub use cases::{Case2d, CaseCounts};
 pub use grid::GridSpec;
 pub use pattern::IterationPattern;

@@ -81,8 +81,9 @@ for lanes in 1 2; do
   [ -n "$capture_fp" ] && [ "$capture_fp" = "$capture_full_fp" ] || {
     echo "replay at $lanes lane(s) diverged from full sim: $capture_fp vs $capture_full_fp"; exit 1; }
 done
-predict_one=$(cargo run -p smache-cli --release -- predict --lanes 1 | grep 'smache:')
-predict_four=$(cargo run -p smache-cli --release -- predict --lanes 4 | grep 'smache:')
+predict_args="predict --grid 32x32 --rows open --cols open --instances 4"
+predict_one=$(cargo run -p smache-cli --release -- $predict_args --lanes 1 | grep 'smache:')
+predict_four=$(cargo run -p smache-cli --release -- $predict_args --lanes 4 | grep 'smache:')
 [ "$predict_one" != "$predict_four" ] || { echo "predict ignores --lanes"; exit 1; }
 
 echo "== cli smoke =="

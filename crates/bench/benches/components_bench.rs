@@ -197,112 +197,6 @@ fn compositions(c: &mut Criterion) {
     group.finish();
 }
 
-/// Event-driven vs brute-force scheduling on the two workloads that bound
-/// the scheduler's win: a deep combinational ripple registered in the
-/// worst possible order (naive loop needs one full pass per stage), and
-/// the AXI-wrapped paper system (two sequential modules, where the win is
-/// only the redundant confirmation pass).
-fn scheduler(c: &mut Criterion) {
-    use smache::system::axi::AxiSmache;
-    use smache_sim::{Module, Sensitivity, SimMode, Simulator, StreamLink, StreamSink, Wire};
-
-    struct Driver {
-        head: Wire<u64>,
-    }
-    impl Module for Driver {
-        fn name(&self) -> &str {
-            "driver"
-        }
-        fn eval(&mut self, cycle: u64) {
-            self.head.drive(cycle);
-        }
-        fn commit(&mut self, _cycle: u64) {}
-        fn sensitivity(&self) -> Option<Sensitivity> {
-            Some(Sensitivity::sequential(vec![], vec![self.head.id()]))
-        }
-    }
-    struct Stage {
-        name: String,
-        input: Wire<u64>,
-        out: Wire<u64>,
-    }
-    impl Module for Stage {
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn eval(&mut self, _cycle: u64) {
-            self.out.drive(self.input.get() + 1);
-        }
-        fn commit(&mut self, _cycle: u64) {}
-        fn sensitivity(&self) -> Option<Sensitivity> {
-            Some(Sensitivity::combinational(
-                vec![self.input.id()],
-                vec![self.out.id()],
-            ))
-        }
-    }
-
-    const DEPTH: usize = 32;
-    let build_chain = |mode: SimMode| {
-        let mut sim = Simulator::with_mode(mode);
-        let ctx = sim.ctx().clone();
-        let wires: Vec<Wire<u64>> = (0..=DEPTH).map(|i| ctx.wire(&format!("w{i}"), 0)).collect();
-        // Deepest stage first: the naive loop propagates one stage per
-        // delta pass, so every cycle costs DEPTH+1 full passes.
-        for i in (0..DEPTH).rev() {
-            sim.add(Box::new(Stage {
-                name: format!("s{i}"),
-                input: wires[i].clone(),
-                out: wires[i + 1].clone(),
-            }));
-        }
-        sim.add(Box::new(Driver {
-            head: wires[0].clone(),
-        }));
-        (sim, wires[DEPTH].clone())
-    };
-
-    let mut group = c.benchmark_group("scheduler_chain32_1k_cycles");
-    for (label, mode) in [
-        ("event_driven", SimMode::EventDriven),
-        ("naive", SimMode::Naive),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let (mut sim, tail) = build_chain(mode);
-                sim.run(1_000).expect("settles");
-                tail.get()
-            })
-        });
-    }
-    group.finish();
-
-    let input: Vec<u64> = (0..121).collect();
-    let mut group = c.benchmark_group("scheduler_axi_11x11");
-    group.sample_size(10);
-    for (label, mode) in [
-        ("event_driven", SimMode::EventDriven),
-        ("naive", SimMode::Naive),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut sim = Simulator::with_mode(mode);
-                let system = SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
-                    .build()
-                    .expect("system");
-                let link = StreamLink::new(sim.ctx(), "results");
-                let axi = AxiSmache::new(system, link.clone(), &input, 1).expect("arm");
-                sim.add(Box::new(axi));
-                let (sink, buf) = StreamSink::new("consumer", link);
-                sim.add(Box::new(sink));
-                sim.run_until(100_000, "drain", |_| buf.borrow().len() == 121)
-                    .expect("completes")
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     stream_buffer_shift,
@@ -310,7 +204,6 @@ criterion_group!(
     fidelity_stack,
     dram_patterns,
     range_analysis,
-    compositions,
-    scheduler
+    compositions
 );
 criterion_main!(benches);

@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use smache_mem::{FaultCounters, FaultEvent, FaultKind, FaultPlan, StormGen, Word};
 use smache_sim::telemetry::{ProbeKind, ProbeRegistry, Probed};
-use smache_sim::{Beat, Module, ResourceUsage, Sensitivity, SinkBuffer, StreamLink};
+use smache_sim::{Beat, Module, ResourceUsage, SinkBuffer, StreamLink};
 
 use crate::arch::controller::ControllerPhase;
 use crate::error::{CoreError, FaultDiagnostic};
@@ -147,20 +147,6 @@ impl Module for AxiSmache {
         reg.sample_path(cycle, "axi.valid", u64::from(self.link.valid.get()));
         reg.sample_path(cycle, "axi.ready", u64::from(self.link.ready.get()));
         reg.sample_path(cycle, "axi.last", u64::from(self.link.last.get()));
-    }
-
-    fn sensitivity(&self) -> Option<Sensitivity> {
-        // `eval` offers the oldest pending result from internal state; the
-        // `ready` handshake is only consumed in `commit`. With no eval-time
-        // inputs the scheduler evaluates the datapath once per cycle.
-        Some(Sensitivity::sequential(
-            vec![],
-            vec![
-                self.link.valid.id(),
-                self.link.beat.id(),
-                self.link.last.id(),
-            ],
-        ))
     }
 }
 
@@ -298,11 +284,6 @@ impl Module for StallFuzzSink {
         snap.merge(&self.detected);
         self.probe.borrow_mut().counters = snap;
     }
-
-    fn sensitivity(&self) -> Option<Sensitivity> {
-        // `ready` follows the seeded storm schedule, not any wire.
-        Some(Sensitivity::sequential(vec![], vec![self.link.ready.id()]))
-    }
 }
 
 /// A producer that emits a preloaded beat sequence with seeded valid
@@ -405,18 +386,6 @@ impl Module for StallFuzzSource {
             self.pos += 1;
         }
         self.valid_now = !self.bubble.stalled(cycle + 1);
-    }
-
-    fn sensitivity(&self) -> Option<Sensitivity> {
-        // Like `StreamSource`: no eval-time inputs, drives the valid side.
-        Some(Sensitivity::sequential(
-            vec![],
-            vec![
-                self.link.valid.id(),
-                self.link.beat.id(),
-                self.link.last.id(),
-            ],
-        ))
     }
 }
 

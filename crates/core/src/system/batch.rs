@@ -186,9 +186,16 @@ fn run_one(job: BatchJob) -> CoreResult<RunReport> {
     system.run(&job.input, job.instances)
 }
 
-fn capture_one(job: &BatchJob) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
+/// Captures `job` under `key`, the [`schedule_key`] pass 1 derived for
+/// it, so the key text is not formatted a second time while sealing.
+fn capture_one(job: &BatchJob, key: (u64, u64)) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
     let mut system = SmacheSystem::new(job.plan.clone(), (job.kernel)(), job.config)?;
-    system.run_captured(&job.input, job.instances)
+    debug_assert_eq!(
+        key,
+        smache_sim::hash::fingerprint128(system.schedule_key_text(job.instances).as_bytes()),
+        "a batch job's key is the key its system would derive"
+    );
+    system.run_captured_keyed(&job.input, job.instances, key)
 }
 
 /// A batch spec seen in pass 1, memoised so its [`schedule_key`] — which
@@ -342,7 +349,7 @@ impl SmacheSystem {
                 }
             }
             match schedules.get(&key) {
-                None => match capture_one(&job) {
+                None => match capture_one(&job, key) {
                     Ok((report, schedule)) => {
                         if let Some(store) = store.as_deref_mut() {
                             store.save(key, &schedule).ok();
@@ -515,6 +522,29 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    #[test]
+    fn the_batch_seals_under_the_key_run_captured_derives() {
+        use smache_mem::ChaosProfile;
+        let plain = jobs(&[1]).remove(0);
+        let chaotic = chaotic_jobs(&[1], ChaosProfile::jitter()).remove(0);
+        for job in [plain, chaotic] {
+            let key = schedule_key(
+                &job.plan,
+                &job.config,
+                (job.kernel)().as_ref(),
+                job.instances,
+            );
+            let (_, sealed) = capture_one(&job, key).expect("capture");
+            assert_eq!(sealed.key(), key, "sealed under the pass-1 key");
+            let mut system =
+                SmacheSystem::new(job.plan.clone(), (job.kernel)(), job.config).expect("system");
+            let (_, own) = system
+                .run_captured(&job.input, job.instances)
+                .expect("capture");
+            assert_eq!(own.key(), key, "run_captured derives the same key");
+        }
     }
 
     #[test]

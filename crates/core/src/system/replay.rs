@@ -31,11 +31,11 @@
 //!
 //! Replay **refuses** with a typed [`ReplayUnsupported`] whenever the
 //! control plane stops being data-independent: corrupting fault plans,
-//! stall schedules, external backpressure, or attached observers (tracer,
-//! telemetry, result tap). **Latency-only** fault plans are the deliberate
-//! exception: their chaos draws are a pure function of (chaos-seed,
-//! cycle), so a schedule captured under one — keyed on (spec, chaos-seed)
-//! — replays across data seeds like any clean schedule.
+//! stall schedules, or attached observers (telemetry, result tap).
+//! **Latency-only** fault plans are the deliberate exception: their chaos
+//! draws are a pure function of (chaos-seed, cycle), so a schedule
+//! captured under one — keyed on (spec, chaos-seed) — replays across data
+//! seeds like any clean schedule.
 //!
 //! The one cycle engine — single-step or pipelined — seals and
 //! self-verifies its captures through one function, and
@@ -519,12 +519,25 @@ impl SmacheSystem {
         input: &[Word],
         passes: u64,
     ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
+        let key = fingerprint128(self.schedule_key_text(passes).as_bytes());
+        self.run_captured_keyed(input, passes, key)
+    }
+
+    /// [`Self::run_captured`] with the schedule key already derived: `key`
+    /// is the [`fingerprint128`] of [`Self::schedule_key_text`] for
+    /// `passes`. A batch keys each spec once while grouping its lanes and
+    /// hands that key on, so the key text is formatted once per spec.
+    pub(crate) fn run_captured_keyed(
+        &mut self,
+        input: &[Word],
+        passes: u64,
+        key: (u64, u64),
+    ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
         self.replay_eligibility()
             .map_err(CoreError::ReplayRefused)?;
         self.begin_capture();
         let outcome = self.run(input, passes);
         let trace = self.take_capture().unwrap_or_default();
-        let key = fingerprint128(self.schedule_key_text(passes).as_bytes());
         seal_capture(
             key,
             Arc::clone(self.source_rows().gather()),

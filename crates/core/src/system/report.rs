@@ -21,7 +21,7 @@ use crate::system::metrics::DesignMetrics;
 /// field is provenance, not a quality warning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RunEngine {
-    /// The full event-driven cycle-accurate simulation ran.
+    /// The full cycle-accurate simulation ran.
     #[default]
     FullSim,
     /// The datapath was driven from a recorded

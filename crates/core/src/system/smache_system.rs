@@ -32,7 +32,7 @@ use smache_mem::{StormGen, Word, MAX_BEAT_WORDS};
 use smache_sim::telemetry::{ProbeKind, Probed, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use smache_sim::{Beat, CycleStats, ResourceUsage};
 
-use crate::arch::controller::{ControllerPhase, SmacheModule, SmacheResourceBreakdown};
+use crate::arch::controller::{phase_code, ControllerPhase, SmacheModule, SmacheResourceBreakdown};
 use crate::arch::kernel::Kernel;
 use crate::arch::source_rows::SourceRows;
 use crate::config::BufferPlan;
@@ -158,15 +158,6 @@ fn phase_name(phase: ControllerPhase) -> &'static str {
     }
 }
 
-/// The numeric phase the tracer and the control recorder store.
-fn phase_code(phase: ControllerPhase) -> u8 {
-    match phase {
-        ControllerPhase::Warmup => 0,
-        ControllerPhase::Streaming => 1,
-        ControllerPhase::Done => 2,
-    }
-}
-
 /// What stage 0 staged on the DRAM read channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReadKind {
@@ -241,8 +232,6 @@ pub struct SmacheSystem {
     /// Observer invoked for every last-stage kernel result (the AXI output
     /// stream).
     result_tap: Option<Box<dyn FnMut(Beat)>>,
-    /// Optional waveform tracer (phase, handshakes, stalls).
-    tracer: Option<smache_sim::Tracer>,
     /// Optional structured telemetry (typed probes + profiling counters).
     /// `None` costs one branch per cycle; see `docs/OBSERVABILITY.md`.
     telemetry: Option<Box<Telemetry>>,
@@ -375,7 +364,6 @@ impl SmacheSystem {
             config,
             stall: None,
             result_tap: None,
-            tracer: None,
             telemetry: None,
             facts: CycleFacts::default(),
             scratch_values: Vec::new(),
@@ -422,7 +410,7 @@ impl SmacheSystem {
     /// the spec, i.e. whether a control schedule captured from it would be
     /// sound to replay. Anything that perturbs timing data-dependently or
     /// observes the datapath mid-run (corrupting fault injection, stall
-    /// schedules, tracers, telemetry, result taps) makes the answer "no",
+    /// schedules, telemetry, result taps) makes the answer "no",
     /// with a typed reason.
     ///
     /// A **latency-only** fault plan (jitter, stall storms, slow drain —
@@ -440,9 +428,6 @@ impl SmacheSystem {
         }
         if self.stall.is_some() {
             return Err(R::StallSchedule);
-        }
-        if self.tracer.is_some() {
-            return Err(R::Tracer);
         }
         if self.telemetry.is_some() {
             return Err(R::Telemetry);
@@ -476,17 +461,6 @@ impl SmacheSystem {
     /// (data, element index, work-instance) — the module's output stream.
     pub fn set_result_tap(&mut self, tap: Box<dyn FnMut(Beat)>) {
         self.result_tap = Some(tap);
-    }
-
-    /// Attaches a waveform tracer recording the controller phase, the
-    /// DRAM handshakes, the emission pulse and the stall signal.
-    pub fn attach_tracer(&mut self, config: smache_sim::TracerConfig) {
-        self.tracer = Some(smache_sim::Tracer::new(config));
-    }
-
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&smache_sim::Tracer> {
-        self.tracer.as_ref()
     }
 
     /// Attaches structured telemetry: every component's typed probes are
@@ -567,8 +541,7 @@ impl SmacheSystem {
     pub fn step_external(&mut self, external_stall: bool) -> CoreResult<()> {
         let depth = self.stages.len();
         // Chaos decisions are drawn exactly once per cycle, before anything
-        // else, so the fault schedule depends only on the cycle count (and
-        // is therefore identical in both scheduler modes).
+        // else, so the fault schedule depends only on the cycle count.
         let chaos_stall = match self.storm.as_mut() {
             Some(s) => s.stalled(self.cycle),
             None => false,
@@ -815,34 +788,10 @@ impl SmacheSystem {
             self.transfer_count += 1;
         }
 
-        // --- Waveform probes ----------------------------------------------
-        if let Some(tracer) = self.tracer.as_mut() {
-            let stage = &self.stages[0];
-            tracer.sample(
-                self.cycle,
-                "ctrl.phase",
-                u64::from(phase_code(stage.phase())),
-            );
-            tracer.sample(self.cycle, "ctrl.instance", stage.instance());
-            tracer.sample(self.cycle, "ctrl.stall", stalled as u64);
-            tracer.sample(self.cycle, "fsm2.emit", emitted as u64);
-            tracer.sample(
-                self.cycle,
-                "dram.read_accept",
-                report.read_accepted.is_some() as u64,
-            );
-            tracer.sample(self.cycle, "dram.resp", responded as u64);
-            tracer.sample(
-                self.cycle,
-                "dram.write_accept",
-                report.write_accepted.is_some() as u64,
-            );
-        }
-
         // --- Structured telemetry -----------------------------------------
-        // Sampled at the same point as the tracer — after every state
-        // update, before the clock edge — so enabling it cannot perturb
-        // control flow, chaos draws, or cycle counts.
+        // Sampled after every state update, before the clock edge — so
+        // enabling it cannot perturb control flow, chaos draws, or cycle
+        // counts.
         self.facts = CycleFacts {
             stalled,
             external_stall,
@@ -861,9 +810,9 @@ impl SmacheSystem {
         }
 
         // --- Control-schedule capture -------------------------------------
-        // Sampled at the same point as the tracer and telemetry, so the
-        // recorded trace reproduces exactly the per-cycle accounting the
-        // run itself performs (warm-up, stalls, transfers).
+        // Sampled at the same point as telemetry, so the recorded trace
+        // reproduces exactly the per-cycle accounting the run itself
+        // performs (warm-up, stalls, transfers).
         if let Some(rec) = self.recorder.as_mut() {
             use smache_sim::CycleRecord;
             let mut flags = 0u8;
@@ -883,7 +832,10 @@ impl SmacheSystem {
             if responded {
                 flags |= CycleRecord::RESPONDED;
             }
-            rec.record(CycleRecord::pack(phase_code(self.stages[0].phase()), flags));
+            rec.record(CycleRecord::pack(
+                phase_code(self.stages[0].phase()) as u8,
+                flags,
+            ));
         }
 
         // --- Clock the stages ---------------------------------------------
@@ -1480,31 +1432,22 @@ mod tests {
     }
 
     #[test]
-    fn tracer_records_phase_and_handshakes() {
+    fn telemetry_records_phase_and_handshakes() {
         let mut sys = paper_system(HybridMode::default());
-        sys.attach_tracer(smache_sim::TracerConfig::default());
+        sys.attach_telemetry(TelemetryConfig::default());
         let input: Vec<Word> = (0..121).collect();
         sys.run(&input, 2).unwrap();
-        let tracer = sys.tracer().expect("attached");
+        let probes = &sys.telemetry().expect("attached").probes;
+        let values =
+            |path: &str| -> Vec<u64> { probes.events_for(path).iter().map(|&(_, v)| v).collect() };
         // The phase walked warmup (0) → streaming (1) → done (2).
-        let phases: Vec<u64> = tracer
-            .events_for("ctrl.phase")
-            .iter()
-            .map(|e| e.value)
-            .collect();
-        assert_eq!(phases, vec![0, 1, 2]);
+        assert_eq!(values("ctrl.phase"), vec![0, 1, 2]);
         // Emission pulsed on and off at least once per instance.
-        assert!(tracer.events_for("fsm2.emit").len() >= 4);
+        assert!(probes.events_for("fsm2.emit").len() >= 4);
         // The instance counter reached 2.
-        let instances: Vec<u64> = tracer
-            .events_for("ctrl.instance")
-            .iter()
-            .map(|e| e.value)
-            .collect();
-        assert_eq!(instances.last(), Some(&2));
+        assert_eq!(values("ctrl.instance").last(), Some(&2));
         // A waveform can be rendered.
-        let wave = tracer.render_wave(&["fsm2.emit"], 0, 80);
-        assert!(wave.contains("fsm2.emit"));
+        assert!(probes.export_ascii().contains("fsm2.emit"));
     }
 
     fn chaos_system(plan: smache_mem::FaultPlan) -> SmacheSystem {

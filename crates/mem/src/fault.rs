@@ -21,7 +21,7 @@
 //! derived as `splitmix64(seed ^ fnv1a(component_name))`, and each stream is
 //! advanced exactly once per clock cycle (or per response) by its owner.
 //! Two runs with the same plan, input and configuration therefore inject
-//! the *identical* fault schedule — independent of scheduler mode, thread
+//! the *identical* fault schedule — independent of delta-pass count, thread
 //! count, or host. See `docs/RESILIENCE.md`.
 
 use std::collections::VecDeque;
@@ -416,7 +416,7 @@ impl ChaosRng {
 /// Call [`StormGen::stalled`] exactly once per clock cycle; it returns
 /// whether the interface is inside a storm that cycle. One random draw is
 /// consumed per *non-storm* cycle, so the schedule depends only on the
-/// cycle count — identical across scheduler modes.
+/// cycle count, never on how many delta passes a cycle takes.
 #[derive(Debug, Clone)]
 pub struct StormGen {
     rng: ChaosRng,

@@ -18,7 +18,7 @@
 //! registered state:
 //!
 //! ```
-//! use smache_sim::{Module, Sensitivity, Simulator, Wire};
+//! use smache_sim::{Module, Simulator, Wire};
 //!
 //! struct Counter { out: Wire<u64>, count: u64 }
 //!
@@ -28,9 +28,6 @@
 //!     fn eval(&mut self, _cycle: u64) { self.out.drive(self.count); }
 //!     // Runs exactly once per cycle: the state update lives here.
 //!     fn commit(&mut self, _cycle: u64) { self.count += 1; }
-//!     fn sensitivity(&self) -> Option<Sensitivity> {
-//!         Some(Sensitivity::sequential(vec![], vec![self.out.id()]))
-//!     }
 //! }
 //!
 //! let mut sim = Simulator::new();
@@ -41,21 +38,12 @@
 //! # Ok::<(), smache_sim::SimError>(())
 //! ```
 //!
-//! ## Scheduling
+//! ## Settling
 //!
-//! How passes are driven is the [`sched`] module's job. By default the
-//! simulator runs **event-driven**: at elaboration it derives a static
-//! producer-before-consumer evaluation order from each module's
-//! [`Sensitivity`] declaration, and within a cycle it re-evaluates only
-//! modules whose declared inputs actually changed (dirty-set wakeups). A
-//! fully declared, acyclic design settles in a single pass per cycle;
-//! genuine combinational feedback iterates locally until fixpoint, bounded
-//! by the same pass budget that detects combinational loops. Modules that
-//! do not declare a sensitivity are *opaque* and are conservatively woken
-//! by every change, so the worst case degrades exactly to the brute-force
-//! loop, which remains available as [`SimMode::Naive`] for differential
-//! testing ([`Simulator::naive`]). Per-run counters are exposed as
-//! [`SchedStats`].
+//! Every delta pass evaluates every module in registration order; passes
+//! repeat until one changes no wire, so convergence never depends on that
+//! order. A design that never settles within the pass budget is reported
+//! as [`SimError::CombinationalLoop`].
 //!
 //! For sharding many independent simulations across threads, see
 //! [`parallel`].
@@ -65,10 +53,8 @@
 //! * [`stream`] — ready/valid streaming links modelled on AXI4-Stream
 //!   (`valid`/`ready`/`data`/`last`), the paper's integration interface.
 //! * [`stats`] — cycle and throughput accounting.
-//! * [`trace`] — a lightweight VCD-like trace recorder for debugging.
 //! * [`telemetry`] — first-class observability: a hierarchical typed
-//!   [`ProbeRegistry`] sampled in the commit
-//!   phase (identical traces in both scheduler modes), profiling
+//!   [`ProbeRegistry`] sampled in the commit phase, profiling
 //!   counters/histograms, and real VCD / Chrome `trace_event` exporters.
 //! * [`resources`] — FPGA resource accounting (ALMs, registers, BRAM bits)
 //!   shared by every simulated module; this is how "actual" utilisation
@@ -91,33 +77,29 @@ pub mod module;
 pub mod parallel;
 pub mod replay;
 pub mod resources;
-pub mod sched;
 pub mod signal;
 pub mod sim;
 pub mod stats;
 pub mod stream;
 pub mod telemetry;
-pub mod trace;
 
 pub use error::SimError;
 pub use json::{Json, JsonError};
-pub use module::{Module, Sensitivity};
+pub use module::Module;
 pub use parallel::{run_batch, run_scatter};
 pub use replay::{
     ControlTrace, CycleRecord, GatherRows, GatherTable, ReplayUnsupported, ScheduleCache,
     SlotSource, TraceTotals,
 };
 pub use resources::ResourceUsage;
-pub use sched::SchedStats;
 pub use signal::{Reg, SimCtx, Wire, WireId};
-pub use sim::{SimMode, Simulator};
+pub use sim::Simulator;
 pub use stats::{CycleStats, RunningStats};
 pub use stream::{Beat, SinkBuffer, StreamLink, StreamSink, StreamSource};
 pub use telemetry::{
     CounterRegistry, Histogram, ProbeId, ProbeKind, ProbeRegistry, Probed, Telemetry,
     TelemetryConfig, TelemetrySnapshot,
 };
-pub use trace::{TraceOverflow, Tracer, TracerConfig};
 
 /// The raw transfer word used throughout the simulated designs.
 ///

@@ -1,56 +1,6 @@
 //! The [`Module`] trait — the unit of composition in the simulation kernel.
 
 use crate::resources::ResourceUsage;
-use crate::signal::WireId;
-
-/// A module's declared interface to the event-driven scheduler: which wires
-/// its [`Module::eval`] reads and drives, and whether its outputs are
-/// registered.
-///
-/// Declaring a sensitivity is optional. A module that returns `None` from
-/// [`Module::sensitivity`] is treated as *opaque*: the scheduler assumes it
-/// may read and drive any wire, so it is re-evaluated whenever anything in
-/// the design changes — exactly the behaviour of the brute-force delta loop.
-/// Declared modules are woken only when one of their `inputs` actually
-/// changes, which is what makes event-driven evaluation cheap.
-///
-/// The declaration covers `eval` only. [`Module::commit`] runs once per
-/// cycle after convergence and may read any wire freely.
-#[derive(Debug, Clone, Default)]
-pub struct Sensitivity {
-    /// Wires read during `eval`. A change on any of these re-schedules the
-    /// module within the current cycle.
-    pub inputs: Vec<WireId>,
-    /// Wires driven during `eval`. Used to order evaluation so producers
-    /// run before consumers (fewer delta passes).
-    pub outputs: Vec<WireId>,
-    /// True when every output is a function of internal state only (a
-    /// registered output): the module still re-evaluates when inputs change
-    /// (to restage its next state) but cannot start a combinational ripple.
-    pub sequential: bool,
-}
-
-impl Sensitivity {
-    /// A combinational declaration: outputs may depend on `inputs` within
-    /// the same cycle.
-    pub fn combinational(inputs: Vec<WireId>, outputs: Vec<WireId>) -> Self {
-        Sensitivity {
-            inputs,
-            outputs,
-            sequential: false,
-        }
-    }
-
-    /// A sequential declaration: outputs are driven from registered state
-    /// only, so input changes never ripple through within a cycle.
-    pub fn sequential(inputs: Vec<WireId>, outputs: Vec<WireId>) -> Self {
-        Sensitivity {
-            inputs,
-            outputs,
-            sequential: true,
-        }
-    }
-}
 
 /// A synchronous hardware module.
 ///
@@ -82,14 +32,6 @@ pub trait Module {
         ResourceUsage::ZERO
     }
 
-    /// Declares which wires `eval` reads and drives, for the event-driven
-    /// scheduler. The default (`None`) marks the module opaque: it is
-    /// re-evaluated on every delta pass, reproducing brute-force semantics.
-    /// See [`Sensitivity`] for the contract.
-    fn sensitivity(&self) -> Option<Sensitivity> {
-        None
-    }
-
     /// Declares this module's telemetry probes; called once when a
     /// [`ProbeRegistry`](crate::telemetry::ProbeRegistry) is attached to
     /// the simulator (and again for modules added later). The default
@@ -97,10 +39,8 @@ pub trait Module {
     fn register_probes(&self, _reg: &mut crate::telemetry::ProbeRegistry) {}
 
     /// Samples this module's probes for `cycle`. Runs once per cycle after
-    /// every [`Module::commit`], when all values have settled — which is
-    /// why the event-driven and naive scheduler modes produce identical
-    /// traces. Must not mutate architectural state. The default samples
-    /// nothing.
+    /// every [`Module::commit`], when all values have settled. Must not
+    /// mutate architectural state. The default samples nothing.
     fn sample_probes(&self, _cycle: u64, _reg: &mut crate::telemetry::ProbeRegistry) {}
 }
 

@@ -417,10 +417,6 @@ pub enum ReplayUnsupported {
     FaultPlan,
     /// An external stall schedule (stall fuzzing) drives backpressure.
     StallSchedule,
-    /// An external backpressure callback is attached to the system.
-    ExternalBackpressure,
-    /// A probe tracer is attached; replay produces no probe events.
-    Tracer,
     /// Telemetry is attached; replay produces no telemetry samples.
     Telemetry,
     /// A result tap observes the datapath mid-run.
@@ -461,8 +457,6 @@ impl ReplayUnsupported {
         match self {
             ReplayUnsupported::FaultPlan => "fault_plan",
             ReplayUnsupported::StallSchedule => "stall_schedule",
-            ReplayUnsupported::ExternalBackpressure => "external_backpressure",
-            ReplayUnsupported::Tracer => "tracer",
             ReplayUnsupported::Telemetry => "telemetry",
             ReplayUnsupported::ResultTap => "result_tap",
             ReplayUnsupported::KernelMismatch { .. } => "kernel_mismatch",
@@ -482,10 +476,6 @@ impl std::fmt::Display for ReplayUnsupported {
             ReplayUnsupported::StallSchedule => {
                 write!(f, "replay unsupported: external stall schedule attached")
             }
-            ReplayUnsupported::ExternalBackpressure => {
-                write!(f, "replay unsupported: external backpressure attached")
-            }
-            ReplayUnsupported::Tracer => write!(f, "replay unsupported: probe tracer attached"),
             ReplayUnsupported::Telemetry => write!(f, "replay unsupported: telemetry attached"),
             ReplayUnsupported::ResultTap => write!(f, "replay unsupported: result tap attached"),
             ReplayUnsupported::KernelMismatch { expected, actual } => write!(
@@ -760,7 +750,7 @@ mod tests {
     #[test]
     fn refusal_labels_are_stable() {
         assert_eq!(ReplayUnsupported::FaultPlan.label(), "fault_plan");
-        assert_eq!(ReplayUnsupported::Tracer.label(), "tracer");
+        assert_eq!(ReplayUnsupported::Telemetry.label(), "telemetry");
         let e = ReplayUnsupported::InstancesMismatch {
             expected: 4,
             actual: 5,

@@ -13,8 +13,7 @@ use std::rc::Rc;
 use crate::error::SimError;
 
 /// Identifies a wire within one [`SimCtx`]; allocated densely from zero in
-/// creation order. Modules quote these ids in their
-/// [`Sensitivity`](crate::Sensitivity) declarations.
+/// creation order.
 pub type WireId = u32;
 
 /// Shared bookkeeping for one simulator instance.
@@ -38,10 +37,6 @@ struct CtxInner {
     conflict: RefCell<Option<SimError>>,
     /// Next wire id to hand out.
     next_wire: Cell<WireId>,
-    /// Ids of wires whose value changed during the current pass, in drive
-    /// order. The event-driven scheduler consumes this to wake exactly the
-    /// modules sensitive to what moved.
-    changed: RefCell<Vec<WireId>>,
     /// Wire names, indexed by [`WireId`]. Names are cold data (traces and
     /// error messages only), so they live here rather than inside every
     /// `WireInner` — the per-wire hot path never touches a `String`.
@@ -58,7 +53,6 @@ impl SimCtx {
                 cycle: Cell::new(0),
                 conflict: RefCell::new(None),
                 next_wire: Cell::new(0),
-                changed: RefCell::new(Vec::new()),
                 names: RefCell::new(Vec::new()),
             }),
         }
@@ -87,27 +81,11 @@ impl SimCtx {
     pub fn begin_pass(&self) {
         self.inner.pass.set(self.inner.pass.get().wrapping_add(1));
         self.inner.changes.set(0);
-        self.inner.changed.borrow_mut().clear();
     }
 
     /// Number of wire changes recorded in the current pass.
     pub(crate) fn changes(&self) -> u64 {
         self.inner.changes.get()
-    }
-
-    /// Total wires created so far (wire ids are `0..wire_count()`).
-    pub fn wire_count(&self) -> u32 {
-        self.inner.next_wire.get()
-    }
-
-    /// Number of entries in the current pass's changed-wire log.
-    pub(crate) fn changed_len(&self) -> usize {
-        self.inner.changed.borrow().len()
-    }
-
-    /// Copies changed-wire ids logged since position `from` into `out`.
-    pub(crate) fn changed_since(&self, from: usize, out: &mut Vec<WireId>) {
-        out.extend_from_slice(&self.inner.changed.borrow()[from..]);
     }
 
     pub(crate) fn set_cycle(&self, cycle: u64) {
@@ -123,9 +101,8 @@ impl SimCtx {
         self.inner.conflict.borrow_mut().take()
     }
 
-    fn record_change(&self, wire: WireId) {
+    fn record_change(&self) {
         self.inner.changes.set(self.inner.changes.get() + 1);
-        self.inner.changed.borrow_mut().push(wire);
     }
 
     fn record_conflict(&self, wire: WireId) {
@@ -203,7 +180,7 @@ impl<T: Copy + PartialEq + fmt::Debug + 'static> Wire<T> {
                 self.ctx.record_conflict(self.inner.id);
             }
             self.inner.value.set(value);
-            self.ctx.record_change(self.inner.id);
+            self.ctx.record_change();
         }
         self.inner.driven_pass.set(pass);
     }
@@ -215,12 +192,6 @@ impl<T: Copy + PartialEq + fmt::Debug + 'static> Wire<T> {
     /// paths that need it, free for the hot paths that don't.
     pub fn name(&self) -> String {
         self.ctx.wire_name(self.inner.id)
-    }
-
-    /// This wire's id, for use in [`Sensitivity`](crate::Sensitivity)
-    /// declarations.
-    pub fn id(&self) -> WireId {
-        self.inner.id
     }
 }
 

@@ -1,9 +1,8 @@
-//! The simulation executor: event-driven two-phase clock stepping.
+//! The simulation executor: two-phase clock stepping with delta settling.
 
 use crate::error::SimError;
 use crate::module::Module;
 use crate::resources::ResourceUsage;
-use crate::sched::{SchedStats, Schedule};
 use crate::signal::SimCtx;
 use crate::telemetry::ProbeRegistry;
 use crate::SimResult;
@@ -13,57 +12,24 @@ use crate::SimResult;
 /// deep ready/valid chains while still catching true loops quickly.
 const MAX_DELTA_PASSES: u32 = 64;
 
-/// How the simulator evaluates modules within a cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimMode {
-    /// Static-order, dirty-set scheduling (see [`crate::sched`]). Modules
-    /// without a [`Sensitivity`](crate::Sensitivity) declaration degrade
-    /// gracefully to brute-force behaviour; fully declared acyclic designs
-    /// settle in one pass per cycle.
-    #[default]
-    EventDriven,
-    /// The brute-force reference: every delta pass evaluates every module
-    /// until a full pass changes no wire. Kept for differential testing and
-    /// benchmarking against the event-driven schedule.
-    Naive,
-}
-
 /// Owns the module list and advances simulated time.
 pub struct Simulator {
     ctx: SimCtx,
     modules: Vec<Box<dyn Module>>,
     cycle: u64,
-    mode: SimMode,
-    /// Built lazily on the first step, invalidated by [`Simulator::add`].
-    schedule: Option<Schedule>,
-    stats: SchedStats,
     /// Attached probe registry; `None` costs one branch per cycle.
     telemetry: Option<ProbeRegistry>,
 }
 
 impl Simulator {
-    /// Creates an empty simulator with a fresh signal context, using the
-    /// event-driven schedule.
+    /// Creates an empty simulator with a fresh signal context.
     pub fn new() -> Self {
-        Self::with_mode(SimMode::EventDriven)
-    }
-
-    /// Creates an empty simulator using the given evaluation mode.
-    pub fn with_mode(mode: SimMode) -> Self {
         Simulator {
             ctx: SimCtx::new(),
             modules: Vec::new(),
             cycle: 0,
-            mode,
-            schedule: None,
-            stats: SchedStats::default(),
             telemetry: None,
         }
-    }
-
-    /// Creates an empty simulator using the brute-force delta loop.
-    pub fn naive() -> Self {
-        Self::with_mode(SimMode::Naive)
     }
 
     /// The signal context; use it to create the design's wires.
@@ -71,22 +37,21 @@ impl Simulator {
         &self.ctx
     }
 
-    /// Registers a module. Evaluation order is derived from the modules'
-    /// [`Sensitivity`](crate::Sensitivity) declarations at the next step;
-    /// convergence never depends on registration order.
+    /// Registers a module. Modules evaluate in registration order, but
+    /// delta passes repeat until nothing changes, so convergence never
+    /// depends on that order.
     pub fn add(&mut self, module: Box<dyn Module>) {
         if let Some(reg) = self.telemetry.as_mut() {
             module.register_probes(reg);
         }
         self.modules.push(module);
-        self.schedule = None;
     }
 
     /// Attaches a probe registry: every registered module declares its
     /// probes now (late-added modules register on [`Simulator::add`]) and
-    /// is sampled once per cycle after the commit phase. Sampling sees
-    /// settled post-commit values, so both [`SimMode`]s produce identical
-    /// traces. With no registry attached the cost is one branch per cycle.
+    /// is sampled once per cycle after the commit phase, so it sees settled
+    /// post-commit values. With no registry attached the cost is one branch
+    /// per cycle.
     pub fn attach_telemetry(&mut self, mut registry: ProbeRegistry) {
         for m in &self.modules {
             m.register_probes(&mut registry);
@@ -114,63 +79,37 @@ impl Simulator {
         self.cycle
     }
 
-    /// The active evaluation mode.
-    pub fn mode(&self) -> SimMode {
-        self.mode
-    }
-
-    /// Evaluation-work counters accumulated since construction.
-    pub fn sched_stats(&self) -> SchedStats {
-        self.stats
-    }
-
     /// Advances simulated time by one clock cycle.
     ///
-    /// Runs delta passes until the design settles, then commits every module
-    /// once.
+    /// Every delta pass evaluates every module, until a full pass changes
+    /// no wire; then every module commits once.
     pub fn step(&mut self) -> SimResult<()> {
         self.ctx.set_cycle(self.cycle);
-        match self.mode {
-            SimMode::EventDriven => {
-                if self.schedule.is_none() {
-                    self.schedule = Some(Schedule::build(&self.modules, self.ctx.wire_count()));
-                }
-                let schedule = self.schedule.as_mut().expect("schedule just built");
-                let (passes, evals) =
-                    schedule.settle(&mut self.modules, &self.ctx, self.cycle, MAX_DELTA_PASSES)?;
-                self.stats.passes += passes;
-                self.stats.evals += evals;
+        let mut converged = false;
+        for _pass in 0..MAX_DELTA_PASSES {
+            self.ctx.begin_pass();
+            for m in &mut self.modules {
+                m.eval(self.cycle);
             }
-            SimMode::Naive => {
-                let mut converged = false;
-                for _pass in 0..MAX_DELTA_PASSES {
-                    self.ctx.begin_pass();
-                    self.stats.passes += 1;
-                    for m in &mut self.modules {
-                        m.eval(self.cycle);
-                        self.stats.evals += 1;
-                    }
-                    if let Some(conflict) = self.ctx.take_conflict() {
-                        return Err(conflict);
-                    }
-                    if self.ctx.changes() == 0 {
-                        converged = true;
-                        break;
-                    }
-                }
-                if !converged {
-                    return Err(SimError::CombinationalLoop {
-                        cycle: self.cycle,
-                        passes: MAX_DELTA_PASSES,
-                    });
-                }
+            if let Some(conflict) = self.ctx.take_conflict() {
+                return Err(conflict);
             }
+            if self.ctx.changes() == 0 {
+                converged = true;
+                break;
+            }
+        }
+        if !converged {
+            return Err(SimError::CombinationalLoop {
+                cycle: self.cycle,
+                passes: MAX_DELTA_PASSES,
+            });
         }
         for m in &mut self.modules {
             m.commit(self.cycle);
         }
-        // Probe sampling happens here — after every commit, in both
-        // modes — so traces are mode-independent by construction.
+        // Probe sampling happens here, after every commit, so traces see
+        // settled values only.
         if let Some(reg) = self.telemetry.as_mut() {
             if reg.enabled() {
                 for m in &self.modules {
@@ -179,7 +118,6 @@ impl Simulator {
             }
         }
         self.cycle += 1;
-        self.stats.cycles += 1;
         Ok(())
     }
 
@@ -341,6 +279,7 @@ mod tests {
         sim.add(Box::new(Inverter { x }));
         let err = sim.step().unwrap_err();
         assert!(matches!(err, SimError::CombinationalLoop { .. }));
+        assert!(err.to_string().to_lowercase().contains("loop"), "{err}");
     }
 
     #[test]
@@ -409,18 +348,16 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_sampling_is_identical_across_modes() {
-        let run = |mode: SimMode| -> String {
-            let mut sim = Simulator::with_mode(mode);
-            sim.add(Box::new(Counting { reg: Reg::new(0) }));
-            sim.attach_telemetry(ProbeRegistry::new(Default::default()));
-            sim.run(8).unwrap();
-            sim.telemetry().expect("attached").export_vcd("t")
-        };
-        let event_driven = run(SimMode::EventDriven);
-        let naive = run(SimMode::Naive);
-        assert_eq!(event_driven, naive);
-        crate::telemetry::vcd_self_check(&event_driven).expect("valid VCD");
+    fn telemetry_sampling_exports_a_valid_vcd() {
+        let mut sim = Simulator::new();
+        sim.add(Box::new(Counting { reg: Reg::new(0) }));
+        sim.attach_telemetry(ProbeRegistry::new(Default::default()));
+        sim.run(8).unwrap();
+        let reg = sim.telemetry().expect("attached");
+        // Post-commit sampling: the counter reads 1..=8 over cycles 0..8.
+        let expected: Vec<(u64, u64)> = (0..8).map(|c| (c, c + 1)).collect();
+        assert_eq!(reg.events_for("counting.value"), expected);
+        crate::telemetry::vcd_self_check(&reg.export_vcd("t")).expect("valid VCD");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::module::{Module, Sensitivity};
+use crate::module::Module;
 use crate::signal::{SimCtx, Wire};
 use crate::Word;
 
@@ -140,19 +140,6 @@ impl Module for StreamSource {
             self.sent += 1;
         }
     }
-
-    fn sensitivity(&self) -> Option<Sensitivity> {
-        // `eval` presents the next item from internal state; `ready` is only
-        // read in `commit`, so the source has no eval-time inputs.
-        Some(Sensitivity::sequential(
-            vec![],
-            vec![
-                self.link.valid.id(),
-                self.link.beat.id(),
-                self.link.last.id(),
-            ],
-        ))
-    }
 }
 
 /// Testbench component: collects beats from a link into a shared buffer,
@@ -220,12 +207,6 @@ impl Module for StreamSink {
         if self.link.fires() {
             self.collected.borrow_mut().push(self.link.beat.get());
         }
-    }
-
-    fn sensitivity(&self) -> Option<Sensitivity> {
-        // `ready` follows the stall schedule (a function of the cycle
-        // number), not of any wire.
-        Some(Sensitivity::sequential(vec![], vec![self.link.ready.id()]))
     }
 }
 

@@ -1,15 +1,11 @@
 //! First-class observability: typed probes, profiling counters, and
-//! industry-format trace exporters.
-//!
-//! The [`trace`](crate::trace) module's [`Tracer`](crate::Tracer) records
-//! flat string-keyed change events — enough for ad-hoc debugging. This
-//! module is the structured layer built on the same idea:
+//! industry-format trace exporters. This is the workspace's one waveform
+//! recorder:
 //!
 //! * [`ProbeRegistry`] — hierarchical, *typed* probes ([`ProbeKind::Bit`],
 //!   [`ProbeKind::Vector`], [`ProbeKind::State`]) registered once and
-//!   sampled every cycle in the commit phase. Because sampling happens
-//!   after evaluation has converged, the event-driven and naive scheduler
-//!   modes produce identical traces by construction.
+//!   sampled every cycle in the commit phase, after evaluation has
+//!   converged, and recorded only on change.
 //! * [`CounterRegistry`] — named `u64` counters and occupancy
 //!   [`Histogram`]s owned by the simulation thread (lock-free in spirit:
 //!   plain cells, snapshotted per run into a [`TelemetrySnapshot`]).
@@ -1031,9 +1027,8 @@ impl Telemetry {
 /// Implemented by components that expose typed probes.
 ///
 /// Components register their probes once at elaboration and are sampled
-/// every cycle *after* the commit phase, when every value has settled —
-/// which is why the event-driven and naive scheduler modes produce
-/// identical traces. Sampling must not mutate architectural state.
+/// every cycle *after* the commit phase, when every value has settled.
+/// Sampling must not mutate architectural state.
 pub trait Probed {
     /// Declares this component's probes (idempotent).
     fn register_probes(&self, reg: &mut ProbeRegistry);

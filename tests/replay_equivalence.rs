@@ -292,13 +292,6 @@ fn capture_refuses_each_ineligible_feature() {
         Err(CoreError::ReplayRefused(ReplayUnsupported::StallSchedule))
     ));
 
-    let mut traced = paper_system();
-    traced.attach_tracer(smache_sim::TracerConfig::default());
-    assert!(matches!(
-        traced.run_captured(&input, 1),
-        Err(CoreError::ReplayRefused(ReplayUnsupported::Tracer))
-    ));
-
     let mut telemetered = paper_system();
     telemetered.attach_telemetry(smache_sim::TelemetryConfig::default());
     assert!(matches!(

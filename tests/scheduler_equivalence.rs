@@ -1,28 +1,23 @@
-//! Event-driven vs brute-force scheduling: behavioural equivalence.
+//! The settle loop against known answers.
 //!
-//! The simulator's default event-driven scheduler (`SimMode::EventDriven`)
-//! must be observationally identical to the naive evaluate-until-stable
-//! loop (`SimMode::Naive`): same outputs, same cycle counts, same
-//! convergence behaviour — it is only allowed to do *less work*. These
-//! tests pin that contract on three fronts:
+//! The simulator has one scheduler: every delta pass evaluates every
+//! module until a full pass changes no wire, then every module commits
+//! once. These tests pin what that loop must produce:
 //!
 //! 1. the paper's full system driven through [`AxiSmache`], covering all
 //!    nine boundary cases of the 11×11 validation grid, under randomised
-//!    inputs and back-pressure schedules;
-//! 2. randomised combinational adder chains mixing modules that declare a
-//!    [`Sensitivity`] with opaque ones, in shuffled registration order;
-//! 3. the scheduler's whole point: on the declared-sensitivity paper
-//!    pipeline it must evaluate strictly fewer module activations than the
-//!    brute-force loop while producing bit-identical results.
+//!    inputs and back-pressure schedules, matches the golden model;
+//! 2. randomised combinational adder chains, registered in shuffled
+//!    order, settle to their analytically known sum every cycle;
+//! 3. a self-feeding inverter is reported as a combinational loop
+//!    instead of hanging the simulator.
 
 use proptest::prelude::*;
 use smache::arch::kernel::AverageKernel;
 use smache::functional::golden::golden_run;
 use smache::system::axi::AxiSmache;
 use smache::SmacheBuilder;
-use smache_sim::{
-    Beat, Module, SchedStats, Sensitivity, SimCtx, SimMode, Simulator, StreamLink, StreamSink, Wire,
-};
+use smache_sim::{Module, SimCtx, Simulator, StreamLink, StreamSink, Wire};
 use smache_stencil::{BoundarySpec, Case2d, CaseCounts, GridSpec, StencilShape};
 
 const W: usize = 11;
@@ -41,18 +36,11 @@ fn grid_input(seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Runs the paper's 11×11 system through [`AxiSmache`] under `mode` with a
-/// consumer that stalls once every `stall_period` cycles (0 = never).
-/// Returns the collected output words, the cycle the run finished on, and
-/// the scheduler statistics.
-fn run_axi(
-    mode: SimMode,
-    input: &[u64],
-    instances: u64,
-    stall_period: u64,
-    stall_phase: u64,
-) -> (Vec<u64>, u64, SchedStats) {
-    let mut sim = Simulator::with_mode(mode);
+/// Runs the paper's 11×11 system through [`AxiSmache`] with a consumer
+/// that stalls once every `stall_period` cycles (0 = never). Returns the
+/// collected output words.
+fn run_axi(input: &[u64], instances: u64, stall_period: u64, stall_phase: u64) -> Vec<u64> {
+    let mut sim = Simulator::new();
     let system = SmacheBuilder::new(GridSpec::d2(W, W).expect("grid"))
         .shape(StencilShape::four_point_2d())
         .boundaries(BoundarySpec::paper_case())
@@ -69,13 +57,12 @@ fn run_axi(
     sim.add(Box::new(sink));
 
     let expect = (W * W) as u64 * instances;
-    let done_at = sim
-        .run_until(100_000, "stream completion", |_| {
-            buf.borrow().len() as u64 == expect
-        })
-        .expect("pipeline completes");
+    sim.run_until(100_000, "stream completion", |_| {
+        buf.borrow().len() as u64 == expect
+    })
+    .expect("pipeline completes");
     let out: Vec<u64> = buf.borrow().iter().map(|b| b.data).collect();
-    (out, done_at, sim.sched_stats())
+    out
 }
 
 /// The reference result: golden functional model, last instance's output.
@@ -92,23 +79,19 @@ fn golden(input: &[u64], instances: u64) -> Vec<u64> {
 }
 
 #[test]
-fn nine_cases_identical_across_schedulers() {
+fn nine_cases_match_the_golden_model() {
     // The validation grid exhibits all nine boundary cases; a full-system
-    // run under both schedulers therefore exercises every case.
+    // run therefore exercises every case.
     let counts = CaseCounts::for_grid(&GridSpec::d2(W, W).expect("grid")).expect("2d");
     assert_eq!(counts.distinct_cases(), 9);
 
     let input: Vec<u64> = (0..(W * W) as u64).collect();
-    let (ev_out, ev_cycles, ev_stats) = run_axi(SimMode::EventDriven, &input, 2, 3, 0);
-    let (nv_out, nv_cycles, nv_stats) = run_axi(SimMode::Naive, &input, 2, 3, 0);
-
-    assert_eq!(ev_out, nv_out, "outputs must be bit-identical");
-    assert_eq!(ev_cycles, nv_cycles, "cycle counts must agree");
-    let last = &ev_out[ev_out.len() - W * W..];
+    let out = run_axi(&input, 2, 3, 0);
+    let last = &out[out.len() - W * W..];
     assert_eq!(
         last,
         golden(&input, 2),
-        "and both must match the golden model"
+        "output must match the golden model"
     );
 
     // Spot-check one representative of each of the nine cases in the final
@@ -127,21 +110,11 @@ fn nine_cases_identical_across_schedulers() {
         assert_eq!(Case2d::classify(r, c, W, W).expect("in grid"), case);
         assert_eq!(last[r * W + c], golden(&input, 2)[r * W + c], "{case:?}");
     }
-
-    // The event-driven scheduler must be doing less work, not just equal
-    // work: fewer module evaluations over the same number of cycles.
-    assert_eq!(ev_stats.cycles, nv_stats.cycles);
-    assert!(
-        ev_stats.evals < nv_stats.evals,
-        "event-driven should skip settled modules (event {} vs naive {})",
-        ev_stats.evals,
-        nv_stats.evals
-    );
 }
 
 proptest! {
-    /// Random inputs, instance counts and back-pressure schedules: the two
-    /// schedulers stay bit-identical in outputs *and* timing.
+    /// Random inputs, instance counts and back-pressure schedules: the last
+    /// instance streamed out always matches the golden model.
     #[test]
     fn axi_pipeline_equivalent_under_random_stalls(
         seed in 0u64..1_000,
@@ -153,55 +126,25 @@ proptest! {
         // fold it into the "never stalls" case.
         let stall_period = if stall_period == 1 { 0 } else { stall_period };
         let input = grid_input(seed);
-        let (ev_out, ev_cycles, _) =
-            run_axi(SimMode::EventDriven, &input, instances, stall_period, stall_phase);
-        let (nv_out, nv_cycles, _) =
-            run_axi(SimMode::Naive, &input, instances, stall_period, stall_phase);
-        prop_assert_eq!(&ev_out, &nv_out);
-        prop_assert_eq!(ev_cycles, nv_cycles);
-        let last = &ev_out[ev_out.len() - W * W..];
+        let out = run_axi(&input, instances, stall_period, stall_phase);
+        let last = &out[out.len() - W * W..];
         prop_assert_eq!(last, &golden(&input, instances)[..]);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Randomised combinational DAGs: declared and opaque modules mixed freely.
+// Randomised combinational chains in shuffled registration order.
 // ---------------------------------------------------------------------------
 
-/// `out = in + addend`, with a declared combinational sensitivity.
-struct Declared {
+/// `out = in + addend`: one combinational stage.
+struct Adder {
     name: String,
     input: Wire<u64>,
     out: Wire<u64>,
     addend: u64,
 }
 
-/// Same datapath, but opaque to the scheduler (no declared sensitivity):
-/// the scheduler must fall back to waking it on every change.
-struct Opaque {
-    name: String,
-    input: Wire<u64>,
-    out: Wire<u64>,
-    addend: u64,
-}
-
-impl Module for Declared {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn eval(&mut self, _cycle: u64) {
-        self.out.drive(self.input.get() + self.addend);
-    }
-    fn commit(&mut self, _cycle: u64) {}
-    fn sensitivity(&self) -> Option<Sensitivity> {
-        Some(Sensitivity::combinational(
-            vec![self.input.id()],
-            vec![self.out.id()],
-        ))
-    }
-}
-
-impl Module for Opaque {
+impl Module for Adder {
     fn name(&self) -> &str {
         &self.name
     }
@@ -226,21 +169,16 @@ impl Module for Driver {
         self.head.drive(cycle * self.scale);
     }
     fn commit(&mut self, _cycle: u64) {}
-    fn sensitivity(&self) -> Option<Sensitivity> {
-        Some(Sensitivity::sequential(vec![], vec![self.head.id()]))
-    }
 }
 
 /// Builds an adder chain of `depth` stages over fresh wires, registering
-/// stages in an order shuffled by `order_seed`, making stage `i` opaque
-/// whenever bit `i` of `opaque_mask` is set. Returns the tail wire.
+/// stages in an order shuffled by `order_seed`. Returns the tail wire.
 fn build_chain(
     sim: &mut Simulator,
     ctx: &SimCtx,
     depth: usize,
     addends: &[u64],
     order_seed: u64,
-    opaque_mask: u64,
 ) -> Wire<u64> {
     let wires: Vec<Wire<u64>> = (0..=depth)
         .map(|i| ctx.wire(&format!("w{i}"), 0u64))
@@ -263,67 +201,44 @@ fn build_chain(
     }
 
     for &i in &order {
-        let (input, out) = (wires[i].clone(), wires[i + 1].clone());
-        let addend = addends[i];
-        let name = format!("stage{i}");
-        if opaque_mask >> i & 1 == 1 {
-            sim.add(Box::new(Opaque {
-                name,
-                input,
-                out,
-                addend,
-            }));
-        } else {
-            sim.add(Box::new(Declared {
-                name,
-                input,
-                out,
-                addend,
-            }));
-        }
+        sim.add(Box::new(Adder {
+            name: format!("stage{i}"),
+            input: wires[i].clone(),
+            out: wires[i + 1].clone(),
+            addend: addends[i],
+        }));
     }
     wires[depth].clone()
 }
 
 proptest! {
-    /// Chains of mixed declared/opaque combinational stages, registered in
-    /// random order, settle to the same values in both modes — and to the
-    /// analytically-known sum.
+    /// Chains of combinational stages, registered in random order, settle
+    /// to the analytically known sum.
     #[test]
-    fn mixed_chain_settles_identically(
+    fn shuffled_chain_settles_to_the_known_sum(
         depth in 1usize..12,
         order_seed in 0u64..1_000,
-        opaque_mask in 0u64..4096,
         addends in proptest::collection::vec(0u64..100, 12),
     ) {
-        let mut results = Vec::new();
-        for mode in [SimMode::EventDriven, SimMode::Naive] {
-            let mut sim = Simulator::with_mode(mode);
-            let ctx = sim.ctx().clone();
-            let tail = build_chain(&mut sim, &ctx, depth, &addends, order_seed, opaque_mask);
-            for _ in 0..4 {
-                sim.step().expect("chain settles");
-            }
-            results.push((tail.get(), sim.sched_stats().passes));
+        let mut sim = Simulator::new();
+        let ctx = sim.ctx().clone();
+        let tail = build_chain(&mut sim, &ctx, depth, &addends, order_seed);
+        for _ in 0..4 {
+            sim.step().expect("chain settles");
         }
         let expected = 3 * 3 + addends[..depth].iter().sum::<u64>();
-        prop_assert_eq!(results[0].0, expected, "event-driven value");
-        prop_assert_eq!(results[1].0, expected, "naive value");
-        // A fully-opaque chain must also match the naive loop's *work*:
-        // opacity degrades the scheduler to exactly brute-force behaviour.
-        if opaque_mask.trailing_ones() as usize >= depth {
-            prop_assert_eq!(results[0].1, results[1].1, "opaque pass counts");
-        }
+        prop_assert_eq!(tail.get(), expected);
     }
 }
 
 #[test]
 fn combinational_loop_detected_in_both_modes() {
     // An inverter whose output feeds its own input flips on every delta
-    // pass and never settles; both schedulers must report the
+    // pass and never settles; the settle loop must report the
     // combinational loop rather than hang. (Two cross-coupled inverters
     // would be bistable — they *settle* — so the self-loop is the real
-    // divergence case.)
+    // divergence case.) The name predates the removal of the second
+    // scheduler mode; the one remaining loop is checked here.
     struct Not {
         wire: Wire<u64>,
     }
@@ -335,51 +250,15 @@ fn combinational_loop_detected_in_both_modes() {
             self.wire.drive(1 - self.wire.get().min(1));
         }
         fn commit(&mut self, _cycle: u64) {}
-        fn sensitivity(&self) -> Option<Sensitivity> {
-            Some(Sensitivity::combinational(
-                vec![self.wire.id()],
-                vec![self.wire.id()],
-            ))
-        }
     }
-    for mode in [SimMode::EventDriven, SimMode::Naive] {
-        let mut sim = Simulator::with_mode(mode);
-        let ctx = sim.ctx().clone();
-        let a = ctx.wire("a", 0u64);
-        sim.add(Box::new(Not { wire: a }));
-        let err = sim.step().expect_err("ring oscillator cannot settle");
-        let msg = format!("{err}");
-        assert!(
-            msg.to_lowercase().contains("loop") || msg.to_lowercase().contains("settle"),
-            "unexpected error in {mode:?}: {msg}"
-        );
-    }
-}
-
-#[test]
-fn event_driven_is_the_default_and_does_less_work() {
-    let input: Vec<u64> = (0..(W * W) as u64).collect();
-    let sim = Simulator::new();
-    assert_eq!(sim.mode(), SimMode::EventDriven);
-
-    let (_, _, ev) = run_axi(SimMode::EventDriven, &input, 1, 0, 0);
-    let (_, _, nv) = run_axi(SimMode::Naive, &input, 1, 0, 0);
-    // Visible under `--nocapture`; these are the numbers quoted in
-    // docs/PERFORMANCE.md.
-    println!(
-        "event-driven: {:.2} evals/cycle, {:.2} passes/cycle",
-        ev.evals_per_cycle(),
-        ev.passes_per_cycle()
+    let mut sim = Simulator::new();
+    let ctx = sim.ctx().clone();
+    let a = ctx.wire("a", 0u64);
+    sim.add(Box::new(Not { wire: a }));
+    let err = sim.step().expect_err("ring oscillator cannot settle");
+    let msg = format!("{err}").to_lowercase();
+    assert!(
+        msg.contains("loop") || msg.contains("settle"),
+        "unexpected error: {msg}"
     );
-    println!(
-        "naive:        {:.2} evals/cycle, {:.2} passes/cycle",
-        nv.evals_per_cycle(),
-        nv.passes_per_cycle()
-    );
-    // The naive loop re-evaluates every module until a whole quiet pass —
-    // at minimum two passes over 2 modules per cycle. The event-driven
-    // scheduler should get each cycle done in one wave of the two
-    // sequential modules.
-    assert!(ev.evals_per_cycle() <= nv.evals_per_cycle() / 1.5);
-    let _ = Beat::default(); // keep the Beat import exercised on all paths
 }

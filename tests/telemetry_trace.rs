@@ -1,18 +1,16 @@
-//! Telemetry contract tests: mode-identical traces, exporter
-//! well-formedness, the golden VCD artifact, residency accounting, and the
-//! zero-overhead (bit-identity) guarantee.
+//! Telemetry contract tests: exporter well-formedness, the golden VCD
+//! artifact, residency accounting, and the zero-overhead (bit-identity)
+//! guarantee.
 //!
 //! The probe registry samples in the commit phase, after every module's
-//! state has settled, so the event-driven scheduler and the brute-force
-//! delta loop must emit byte-identical traces. The golden file pins the
-//! exact artifact; regenerate deliberately with
-//! `UPDATE_GOLDEN=1 cargo test --test telemetry_trace`.
+//! state has settled. The golden file pins the exact artifact; regenerate
+//! deliberately with `UPDATE_GOLDEN=1 cargo test --test telemetry_trace`.
 
 use smache::system::axi::AxiSmache;
 use smache::SmacheBuilder;
 use smache_mem::{ChaosProfile, FaultPlan};
 use smache_sim::telemetry::{chrome_self_check, vcd_self_check};
-use smache_sim::{ProbeRegistry, SimMode, Simulator, StreamLink, StreamSink, TelemetryConfig};
+use smache_sim::{ProbeRegistry, Simulator, StreamLink, StreamSink, TelemetryConfig};
 use smache_stencil::GridSpec;
 
 const W: usize = 11;
@@ -30,11 +28,11 @@ fn grid_input(seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Runs the paper's 11×11 4-point workload through [`AxiSmache`] under
-/// `mode` with a simulator-attached probe registry; returns the registry
-/// after completion.
-fn run_traced(mode: SimMode, input: &[u64], instances: u64) -> ProbeRegistry {
-    let mut sim = Simulator::with_mode(mode);
+/// Runs the paper's 11×11 4-point workload through [`AxiSmache`] with a
+/// simulator-attached probe registry; returns the registry after
+/// completion.
+fn run_traced(input: &[u64], instances: u64) -> ProbeRegistry {
+    let mut sim = Simulator::new();
     let system = SmacheBuilder::new(GridSpec::d2(W, W).expect("grid"))
         .build()
         .expect("system");
@@ -54,33 +52,22 @@ fn run_traced(mode: SimMode, input: &[u64], instances: u64) -> ProbeRegistry {
 }
 
 #[test]
-fn vcd_identical_across_scheduler_modes() {
+fn vcd_is_well_formed_and_covers_the_design() {
     let input = grid_input(3);
-    let event = run_traced(SimMode::EventDriven, &input, 1);
-    let naive = run_traced(SimMode::Naive, &input, 1);
-    let vcd_event = event.export_vcd("smache");
-    let vcd_naive = naive.export_vcd("smache");
-    vcd_self_check(&vcd_event).expect("well-formed VCD");
-    assert_eq!(
-        vcd_event, vcd_naive,
-        "commit-phase sampling must make both schedulers trace identically"
-    );
-    assert!(event.probe_count() > 10, "full design is instrumented");
-    assert_eq!(event.dropped(), 0, "default capacity holds the short run");
+    let reg = run_traced(&input, 1);
+    vcd_self_check(&reg.export_vcd("smache")).expect("well-formed VCD");
+    assert!(reg.probe_count() > 10, "full design is instrumented");
+    assert_eq!(reg.dropped(), 0, "default capacity holds the short run");
 }
 
 #[test]
-fn chrome_trace_identical_across_scheduler_modes_and_well_formed() {
+fn chrome_trace_is_well_formed() {
     let input = grid_input(17);
-    let event = run_traced(SimMode::EventDriven, &input, 1);
-    let naive = run_traced(SimMode::Naive, &input, 1);
-    let chrome_event = event.export_chrome("smache");
-    let chrome_naive = naive.export_chrome("smache");
-    chrome_self_check(&chrome_event).expect("well-formed trace JSON");
-    assert_eq!(chrome_event, chrome_naive);
+    let chrome = run_traced(&input, 1).export_chrome("smache");
+    chrome_self_check(&chrome).expect("well-formed trace JSON");
     // FSM states appear as duration slices, stalls as async spans.
-    assert!(chrome_event.contains("\"ph\":\"X\""), "state slices");
-    assert!(chrome_event.contains("traceEvents"));
+    assert!(chrome.contains("\"ph\":\"X\""), "state slices");
+    assert!(chrome.contains("traceEvents"));
 }
 
 #[test]
@@ -116,7 +103,7 @@ fn golden_vcd_artifact_is_stable() {
 #[test]
 fn vcd_timestamps_are_strictly_monotonic() {
     let input = grid_input(9);
-    let reg = run_traced(SimMode::EventDriven, &input, 1);
+    let reg = run_traced(&input, 1);
     let vcd = reg.export_vcd("smache");
     let stamps: Vec<u64> = vcd
         .lines()

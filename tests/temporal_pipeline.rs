@@ -4,8 +4,7 @@
 //!
 //! * across the paper's nine-boundary-case 11×11 grid,
 //! * across ≥16 random specs (grid, boundaries, shape, depth, channels),
-//! * in **both** scheduler modes (event-driven and brute-force naive)
-//!   when the pipeline is clocked externally as a [`smache_sim::Module`],
+//! * when the pipeline is clocked externally as a [`smache_sim::Module`],
 //! * and a captured pipelined [`ControlSchedule`] must replay fresh data
 //!   bit-exactly against full simulation.
 
@@ -13,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use smache::prelude::*;
-use smache_sim::{SimMode, Simulator};
+use smache_sim::Simulator;
 
 /// Self-contained xorshift step (no rand crate in tier-1 tests).
 fn xorshift(state: &mut u64) -> u64 {
@@ -165,7 +164,7 @@ fn sixteen_random_specs_match_the_sequential_reference() {
 
 /// Wraps an armed [`TemporalPipeline`] as a [`smache_sim::Module`]: one
 /// [`TemporalPipeline::step`] per simulator commit, so the whole
-/// pipeline advances under the scheduler's clock in either [`SimMode`].
+/// pipeline advances under the simulator's clock.
 struct PipeModule {
     inner: Rc<RefCell<PipeState>>,
 }
@@ -193,14 +192,9 @@ impl smache_sim::Module for PipeModule {
     }
 }
 
-/// Arms a pipeline, clocks it to completion inside a [`Simulator`] running
-/// in `mode`, and returns the output grid plus the drain cycle.
-fn run_in_mode(
-    mode: SimMode,
-    config: PipelineConfig,
-    input: &[Word],
-    passes: u64,
-) -> (Vec<Word>, u64) {
+/// Arms a pipeline, clocks it to completion inside a [`Simulator`], and
+/// returns the output grid plus the drain cycle.
+fn run_in_simulator(config: PipelineConfig, input: &[Word], passes: u64) -> (Vec<Word>, u64) {
     let grid = GridSpec::d2(11, 11).expect("grid");
     let bounds = BoundarySpec::paper_case();
     let shape = StencilShape::four_point_2d();
@@ -208,7 +202,7 @@ fn run_in_mode(
     pipe.arm(input, passes).expect("arm");
 
     let inner = Rc::new(RefCell::new(PipeState { pipe, error: None }));
-    let mut sim = Simulator::with_mode(mode);
+    let mut sim = Simulator::new();
     sim.add(Box::new(PipeModule {
         inner: Rc::clone(&inner),
     }));
@@ -222,14 +216,14 @@ fn run_in_mode(
 
     let mut st = inner.borrow_mut();
     if let Some(e) = st.error.take() {
-        panic!("pipeline fault under {mode:?}: {e}");
+        panic!("pipeline fault under the simulator clock: {e}");
     }
     let output = st.pipe.armed_output().expect("armed output");
     (output, done_at)
 }
 
 #[test]
-fn both_scheduler_modes_clock_the_pipeline_identically() {
+fn the_simulator_clocks_the_pipeline_like_a_direct_run() {
     let grid = GridSpec::d2(11, 11).expect("grid");
     let bounds = BoundarySpec::paper_case();
     let shape = StencilShape::four_point_2d();
@@ -244,26 +238,21 @@ fn both_scheduler_modes_clock_the_pipeline_identically() {
         let steps = depth as u64 * passes;
         let reference = sequential_single_steps(&grid, &bounds, &shape, &input, steps);
 
-        let (event_out, event_cycle) = run_in_mode(SimMode::EventDriven, config, &input, passes);
-        let (naive_out, naive_cycle) = run_in_mode(SimMode::Naive, config, &input, passes);
-
+        let (out, drain) = run_in_simulator(config, &input, passes);
         assert_eq!(
-            event_out, naive_out,
-            "scheduler modes disagree on output (depth {depth}, {channels} ch)"
-        );
-        assert_eq!(
-            event_cycle, naive_cycle,
-            "scheduler modes disagree on drain cycle (depth {depth}, {channels} ch)"
-        );
-        assert_eq!(
-            event_out, reference,
+            out, reference,
             "externally clocked pipeline diverged from {steps} sequential steps"
         );
 
-        // The internally clocked run (TemporalPipeline::run) agrees too.
+        // The internally clocked run (TemporalPipeline::run) agrees too,
+        // on the output and on the drain cycle.
         let mut pipe = pipeline_for(&grid, &bounds, &shape, config);
         let report = pipe.run(&input, passes).expect("direct run");
-        assert_eq!(report.output, event_out, "direct run diverged");
+        assert_eq!(report.output, out, "direct run diverged");
+        assert_eq!(
+            report.metrics.cycles, drain,
+            "drain cycle (depth {depth}, {channels} ch)"
+        );
     }
 }
 

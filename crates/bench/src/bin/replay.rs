@@ -25,7 +25,9 @@
 //! 5. **Replay loops**: nanoseconds per cell update of
 //!    `ControlSchedule::replay` (one lane) and `replay_lanes` (1 and 16
 //!    lanes) on the four specs of the benchmark's seed sweep, each the
-//!    minimum of 60 timed calls after capture.
+//!    minimum of 60 timed calls after capture. `replay` is the one-lane
+//!    call of the same run loop, so `single` and `lanes1` time one path
+//!    through two entry points.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -86,7 +88,7 @@ type SweepSpec = (
 );
 
 /// Section 5: one row per seed-sweep spec — captured once, then timed
-/// through both replay loops.
+/// through both replay entry points.
 fn loop_rows() -> Vec<Json> {
     const REPS: usize = 60;
     const LANES: usize = 16;

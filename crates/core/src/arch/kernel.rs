@@ -21,14 +21,14 @@ pub trait Kernel {
     /// Computes the output word for one gathered tuple.
     fn apply(&self, values: &[Word], mask: u64) -> Word;
 
-    /// Computes `out.len()` lanes of one gathered row at once: lane `l`'s
-    /// tuple is `slots[p][l]` for every shape point `p`, so each
-    /// `slots[p]` is point `p`'s contiguous lane slice of a
-    /// structure-of-arrays block and holds at least `out.len()` words.
-    /// All lanes share `mask`.
+    /// Computes `out.len()` tuples at once, all under `mask`: tuple `i`
+    /// is `slots[p][i]` for every shape point `p`, so each `slots[p]`
+    /// holds at least `out.len()` words. Replay calls it once per run of
+    /// elements that share a stencil case, and its tuples are the run's
+    /// (element, lane) pairs.
     ///
-    /// Must equal calling [`Kernel::apply`] once per lane, which is what
-    /// the default does; a kernel overrides it to drop the per-lane
+    /// Must equal calling [`Kernel::apply`] once per tuple, which is what
+    /// the default does; a kernel overrides it to drop the per-tuple
     /// dispatch from its inner loop.
     fn apply_lanes(&self, slots: &[&[Word]], mask: u64, out: &mut [Word]) {
         let mut stack = [0; MASK_BITS];
@@ -65,21 +65,33 @@ const MASK_BITS: usize = 64;
 /// instruction: a multiply-high by `c = ⌈2^128 / d⌉`. With a 128-bit
 /// fraction the quotient is exact for every 64-bit dividend (Lemire, Kaser
 /// & Kurz, "Faster remainder by direct computation", 2019: exactness needs
-/// `64 + log2 d` fraction bits). `c = 0` encodes `d = 1`.
+/// `64 + log2 d` fraction bits). `c = 0` encodes `d = 1`. Dividends below
+/// [`SMALL_SUM`] take a 64-bit multiply-high by `c64 = ⌈2^64 / d⌉`
+/// instead, exact there by the same bound (`58 + 6 ≤ 64`).
 #[derive(Debug, Clone, Copy)]
 struct Reciprocal {
     c: u128,
+    c64: u64,
     d: u64,
 }
+
+/// Sums below this divide exactly through [`Reciprocal::div_small`].
+const SMALL_SUM: u64 = 1 << 58;
+
+/// Words below this sum below [`SMALL_SUM`] over any [`MASK_BITS`] points.
+const SMALL_WORD: u64 = 1 << 52;
+
+const _: () = assert!((SMALL_WORD - 1) * (MASK_BITS as u64) < SMALL_SUM);
 
 /// [`Reciprocal`] of every count a `u64` mask can hold, index = count.
 /// Entry 0 is never divided by: callers return 0 for an empty tuple.
 const RECIPROCALS: [Reciprocal; MASK_BITS + 1] = {
-    let mut table = [Reciprocal { c: 0, d: 1 }; MASK_BITS + 1];
+    let mut table = [Reciprocal { c: 0, c64: 0, d: 1 }; MASK_BITS + 1];
     let mut d = 2;
     while d <= MASK_BITS {
         table[d] = Reciprocal {
             c: u128::MAX / d as u128 + 1,
+            c64: u64::MAX / d as u64 + 1,
             d: d as u64,
         };
         d += 1;
@@ -101,6 +113,16 @@ impl Reciprocal {
         ((hi + lo) >> 64) as u64
     }
 
+    /// `n / d` for `n` below [`SMALL_SUM`] (any other `n` gives a wrong
+    /// quotient): one 64×64 product.
+    #[inline]
+    fn div_small(self, n: u64) -> u64 {
+        if self.c64 == 0 {
+            return n;
+        }
+        ((n as u128 * self.c64 as u128) >> 64) as u64
+    }
+
     /// `sum / d` for a `u128` sum: the multiply-high when the sum fits 64
     /// bits, `u128` division when it carries past them.
     #[inline]
@@ -112,23 +134,40 @@ impl Reciprocal {
     }
 }
 
-/// [`AverageKernel::apply_lanes`] for exactly `K` present points: the
-/// fixed-size slot array lets the compiler unroll the sum and drop the
-/// per-lane bounds checks.
+/// [`AverageKernel::apply_lanes`] over the `present` slots: each tuple
+/// sums in a `u64` and divides through [`Reciprocal::div_small`], while
+/// the present words are ORed together; when any word reaches
+/// [`SMALL_WORD`] the sums may not fit, and the call is redone in `u128`.
+#[inline(always)]
+fn average_rows(present: &[&[Word]], out: &mut [Word]) {
+    let recip = RECIPROCALS[present.len()];
+    let mut any = 0;
+    for (l, o) in out.iter_mut().enumerate() {
+        let mut sum = 0u64;
+        for s in present {
+            sum = sum.wrapping_add(s[l]);
+            any |= s[l];
+        }
+        *o = recip.div_small(sum);
+    }
+    if any >= SMALL_WORD {
+        for (l, o) in out.iter_mut().enumerate() {
+            let sum: u128 = present.iter().map(|s| s[l] as u128).sum();
+            *o = recip.div_wide(sum);
+        }
+    }
+}
+
+/// [`average_rows`] for exactly `K` present points: the fixed-size slot
+/// array lets the compiler unroll the sum and drop the per-tuple bounds
+/// checks.
 #[inline(always)]
 fn average_fixed<'a, const K: usize>(
     mut present: impl Iterator<Item = &'a [Word]>,
     out: &mut [Word],
 ) {
     let p: [&[Word]; K] = std::array::from_fn(|_| present.next().expect("K present points"));
-    let recip = RECIPROCALS[K];
-    for (l, o) in out.iter_mut().enumerate() {
-        let mut sum = 0u128;
-        for s in &p {
-            sum += s[l] as u128;
-        }
-        *o = recip.div_wide(sum);
-    }
+    average_rows(&p, out);
 }
 
 /// A mask with the low `bits` bits set.
@@ -169,10 +208,10 @@ impl Kernel for AverageKernel {
         RECIPROCALS[count].div_wide(sum)
     }
 
-    /// Lane-outer: each lane sums its present points in a `u128` register
-    /// and divides by the row's point count through an exact
-    /// multiply-high reciprocal (`u128` division only when the sum carries
-    /// past 64 bits).
+    /// Tuple-outer: each tuple sums its present points and divides by the
+    /// mask's point count through an exact multiply-high reciprocal — in
+    /// 64 bits while every word is below 2^52, else in `u128` (with
+    /// `u128` division only when a sum carries past 64 bits).
     fn apply_lanes(&self, slots: &[&[Word]], mask: u64, out: &mut [Word]) {
         let lanes = out.len();
         let slots = &slots[..slots.len().min(MASK_BITS)];
@@ -196,14 +235,7 @@ impl Kernel for AverageKernel {
             7 => average_fixed::<7>(present, out),
             8 => average_fixed::<8>(present, out),
             9 => average_fixed::<9>(present, out),
-            _ => {
-                let present: Vec<&[Word]> = present.collect();
-                let recip = RECIPROCALS[count];
-                for (l, o) in out.iter_mut().enumerate() {
-                    let sum: u128 = present.iter().map(|s| s[l] as u128).sum();
-                    *o = recip.div_wide(sum);
-                }
-            }
+            _ => average_rows(&present.collect::<Vec<_>>(), out),
         }
     }
 
@@ -416,6 +448,23 @@ mod tests {
             }
             for n in dividends {
                 assert_eq!(r.div(n), n / d, "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn small_reciprocal_is_exact_below_the_small_sum_bound() {
+        let top = SMALL_SUM - 1;
+        for d in 1..=64u64 {
+            let r = RECIPROCALS[d as usize];
+            let mut dividends = vec![0, 1, d - 1, d, d + 1, top - 1, top];
+            for k in [2, 3, 1000, top / d - 1, top / d] {
+                dividends.extend([k * d - 1, k * d, k * d + 1]);
+            }
+            // The largest sum of 64 words below 2^52.
+            dividends.push((SMALL_WORD - 1) * 64);
+            for n in dividends.into_iter().filter(|&n| n < SMALL_SUM) {
+                assert_eq!(r.div_small(n), n / d, "{n} / {d}");
             }
         }
     }

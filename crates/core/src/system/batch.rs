@@ -19,9 +19,9 @@
 //! first, so a batched sweep is bit-identical to a serial one — the same
 //! guarantee [`smache_sim::run_batch`] gives at the simulator level, which
 //! this module builds on. Replay-eligible lanes that share a
-//! [`schedule_key`] are grouped into structure-of-arrays lane blocks and
-//! driven through [`ControlSchedule::replay_lanes`], one kernel call per
-//! gather row for the whole block.
+//! [`schedule_key`] are grouped into lane blocks and driven through
+//! [`ControlSchedule::replay_lanes`], one kernel call per run of the
+//! gather rows for the whole block.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,9 +43,9 @@ use crate::CoreResult;
 /// instead.
 pub type KernelFactory = Arc<dyn Fn() -> Box<dyn Kernel> + Send + Sync>;
 
-/// Default number of lanes replayed per structure-of-arrays block.
+/// Default number of lanes replayed per block.
 ///
-/// Big enough to amortise the per-row kernel call across many lanes,
+/// Big enough to amortise the per-run kernel call across many lanes,
 /// small enough that a block's interleaved grids stay cache-resident
 /// and blocks still spread across worker threads.
 pub const DEFAULT_LANE_BLOCK: usize = 16;
@@ -105,7 +105,7 @@ pub struct BatchOptions<'s> {
     /// Persistent schedule store consulted before capturing and written
     /// back after (see [`ScheduleStore`]).
     pub store: Option<&'s mut ScheduleStore>,
-    /// Lanes replayed per structure-of-arrays block (clamped to ≥ 1).
+    /// Lanes replayed per block (clamped to ≥ 1).
     pub lane_block: usize,
 }
 
@@ -226,7 +226,7 @@ enum Work {
     Done(usize, CoreResult<RunReport>),
     /// Run the full simulation for one lane.
     Full(usize, BatchJob),
-    /// Replay the captured schedule over a structure-of-arrays lane block.
+    /// Replay the captured schedule over a lane block.
     Replay(Arc<ControlSchedule>, Vec<(usize, BatchJob)>),
 }
 
@@ -275,10 +275,10 @@ impl SmacheSystem {
     /// instance count and — for active latency-only fault plans — chaos
     /// seed; *data* seeds do not matter) capture the control plane **once**
     /// and replay it for every other lane, bit-exact with the full
-    /// simulation. Replay lanes are grouped into structure-of-arrays
-    /// blocks of [`BatchOptions::lane_block`] lanes and driven through
-    /// [`ControlSchedule::replay_lanes`], so the kernel runs once per
-    /// gather row for the whole block.
+    /// simulation. Replay lanes are grouped into blocks of
+    /// [`BatchOptions::lane_block`] lanes and driven through
+    /// [`ControlSchedule::replay_lanes`], so the kernel runs once per run
+    /// of the gather rows for the whole block.
     ///
     /// * [`ReplayMode::Off`] — every lane runs the full simulation.
     /// * [`ReplayMode::Auto`] — one lane per distinct key runs the full

@@ -13,12 +13,14 @@
 //!    run with the per-cycle control recorder attached, yielding a
 //!    [`ControlSchedule`] — the packed [`ControlTrace`], the per-element
 //!    [`GatherTable`], and the run's data-independent report template.
-//! 2. **Replay** ([`ControlSchedule::replay`]): for each work-instance,
-//!    every output element is the kernel applied to its gathered slots —
-//!    indexed grid reads resolved at capture time, no delta settling, no
-//!    module dispatch. Outputs and cycle counts are **bit-exact** versus
-//!    the full simulation; capture verifies this on its own input before
-//!    handing the schedule out ([`ReplayUnsupported::ScheduleDivergence`]
+//! 2. **Replay** ([`ControlSchedule::replay_lanes`], one lane in
+//!    [`ControlSchedule::replay`]): for each work-instance, every output
+//!    element is the kernel applied to its gathered slots — indexed grid
+//!    reads resolved at capture time, one kernel call per run of elements
+//!    that share a stencil case, no delta settling, no module dispatch.
+//!    Outputs and cycle counts are **bit-exact** versus the full
+//!    simulation; capture verifies this on its own input before handing
+//!    the schedule out ([`ReplayUnsupported::ScheduleDivergence`]
 //!    otherwise — replay never silently diverges).
 //!
 //! Why one gather table serves every instance: each instance's input is the
@@ -47,10 +49,9 @@
 //! independent rendering of the spec ([`schedule_key`]) and cached:
 //! [`SmacheSystem::run_batch`](crate::system::SmacheSystem::run_batch)
 //! captures once per distinct key and replays the other lanes — grouped
-//! into structure-of-arrays lane blocks driven by
-//! [`ControlSchedule::replay_lanes`] — and `smache serve` keeps a
-//! second-level schedule cache behind its result cache. See
-//! `docs/PERFORMANCE.md` §6 for measured speedups.
+//! into lane blocks driven by [`ControlSchedule::replay_lanes`] — and
+//! `smache serve` keeps a second-level schedule cache behind its result
+//! cache. See `docs/PERFORMANCE.md` §6 for measured speedups.
 
 use std::sync::Arc;
 
@@ -253,7 +254,7 @@ impl ControlSchedule {
     /// from the recorded control plane — per instance, each element is the
     /// kernel applied to its gathered slots — and returns a report
     /// bit-exact with the full simulation of the same input (verified at
-    /// capture time).
+    /// capture time). One lane of [`ControlSchedule::replay_lanes`].
     ///
     /// Refuses with a typed reason when the request does not match the
     /// captured spec (kernel, grid size, instance count).
@@ -262,52 +263,14 @@ impl ControlSchedule {
         kernel: &dyn Kernel,
         input: &[Word],
     ) -> Result<RunReport, ReplayUnsupported> {
-        if kernel.name() != self.kernel_name || kernel.latency() != self.kernel_latency {
-            return Err(ReplayUnsupported::KernelMismatch {
-                expected: format!("{} (latency {})", self.kernel_name, self.kernel_latency),
-                actual: format!("{} (latency {})", kernel.name(), kernel.latency()),
-            });
-        }
-        if input.len() != self.n {
-            return Err(ReplayUnsupported::InputLength {
-                expected: self.n,
-                actual: input.len(),
-            });
-        }
-        // Both buffers carry the extended grid's constant and hole rows;
-        // only the first `n` rows are ever rewritten.
-        let mut cur = self.gather.extend(&[input]);
-        let mut next = cur.clone();
-        let mut stack = [0 as Word; GatherTable::MAX_ARITY];
-        let values = &mut stack[..self.gather.arity()];
-        for _ in 0..self.instances {
-            for (e, out) in next[..self.n].iter_mut().enumerate() {
-                let (row, mask) = self.gather.row(e);
-                for (v, &r) in values.iter_mut().zip(row) {
-                    *v = cur[r as usize];
-                }
-                *out = kernel.apply(values, mask);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur.truncate(self.n);
-        let mut report = self.template.clone();
-        report.output = cur;
-        report.engine = RunEngine::Replay;
-        Ok(report)
+        let mut reports = self.replay_lanes(kernel, &[input])?;
+        Ok(reports.pop().expect("one report per lane"))
     }
 
-    /// Data-parallel replay: one schedule walk drives **all** lanes of a
-    /// sweep at once.
-    ///
-    /// The grids are interleaved into a structure-of-arrays block — the
-    /// word for (element `e`, lane `l`) lives at `e * lanes + l` — so each
-    /// element's lowered gather row becomes `arity` contiguous lane slices
-    /// and the kernel runs once per row through [`Kernel::apply_lanes`].
-    /// Constants and boundary holes are extra lane-invariant rows of the
-    /// block, filled once per call. Per lane the result is
-    /// bit-exact with [`ControlSchedule::replay`] of that lane's input
-    /// (and therefore with the full simulation).
+    /// Replays the schedule over every lane's input at once
+    /// ([`GatherTable::replay`]): one [`Kernel::apply_lanes`] call per run
+    /// of the gather table, whose tuples are the run's (element, lane)
+    /// pairs. Per lane the result is bit-exact with the full simulation.
     ///
     /// Refuses with a typed reason when the kernel or any lane's input
     /// length does not match the captured spec. An empty `inputs` returns
@@ -331,35 +294,23 @@ impl ControlSchedule {
                 });
             }
         }
-        let lanes = inputs.len();
-        if lanes == 0 {
+        if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        // Both buffers carry the constant and hole rows; only the first
-        // `n` rows are ever rewritten.
-        let mut cur = self.gather.extend(inputs);
-        let mut next = cur.clone();
-        for _ in 0..self.instances {
-            let mut slots: [&[Word]; GatherTable::MAX_ARITY] = [&[]; GatherTable::MAX_ARITY];
-            let slots = &mut slots[..self.gather.arity()];
-            for (e, out) in next[..self.n * lanes].chunks_exact_mut(lanes).enumerate() {
-                let (row, mask) = self.gather.row(e);
-                for (s, &r) in slots.iter_mut().zip(row) {
-                    let base = r as usize * lanes;
-                    *s = &cur[base..base + lanes];
-                }
-                kernel.apply_lanes(slots, mask, out);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let mut reports = Vec::with_capacity(lanes);
-        for l in 0..lanes {
-            let mut report = self.template.clone();
-            report.output = (0..self.n).map(|e| cur[e * lanes + l]).collect();
-            report.engine = RunEngine::Replay;
-            reports.push(report);
-        }
-        Ok(reports)
+        let outputs = self
+            .gather
+            .replay(inputs, self.instances, |slots, mask, out| {
+                kernel.apply_lanes(slots, mask, out)
+            });
+        Ok(outputs
+            .into_iter()
+            .map(|output| {
+                let mut report = self.template.clone();
+                report.output = output;
+                report.engine = RunEngine::Replay;
+                report
+            })
+            .collect())
     }
 }
 
@@ -372,9 +323,7 @@ impl ControlSchedule {
 /// must replay. Before the schedule is handed out, sealing checks that
 /// the trace totals reproduce the run's cycle accounting, clears the
 /// template's data, and replays the capture input through the fresh
-/// schedule — once down [`ControlSchedule::replay`] and once as a single
-/// lane of [`ControlSchedule::replay_lanes`] — demanding bit-exactness
-/// from both. Any mismatch surfaces as
+/// schedule, demanding bit-exactness. Any mismatch surfaces as
 /// [`CoreError::ReplayRefused`]`(`[`ReplayUnsupported::ScheduleDivergence`]`)`
 /// — a loud, typed failure instead of a silently wrong schedule.
 pub(crate) fn seal_capture(
@@ -417,28 +366,23 @@ pub(crate) fn seal_capture(
         template,
     };
 
-    // Replay the capture input through the fresh schedule, down both
-    // replay loops, and demand bit-exactness before anyone else trusts it:
-    // a kernel's `apply_lanes` is a fast path with the full simulation as
-    // its oracle, just like `apply`.
-    let single = schedule
+    // Replay the capture input through the fresh schedule and demand
+    // bit-exactness before anyone else trusts it: the run loop calls the
+    // kernel's `apply_lanes`, a fast path with the full simulation as its
+    // oracle, just like `apply`.
+    let replayed = schedule
         .replay(kernel, input)
         .map_err(|e| diverged(format!("self-replay refused: {e}")))?;
-    let lanes = schedule
-        .replay_lanes(kernel, &[input])
-        .map_err(|e| diverged(format!("lane self-replay refused: {e}")))?;
-    for (path, output) in [
-        ("self-replay", &single.output),
-        ("lane self-replay", &lanes[0].output),
-    ] {
-        if *output != report.output {
-            let idx = output
-                .iter()
-                .zip(&report.output)
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            return Err(diverged(format!("{path} output mismatch at element {idx}")));
-        }
+    if replayed.output != report.output {
+        let idx = replayed
+            .output
+            .iter()
+            .zip(&report.output)
+            .position(|(a, b)| a != b)
+            .unwrap_or(0);
+        return Err(diverged(format!(
+            "self-replay output mismatch at element {idx}"
+        )));
     }
 
     Ok((report, Arc::new(schedule)))
@@ -617,8 +561,9 @@ mod tests {
         ));
     }
 
-    /// Sealing checks `apply_lanes` as well as `apply`: a kernel whose lane
-    /// entry point disagrees with its per-tuple one refuses to capture.
+    /// Sealing holds `apply_lanes` to the full simulation: a kernel whose
+    /// lane entry point disagrees with its per-tuple one refuses to
+    /// capture.
     #[test]
     fn seal_refuses_a_kernel_whose_lanes_disagree() {
         struct SkewedLanes;
@@ -643,7 +588,10 @@ mod tests {
             .expect("build");
         match sys.run_captured(&ramp(121), 2) {
             Err(CoreError::ReplayRefused(ReplayUnsupported::ScheduleDivergence { detail })) => {
-                assert!(detail.starts_with("lane self-replay"), "{detail}");
+                assert!(
+                    detail.starts_with("self-replay output mismatch"),
+                    "{detail}"
+                );
             }
             other => panic!("expected a divergence refusal, got {other:?}"),
         }
@@ -819,9 +767,9 @@ mod tests {
             .expect("lanes");
         assert_eq!(batched.len(), 5);
         for (lane, input) in batched.iter().zip(&inputs) {
-            let single = schedule.replay(&AverageKernel, input).expect("replay");
-            assert_eq!(lane.output, single.output);
-            assert_eq!(lane.stats, single.stats);
+            let full = paper_system().run(input, 2).expect("run");
+            assert_eq!(lane.output, full.output);
+            assert_eq!(lane.stats, full.stats);
             assert_eq!(lane.engine, RunEngine::Replay);
         }
         assert!(schedule

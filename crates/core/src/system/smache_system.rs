@@ -1200,8 +1200,9 @@ mod tests {
 
     /// The plan is lowered once per engine: every stage gathers from the
     /// same rows, a sealed schedule replays from the same table, and the
-    /// rows cost at most 4 B per slot, 1 tag byte per slot and 8 B per
-    /// element beyond the constants and the bank routes.
+    /// rows cost at most 4 B per slot, 1 tag byte per slot, 8 B per
+    /// element and 4 B per replay run beyond the constants and the bank
+    /// routes.
     #[test]
     fn stages_and_the_sealed_schedule_share_one_lowering() {
         let plan = crate::SmacheBuilder::new(GridSpec::d2(11, 11).unwrap())
@@ -1222,7 +1223,9 @@ mod tests {
         assert!(Arc::ptr_eq(schedule.gather(), rows.gather()));
         let (n, slots) = (121, 121 * 4);
         let statics = sys.plan().static_buffers.len();
-        assert!(rows.approx_bytes() <= slots * 4 + slots + n * 8 + 8 + statics * 32);
+        let runs = rows.gather().runs().len();
+        assert!(runs < n);
+        assert!(rows.approx_bytes() <= slots * 4 + slots + n * 8 + 8 + statics * 32 + runs * 4);
     }
 
     fn golden_for(h: usize, w: usize, input: &[Word], instances: u64) -> Vec<Word> {

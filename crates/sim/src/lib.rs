@@ -88,8 +88,8 @@ pub use json::{Json, JsonError};
 pub use module::Module;
 pub use parallel::{run_batch, run_scatter};
 pub use replay::{
-    ControlTrace, CycleRecord, GatherRows, GatherTable, ReplayUnsupported, ScheduleCache,
-    SlotSource, TraceTotals,
+    ControlTrace, CycleRecord, GatherRows, GatherRuns, GatherTable, ReplayUnsupported,
+    ScheduleCache, SlotSource, TraceTotals,
 };
 pub use resources::ResourceUsage;
 pub use signal::{Reg, SimCtx, Wire, WireId};

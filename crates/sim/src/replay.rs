@@ -18,7 +18,8 @@
 //!   each output element, where each stencil-shape value comes from (a
 //!   current-instance grid index, a boundary constant, or a hole masked out
 //!   of the kernel), lowered once into fixed-arity rows of indices into an
-//!   extended grid.
+//!   extended grid, and cut into [`GatherRuns`] of elements that share one
+//!   stencil case.
 //! * [`ControlTrace`] — the packed per-cycle control-plane record
 //!   ([`CycleRecord`]: FSM phase plus handshake/stall flags) with the
 //!   derived totals that replay reports instead of re-simulating.
@@ -35,8 +36,10 @@
 //! behind its result cache so differing-seed requests for one spec hit the
 //! fast path.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use crate::Word;
 
@@ -68,7 +71,11 @@ pub enum SlotSource {
 /// is loaded from the store, so a replay indexes and never matches on a
 /// [`SlotSource`]. [`GatherTable::source`] recovers the source a row index
 /// stands for.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Replay walks the table run by run ([`GatherTable::runs`]); the runs
+/// are cut on first use, outside whatever lock loaded the table, and do
+/// not take part in equality.
+#[derive(Debug, Clone, Default)]
 pub struct GatherTable {
     arity: usize,
     /// `arity` extended-grid row indices per element, element-major.
@@ -78,11 +85,27 @@ pub struct GatherTable {
     /// The distinct boundary constants, in first-use order; constant `c`
     /// lives in extended row `n + c`.
     consts: Vec<Word>,
+    /// The rows cut into runs, on first use.
+    runs: OnceLock<GatherRuns>,
 }
+
+impl PartialEq for GatherTable {
+    fn eq(&self, other: &GatherTable) -> bool {
+        self.arity == other.arity
+            && self.rows == other.rows
+            && self.masks == other.masks
+            && self.consts == other.consts
+    }
+}
+
+impl Eq for GatherTable {}
 
 impl GatherTable {
     /// Most slots a row may have: kernel masks are `u64`.
     pub const MAX_ARITY: usize = 64;
+
+    /// Most elements one run may span.
+    pub const MAX_RUN: usize = 256;
 
     /// Starts lowering the gather pattern of `n` elements with `arity`
     /// slots each: push every slot in element-major order with
@@ -118,29 +141,145 @@ impl GatherTable {
         self.arity
     }
 
-    /// Rows of the extended grid: the grid cells, one row per constant,
-    /// and the zero row holes read.
-    fn extended_len(&self) -> usize {
-        self.len() + self.consts.len() + 1
+    /// The elements cut into runs, cut on the first call.
+    ///
+    /// A run is a maximal stretch of at most [`GatherTable::MAX_RUN`]
+    /// consecutive elements that share the kernel mask of its first
+    /// element `s`, and whose rows follow `s`'s: element `s + i` reads
+    /// grid row `r + i` wherever `s` reads grid row `r`, and the same
+    /// constant or hole row wherever `s` reads one. One stencil case
+    /// along one grid row is one run, so the kernel can take a whole run
+    /// in one call.
+    pub fn runs(&self) -> &GatherRuns {
+        self.runs.get_or_init(|| self.cut_runs())
     }
 
-    /// Lays the lanes' grids (one value per element each) out as the
-    /// extended grid in structure-of-arrays form: row `r`'s word for lane
-    /// `l` lives at `r * lanes + l`. Each constant row holds its constant
-    /// in every lane and the hole row is zero. With one lane this is the
-    /// grid, the constants, then a zero.
-    pub fn extend(&self, grids: &[&[Word]]) -> Vec<Word> {
+    fn cut_runs(&self) -> GatherRuns {
+        let n = self.len();
+        let mut runs = GatherRuns {
+            starts: Vec::new(),
+            end: n,
+            longest: 0,
+        };
+        let mut s = 0;
+        while s < n {
+            let (first, mask) = self.row(s);
+            let mut e = s + 1;
+            while e < n && e - s < Self::MAX_RUN && self.follows(first, mask, e, e - s) {
+                e += 1;
+            }
+            // `finish` keeps every row index, so every element, below
+            // `u32::MAX`.
+            runs.starts.push(s as u32);
+            runs.longest = runs.longest.max(e - s);
+            s = e;
+        }
+        runs
+    }
+
+    /// Runs `instances` timesteps over every lane's grid at once, run by
+    /// run ([`GatherTable::runs`]), and returns each lane's final grid.
+    /// `apply(slots, mask, out)` computes `out.len()` tuples under `mask`,
+    /// tuple `i` being `slots[p][i]` for every slot `p`.
+    ///
+    /// The lanes' grids are interleaved element-major — the word for
+    /// (element `e`, lane `l`) lives at `e * lanes + l` — and each
+    /// constant and the hole row get a splat region of `longest run ×
+    /// lanes` copies after them. A run's elements read consecutive grid
+    /// rows and fixed constant or hole rows, so each of its slots is one
+    /// contiguous slice of `run length × lanes` words, and one `apply`
+    /// call takes the run's (element, lane) pairs. The two buffers are
+    /// the calling thread's, reused from call to call; only the lanes'
+    /// grids are allocated.
+    ///
+    /// Every grid must hold [`GatherTable::len`] words.
+    pub fn replay(
+        &self,
+        grids: &[&[Word]],
+        instances: u64,
+        mut apply: impl FnMut(&[&[Word]], u64, &mut [Word]),
+    ) -> Vec<Vec<Word>> {
         let (n, lanes) = (self.len(), grids.len());
-        let mut ext = vec![0; self.extended_len() * lanes];
-        for (l, grid) in grids.iter().enumerate() {
-            for (e, &w) in grid[..n].iter().enumerate() {
-                ext[e * lanes + l] = w;
+        assert!(
+            grids.iter().all(|g| g.len() == n),
+            "every grid holds {n} words"
+        );
+        if lanes == 0 {
+            return Vec::new();
+        }
+        let runs = self.runs();
+        let grid = n * lanes;
+        let splat = runs.longest() * lanes;
+        let len = grid + (self.consts.len() + 1) * splat;
+        let [mut cur, mut next] = REPLAY_BUFFERS.take();
+        // The constant and hole regions are filled in both buffers; only
+        // the grid rows are ever rewritten, every one of them each
+        // instance, so neither buffer needs clearing.
+        for buf in [&mut cur, &mut next] {
+            if buf.len() < len {
+                buf.resize(len, 0);
+            }
+            let regions = buf[grid..len].chunks_exact_mut(splat.max(1));
+            for (region, &v) in regions.zip(self.consts.iter().chain([&0])) {
+                region.fill(v);
             }
         }
-        for (c, &v) in self.consts.iter().enumerate() {
-            ext[(n + c) * lanes..(n + c + 1) * lanes].fill(v);
+        if lanes == 1 {
+            cur[..n].copy_from_slice(grids[0]);
+        } else {
+            for (e, words) in cur[..grid].chunks_exact_mut(lanes).enumerate() {
+                for (w, g) in words.iter_mut().zip(grids) {
+                    *w = g[e];
+                }
+            }
         }
-        ext
+        for _ in 0..instances {
+            let mut slots: [&[Word]; Self::MAX_ARITY] = [&[]; Self::MAX_ARITY];
+            let slots = &mut slots[..self.arity];
+            for run in runs.iter() {
+                let (row, mask) = self.row(run.start);
+                let words = run.len() * lanes;
+                for (s, &r) in slots.iter_mut().zip(row) {
+                    let r = r as usize;
+                    let base = match r.checked_sub(n) {
+                        None => r * lanes,
+                        Some(c) => grid + c * splat,
+                    };
+                    *s = &cur[base..base + words];
+                }
+                apply(slots, mask, &mut next[run.start * lanes..run.end * lanes]);
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        let out = if lanes == 1 {
+            vec![cur[..n].to_vec()]
+        } else {
+            let mut out: Vec<Vec<Word>> = (0..lanes).map(|_| Vec::with_capacity(n)).collect();
+            for words in cur[..grid].chunks_exact(lanes) {
+                for (o, &w) in out.iter_mut().zip(words) {
+                    o.push(w);
+                }
+            }
+            out
+        };
+        REPLAY_BUFFERS.set([cur, next]);
+        out
+    }
+
+    /// True when element `e` continues a run whose first row is `first`
+    /// and mask `mask`, `i` elements on.
+    fn follows(&self, first: &[u32], mask: u64, e: usize, i: usize) -> bool {
+        let n = self.len();
+        let (row, m) = self.row(e);
+        m == mask
+            && first.iter().zip(row).all(|(&f, &r)| {
+                let (f, r) = (f as usize, r as usize);
+                if f < n {
+                    r == f + i && r < n
+                } else {
+                    r == f
+                }
+            })
     }
 
     /// The gather row of element `e`: its `arity` extended-grid row
@@ -175,10 +314,67 @@ impl GatherTable {
         (0..self.arity).map(move |p| self.source(e, p))
     }
 
-    /// Approximate heap footprint in bytes (cache accounting).
+    /// Approximate heap footprint in bytes (cache accounting): the rows,
+    /// masks and constants, and the runs replay cuts them into (cut here
+    /// if no replay has yet).
     pub fn approx_bytes(&self) -> usize {
-        self.rows.len() * 4 + self.masks.len() * 8 + self.consts.len() * 8
+        self.rows.len() * 4
+            + self.masks.len() * 8
+            + self.consts.len() * 8
+            + self.runs().approx_bytes()
     }
+}
+
+/// A [`GatherTable`]'s elements cut into runs ([`GatherTable::runs`]):
+/// 4 B per run, the first element of each.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GatherRuns {
+    /// First element of each run, ascending from 0.
+    starts: Vec<u32>,
+    /// Where the last run ends: the table's element count.
+    end: usize,
+    /// Elements in the longest run.
+    longest: usize,
+}
+
+impl GatherRuns {
+    /// Number of runs.
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// True when there are no elements to cut.
+    pub fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// Elements in the longest run (0 when there are none).
+    pub fn longest(&self) -> usize {
+        self.longest
+    }
+
+    /// The runs' element ranges, in order; together they cover every
+    /// element once.
+    pub fn iter(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let ends = self
+            .starts
+            .iter()
+            .skip(1)
+            .map(|&s| s as usize)
+            .chain(std::iter::once(self.end));
+        self.starts.iter().zip(ends).map(|(&s, e)| s as usize..e)
+    }
+
+    /// Heap footprint in bytes: 4 per run.
+    pub fn approx_bytes(&self) -> usize {
+        self.starts.len() * 4
+    }
+}
+
+thread_local! {
+    /// The two buffers of [`GatherTable::replay`], kept by each thread
+    /// across the calls it makes.
+    static REPLAY_BUFFERS: Cell<[Vec<Word>; 2]> = const { Cell::new([Vec::new(), Vec::new()]) };
 }
 
 /// A [`GatherTable`] being lowered one slot at a time, element-major.
@@ -280,6 +476,7 @@ impl GatherRows {
             rows: self.rows,
             masks,
             consts: self.consts,
+            runs: OnceLock::new(),
         })
     }
 }
@@ -693,13 +890,8 @@ mod tests {
         let table = lower(2, &sources, vec![0b01, 0b11, 0b11]).expect("lower");
         assert_eq!(table.len(), 3);
         assert_eq!(table.arity(), 2);
-        // Extended grid: 3 cells, constants 9 and 0, then the hole row.
-        assert_eq!(table.extended_len(), 6);
-        assert_eq!(table.extend(&[&[7, 8, 6]]), vec![7, 8, 6, 9, 0, 0]);
-        assert_eq!(
-            table.extend(&[&[7, 8, 6], &[1, 2, 3]]),
-            vec![7, 1, 8, 2, 6, 3, 9, 9, 0, 0, 0, 0]
-        );
+        // Extended grid: 3 cells, constants 9 and 0 (rows 3 and 4), then
+        // the hole row.
         assert_eq!(table.row(0), (&[2, 5][..], 0b01));
         assert_eq!(table.row(1), (&[3, 4][..], 0b11));
         assert_eq!(table.row(2), (&[3, 0][..], 0b11));
@@ -707,7 +899,144 @@ mod tests {
         // `Hole` stay distinct although both read a zero.
         let back: Vec<SlotSource> = (0..3).flat_map(|e| table.slots(e)).collect();
         assert_eq!(back, sources);
-        assert_eq!(table.approx_bytes(), 6 * 4 + 3 * 8 + 2 * 8);
+        // Element 1 cannot start a run with element 0 (their masks differ)
+        // nor continue into element 2 (its constant slot changes).
+        let runs: Vec<_> = table.runs().iter().collect();
+        assert_eq!(runs, [0..1, 1..2, 2..3]);
+        assert_eq!(table.runs().longest(), 1);
+        // 4 B per slot row, 8 per mask and constant, 4 per run.
+        assert_eq!(table.approx_bytes(), 6 * 4 + 3 * 8 + 2 * 8 + 3 * 4);
+    }
+
+    #[test]
+    fn gather_runs_follow_grid_rows_and_hold_constants() {
+        use SlotSource::{Const, Grid};
+        // Six elements of a 6-cell grid, two slots each: a stretch whose
+        // grid slot advances by one and whose other slot holds one
+        // constant, a break where the constant changes, and a grid slot
+        // that would step past the last cell onto the first constant's
+        // row (row 6).
+        let sources = [
+            Grid(1),
+            Const(4),
+            Grid(2),
+            Const(4),
+            Grid(3),
+            Const(4),
+            Grid(4),
+            Const(5),
+            Grid(5),
+            Const(5),
+            Const(4),
+            Const(5),
+        ];
+        let table = lower(2, &sources, vec![0b11; 6]).expect("lower");
+        assert_eq!(table.row(3).0, [4, 7]);
+        assert_eq!(table.row(5).0, [6, 7]);
+        let runs: Vec<_> = table.runs().iter().collect();
+        assert_eq!(runs, [0..3, 3..5, 5..6]);
+        assert_eq!(table.runs().longest(), 3);
+        assert_eq!(table.runs().len(), 3);
+        // Runs are no part of equality: a fresh lowering compares equal
+        // before it has cut any.
+        assert_eq!(lower(2, &sources, vec![0b11; 6]).expect("lower"), table);
+        // A long stretch is cut at the cap.
+        let n = GatherTable::MAX_RUN * 2 + 3;
+        let long: Vec<SlotSource> = (0..n as u32).map(Grid).collect();
+        let table = lower(1, &long, vec![1; n]).expect("lower");
+        let runs: Vec<_> = table.runs().iter().collect();
+        let cap = GatherTable::MAX_RUN;
+        assert_eq!(runs, [0..cap, cap..2 * cap, 2 * cap..n]);
+        assert_eq!(table.runs().longest(), cap);
+    }
+
+    /// Sums the present slots of each tuple: a kernel for `replay`.
+    fn sum_present(slots: &[&[Word]], mask: u64, out: &mut [Word]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = (0..slots.len())
+                .filter(|&p| mask >> p & 1 == 1)
+                .fold(0, |a: Word, p| a.wrapping_add(slots[p][i]));
+        }
+    }
+
+    /// [`sum_present`] over `instances` timesteps, element by element from
+    /// the slots' sources.
+    fn sum_reference(table: &GatherTable, grid: &[Word], instances: u64) -> Vec<Word> {
+        let mut cur = grid.to_vec();
+        for _ in 0..instances {
+            cur = (0..table.len())
+                .map(|e| {
+                    let mask = table.row(e).1;
+                    table
+                        .slots(e)
+                        .enumerate()
+                        .filter(|&(p, _)| mask >> p & 1 == 1)
+                        .fold(0, |a: Word, (_, s)| {
+                            a.wrapping_add(match s {
+                                SlotSource::Grid(g) => cur[g as usize],
+                                SlotSource::Const(v) => v,
+                                SlotSource::Hole => 0,
+                            })
+                        })
+                })
+                .collect();
+        }
+        cur
+    }
+
+    #[test]
+    fn replay_runs_equal_the_element_by_element_reference() {
+        use SlotSource::{Const, Grid, Hole};
+        let tables = [
+            lower(
+                2,
+                &[Grid(2), Hole, Const(9), Const(0), Const(9), Grid(0)],
+                vec![0b01, 0b11, 0b11],
+            ),
+            // Runs of three and two elements, the second reading the
+            // second constant's splat region, then a hole.
+            lower(
+                3,
+                &[
+                    Grid(5),
+                    Grid(1),
+                    Const(7),
+                    Grid(0),
+                    Grid(2),
+                    Const(7),
+                    Grid(1),
+                    Grid(3),
+                    Const(7),
+                    Grid(2),
+                    Grid(4),
+                    Const(8),
+                    Grid(3),
+                    Grid(5),
+                    Const(8),
+                    Grid(4),
+                    Grid(0),
+                    Hole,
+                ],
+                vec![0b111, 0b111, 0b111, 0b111, 0b111, 0b011],
+            ),
+        ];
+        for table in tables {
+            let table = table.expect("lower");
+            let n = table.len();
+            let grids: Vec<Vec<Word>> = (0..3u64)
+                .map(|l| (0..n as u64).map(|e| e * 10 + l + 1).collect())
+                .collect();
+            let views: Vec<&[Word]> = grids.iter().map(Vec::as_slice).collect();
+            for lanes in 1..=3 {
+                for instances in [0, 1, 2, 3] {
+                    let out = table.replay(&views[..lanes], instances, sum_present);
+                    for (got, grid) in out.iter().zip(&grids) {
+                        assert_eq!(*got, sum_reference(&table, grid, instances));
+                    }
+                }
+            }
+            assert!(table.replay(&[], 2, sum_present).is_empty());
+        }
     }
 
     #[test]
@@ -720,7 +1049,8 @@ mod tests {
         assert!(lower(1, &escapes, vec![1]).is_err());
         let empty = lower(0, &[], Vec::new()).expect("empty");
         assert!(empty.is_empty());
-        assert_eq!(empty.extended_len(), 1);
+        assert!(empty.runs().is_empty());
+        assert_eq!(empty.runs().iter().count(), 0);
     }
 
     #[test]

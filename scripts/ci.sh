@@ -120,6 +120,25 @@ grep -q '"artefact": "replay"' BENCH_replay.json || {
 speedup64=$(awk '/"lanes": 64/{f=1} f && /"speedup"/{gsub(/[",]/,""); print $2; exit}' BENCH_replay.json)
 awk -v s="$speedup64" 'BEGIN { exit (s + 0 > 19.3) ? 0 : 1 }' || {
   echo "committed 64-lane replay speedup regressed: ${speedup64:-missing} (floor 19.3x)"; exit 1; }
+# Each committed `loops` row must keep 16-lane replay at or below the
+# ns per cell update the element-by-element loop was last committed at
+# (3.53, 13.11, 6.39 and 4.41 ns, kept to four decimals).
+awk '
+  BEGIN { ceil["paper-11x11"] = 3.5301; ceil["nine-40x40"] = 13.1078
+          ceil["pipe-16x16-t2c2"] = 6.3886; ceil["chaos-16x16"] = 4.4098 }
+  /"spec":/ { gsub(/[",]/, ""); spec = $2 }
+  /"lanes16_ns_per_cell":/ {
+    gsub(/[",]/, ""); seen[spec] = 1
+    if (spec in ceil && $2 + 0 > ceil[spec]) {
+      printf "committed 16-lane replay of %s regressed: %s ns per cell (ceiling %s)\n", spec, $2, ceil[spec]
+      bad = 1
+    }
+    spec = ""
+  }
+  END {
+    for (s in ceil) if (!(s in seen)) { printf "BENCH_replay.json has no loops row for %s\n", s; bad = 1 }
+    exit bad
+  }' BENCH_replay.json
 
 echo "== chaos-replay smoke (latency-only plan, fixed chaos seed, replay vs full sim) =="
 chaos_fast=$(cargo run -p smache-cli --release -- simulate --grid 11x11 --instances 3 \

@@ -1,10 +1,12 @@
 //! `Kernel::apply_lanes` ≡ `Kernel::apply`, lane for lane.
 //!
-//! Lane-batched replay calls `apply_lanes` once per gathered row; the
-//! single-lane replay and the golden model call `apply` once per tuple.
+//! Replay calls `apply_lanes` once per run of elements that share a
+//! stencil case; the cycle engine and the golden model call `apply` once
+//! per tuple.
 //! The two must agree bit for bit for every kernel, every mask and every
-//! word — including words whose sum overflows 64 bits, which takes
-//! `AverageKernel`'s `u128` carry path instead of its reciprocal.
+//! word — including words at 2^52, where `AverageKernel` leaves its
+//! 64-bit sums for `u128` ones, and words whose sum overflows 64 bits,
+//! which take its `u128` carry path instead of its reciprocal.
 
 use proptest::prelude::*;
 use smache::arch::kernel::{AverageKernel, Kernel, MaxKernel, SumKernel, WeightedKernel};
@@ -27,9 +29,13 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Words below this keep `AverageKernel`'s sums in 64 bits.
+const SMALL_WORD: u64 = 1 << 52;
+
 /// `arity` slot slices of `lanes` words each. `scale` picks full-range
-/// words, words below 2^20 (the seeded inputs' range), or words near
-/// `u64::MAX` (every sum of two or more overflows 64 bits).
+/// words, words below 2^20 (the seeded inputs' range), words near
+/// `u64::MAX` (every sum of two or more overflows 64 bits), or the
+/// boundary words 2^52 − 1 and 2^52.
 fn slot_words(arity: usize, lanes: usize, scale: u8, seed: u64) -> Vec<Vec<u64>> {
     let mut state = seed;
     (0..arity)
@@ -40,7 +46,8 @@ fn slot_words(arity: usize, lanes: usize, scale: u8, seed: u64) -> Vec<Vec<u64>>
                     match scale {
                         0 => w,
                         1 => w >> 44,
-                        _ => u64::MAX - (w >> 56),
+                        2 => u64::MAX - (w >> 56),
+                        _ => SMALL_WORD - (w & 1),
                     }
                 })
                 .collect()
@@ -103,7 +110,7 @@ proptest! {
         arity in 1usize..14,
         lanes in 1usize..41,
         mask in prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
-        scale in 0u8..3,
+        scale in 0u8..4,
         seed in any::<u64>(),
     ) {
         assert_lanes_match_apply(&slot_words(arity, lanes, scale, seed), mask, lanes)?;
@@ -123,5 +130,24 @@ fn apply_lanes_reads_only_the_first_out_len_words() {
         let mut full = vec![0; 12];
         kernel.apply_lanes(&slots, 0b10111, &mut full);
         assert_eq!(short, full[..4], "{}", kernel.name());
+    }
+}
+
+/// Words up to 2^52 − 1 keep the 64-bit sums, up to 64 points; one word
+/// of 2^52 anywhere in the call sends the whole call to `u128`. Both give
+/// the mean, at every arity and mask.
+#[test]
+fn average_lanes_agree_across_the_2_pow_52_boundary() {
+    for arity in [1, 2, 4, 5, 9, 10, 13, 64] {
+        let below: Vec<Vec<u64>> = (0..arity as u64)
+            .map(|p| (0..6).map(|l| SMALL_WORD - 1 - p * 7 - l * 3).collect())
+            .collect();
+        let mut crossing = below.clone();
+        crossing[arity - 1][5] = SMALL_WORD;
+        for words in [below, crossing] {
+            for mask in [u64::MAX, 1, 1 << (arity - 1), 0b1010_1010] {
+                assert_lanes_match_apply(&words, mask, 6).expect("lanes equal apply");
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Oracle for the lowered source rows.
+//! Oracle for the lowered source rows and the runs replay cuts them into.
 //!
 //! An engine lowers its plan's per-element sources once
 //! ([`SourceRows::lower`]) and its controllers gather from the rows.
@@ -6,13 +6,23 @@
 //! slot, the decoded row must equal it exactly — tap position, static
 //! bank, slot and port, constant and hole — and a plan the reference
 //! refuses must not lower.
+//!
+//! Replay walks the rows run by run ([`GatherTable::runs`]). The runs must
+//! cover every element once, each element must read what its run's first
+//! element reads (one grid row on per element, the same constant or hole),
+//! no two neighbouring runs may merge below the cap, and replay at 1, 2, 3
+//! and 16 lanes must equal the full simulation and the golden model.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
-use smache::arch::kernel::AverageKernel;
+use smache::arch::kernel::{AverageKernel, Kernel, MaxKernel, WeightedKernel};
 use smache::arch::SourceRows;
 use smache::config::{Algorithm1, BufferPlan, PlanStrategy};
+use smache::functional::golden::golden_run;
 use smache::system::{SmacheSystem, SystemConfig};
 use smache::SmacheBuilder;
+use smache_sim::{GatherTable, SlotSource};
 use smache_stencil::{AxisBoundaries, Boundary, BoundarySpec, GridSpec, StencilShape};
 
 /// Checks `rows` against `sources_for` on every element and slot of `plan`.
@@ -57,6 +67,125 @@ fn check_engine(plan: &BufferPlan, lanes: usize, case: &str) {
     }
 }
 
+/// True when element `e` reads what the run starting at element `s`
+/// reads, `e − s` elements on: the same mask, grid index `g + (e − s)`
+/// wherever `s` reads grid index `g`, and the same constant or hole
+/// elsewhere.
+fn follows(table: &GatherTable, s: usize, e: usize) -> bool {
+    table.row(e).1 == table.row(s).1
+        && (0..table.arity()).all(|p| match (table.source(s, p), table.source(e, p)) {
+            (SlotSource::Grid(g), SlotSource::Grid(r)) => r as usize == g as usize + (e - s),
+            (SlotSource::Grid(_), _) => false,
+            (first, other) => first == other,
+        })
+}
+
+/// Checks `table`'s runs: they cover `0..n` exactly once and in order,
+/// each element follows its run's first element, neighbouring runs cannot
+/// merge unless the first is at the cap, and `longest` is the longest.
+fn assert_runs_partition(table: &GatherTable, case: &str) {
+    let runs: Vec<Range<usize>> = table.runs().iter().collect();
+    assert_eq!(runs.len(), table.runs().len(), "{case}");
+    let mut next = 0;
+    for run in &runs {
+        assert_eq!(run.start, next, "{case}: runs leave a gap or overlap");
+        assert!(
+            !run.is_empty() && run.len() <= GatherTable::MAX_RUN,
+            "{case}: {run:?}"
+        );
+        for e in run.clone() {
+            assert!(
+                follows(table, run.start, e),
+                "{case}: element {e} breaks {run:?}"
+            );
+        }
+        next = run.end;
+    }
+    assert_eq!(next, table.len(), "{case}: runs stop short");
+    for pair in runs.windows(2) {
+        assert!(
+            pair[0].len() == GatherTable::MAX_RUN || !follows(table, pair[0].start, pair[1].start),
+            "{case}: {:?} and {:?} could merge",
+            pair[0],
+            pair[1]
+        );
+    }
+    let longest = runs.iter().map(|r| r.len()).max().unwrap_or(0);
+    assert_eq!(table.runs().longest(), longest, "{case}");
+}
+
+/// Instances each replay check runs: odd, so the replay buffers end
+/// swapped.
+const REPLAY_INSTANCES: u64 = 3;
+
+/// Captures `plan` with `kernel` on a one-lane engine and replays 16
+/// seeded inputs at 1, 2, 3 and 16 lanes: every lane must equal
+/// `golden_run`, and the first two lanes a full simulation too (the
+/// capture run's, and one more).
+fn check_replay(plan: &BufferPlan, kernel: &dyn Fn() -> Box<dyn Kernel>, case: &str) {
+    let Ok(mut sys) = SmacheSystem::new(plan.clone(), kernel(), SystemConfig::default()) else {
+        return;
+    };
+    let n = plan.grid.len();
+    let inputs: Vec<Vec<u64>> = (0..16).map(|s| smache::spec::seeded_input(n, s)).collect();
+    let (captured, schedule) = sys
+        .run_captured(&inputs[0], REPLAY_INSTANCES)
+        .unwrap_or_else(|e| panic!("{case}: capture refused: {e}"));
+    assert_runs_partition(schedule.gather(), case);
+    let k = kernel();
+    let golden: Vec<Vec<u64>> = inputs
+        .iter()
+        .map(|input| {
+            golden_run(
+                &plan.grid,
+                &plan.bounds,
+                &plan.shape,
+                k.as_ref(),
+                input,
+                REPLAY_INSTANCES,
+            )
+            .expect("golden")
+        })
+        .collect();
+    let full = [
+        captured.output,
+        SmacheSystem::new(plan.clone(), kernel(), SystemConfig::default())
+            .and_then(|mut sys| sys.run(&inputs[1], REPLAY_INSTANCES))
+            .expect("full simulation")
+            .output,
+    ];
+    let views: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+    for lanes in [1, 2, 3, 16] {
+        let reports = schedule
+            .replay_lanes(k.as_ref(), &views[..lanes])
+            .unwrap_or_else(|e| panic!("{case}: replay refused: {e}"));
+        assert_eq!(reports.len(), lanes, "{case}");
+        for (l, report) in reports.iter().enumerate() {
+            let what = format!("{case} kernel={} lanes={lanes} lane {l}", k.name());
+            assert_eq!(report.output, golden[l], "{what}: golden");
+            if let Some(full) = full.get(l) {
+                assert_eq!(&report.output, full, "{what}: full simulation");
+            }
+        }
+    }
+}
+
+fn average() -> Box<dyn Kernel> {
+    Box::new(AverageKernel)
+}
+
+/// Kernels whose `apply_lanes` is the trait's default, which reads every
+/// slot's words — masked hole slots included — for `plan`'s arity.
+fn default_lane_kernels(plan: &BufferPlan) -> [Box<dyn Fn() -> Box<dyn Kernel>>; 2] {
+    let arity = plan.shape.len() as u64;
+    [
+        Box::new(|| Box::new(MaxKernel)),
+        Box::new(move || {
+            Box::new(WeightedKernel::new("weighted", (1..=arity).collect()).expect("weights"))
+        }),
+    ]
+}
+
 const KINDS: [Boundary; 4] = [
     Boundary::Open,
     Boundary::Circular,
@@ -75,7 +204,8 @@ fn shapes_2d() -> Vec<StencilShape> {
 
 /// Every row-axis × column-axis boundary kind (the nine open / circular /
 /// mirror cases plus constants) × the four 2D shapes × region dedupe off
-/// and on, at one and two lanes.
+/// and on, at one and two lanes; each plan's runs and replay too, with
+/// the default-lane kernels on constant boundaries without dedupe.
 #[test]
 fn boundary_matrix_rows_equal_the_reference() {
     let mut lowered = 0;
@@ -100,6 +230,13 @@ fn boundary_matrix_rows_equal_the_reference() {
                         lowered += 1;
                         for lanes in [1, 2] {
                             check_engine(&plan, lanes, &case);
+                        }
+                        check_replay(&plan, &average, &case);
+                        let constant = |b| matches!(b, Boundary::Constant(_));
+                        if !dedupe && (constant(rows_kind) || constant(cols_kind)) {
+                            for kernel in default_lane_kernels(&plan) {
+                                check_replay(&plan, &kernel, &case);
+                            }
                         }
                     }
                 }
@@ -149,6 +286,25 @@ fn plans_with_more_banks_than_tags_equal_the_reference() {
     );
     assert!(check_plan(&plan, "greedy torus"));
     check_engine(&plan, 1, "greedy torus");
+}
+
+/// A 4×700 grid: its interior rows are longer than the run cap, so
+/// runs stop at the cap and the next run picks up where it stopped.
+#[test]
+fn runs_stop_at_the_cap_on_long_rows() {
+    let plan = SmacheBuilder::new(GridSpec::d2(4, 700).expect("grid"))
+        .plan()
+        .expect("plan");
+    assert!(check_plan(&plan, "4x700"));
+    let rows = SourceRows::lower(&plan).expect("lowers");
+    let runs = rows.gather().runs();
+    assert_eq!(runs.longest(), GatherTable::MAX_RUN);
+    let capped = runs
+        .iter()
+        .filter(|r| r.len() == GatherTable::MAX_RUN)
+        .count();
+    assert!(capped >= 2, "{capped} runs at the cap");
+    check_replay(&plan, &average, "4x700");
 }
 
 fn arb_boundary() -> impl Strategy<Value = Boundary> {
@@ -204,6 +360,7 @@ proptest! {
             if check_plan(&plan, &case) {
                 check_engine(&plan, 1, &case);
                 check_engine(&plan, 2, &case);
+                check_replay(&plan, &average, &case);
             }
         }
     }

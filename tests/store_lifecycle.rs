@@ -14,6 +14,7 @@ use smache::system::store::encode_entry;
 use smache::system::{ControlSchedule, RunEngine, ScheduleStore};
 use smache::SmacheBuilder;
 use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn seeded(n: usize, seed: u64) -> Vec<u64> {
@@ -136,18 +137,21 @@ fn damaged_entries_are_discarded_and_recapturable() {
 /// Concurrent workers over one directory: a writer republishing entries
 /// while readers load them must never produce a decode error — publishes
 /// are atomic renames, so a reader sees the old entry, the new entry, or
-/// no entry, never a torn one.
+/// no entry, never a torn one. Readers keep reading until the writer is
+/// done, so each also reads the published entries at least once.
 #[test]
 fn concurrent_readers_never_observe_half_written_entries() {
     let dir = tmp_dir("race");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let schedule = capture(8, 8);
     let keys: Vec<(u64, u64)> = (0..4u64).map(|k| (k, k ^ 0xabc)).collect();
+    let written = Arc::new(AtomicBool::new(false));
 
     let writer = {
         let dir = dir.clone();
         let keys = keys.clone();
         let schedule = Arc::clone(&schedule);
+        let written = Arc::clone(&written);
         std::thread::spawn(move || {
             let mut store = ScheduleStore::open(&dir, 0).expect("writer open");
             for round in 0..20 {
@@ -156,6 +160,7 @@ fn concurrent_readers_never_observe_half_written_entries() {
                 }
                 let _ = round;
             }
+            written.store(true, Ordering::SeqCst);
         })
     };
 
@@ -163,9 +168,15 @@ fn concurrent_readers_never_observe_half_written_entries() {
         .map(|_| {
             let dir = dir.clone();
             let keys = keys.clone();
+            let written = Arc::clone(&written);
             std::thread::spawn(move || {
                 let mut loaded = 0u64;
-                for _ in 0..15 {
+                let mut rounds = 0;
+                loop {
+                    // Check the writer's flag before the round, so the
+                    // last round starts after every publish.
+                    let done = written.load(Ordering::SeqCst);
+                    rounds += 1;
                     // A fresh handle each round re-scans the directory,
                     // like a new worker process joining the fleet.
                     let mut store = ScheduleStore::open(&dir, 0).expect("reader open");
@@ -178,6 +189,9 @@ fn concurrent_readers_never_observe_half_written_entries() {
                             Ok(None) => {}
                             Err(e) => panic!("reader saw a torn entry: {e}"),
                         }
+                    }
+                    if done && rounds >= 15 {
+                        break;
                     }
                 }
                 loaded

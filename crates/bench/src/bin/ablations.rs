@@ -23,7 +23,6 @@ use smache::cost::{CostEstimate, SynthesisModel};
 use smache::{Algorithm1, HybridMode, PlanStrategy, SmacheBuilder};
 use smache_baseline::BaselineConfig;
 use smache_bench::report::Table;
-use smache_bench::sweep::parallel_map;
 use smache_bench::workloads::paper_problem;
 use smache_mem::DramConfig;
 use smache_stencil::GridSpec;
@@ -72,7 +71,7 @@ fn hybrid_threshold_sweep() {
 fn grid_size_scaling() {
     println!("== Ablation 2: grid-size scaling (4 instances each) ==");
     let sizes: Vec<usize> = vec![11, 16, 32, 64, 128];
-    let rows = parallel_map(sizes, 8, |&dim| {
+    let rows = smache_sim::run_batch(sizes, 8, |dim| {
         let workload = paper_problem(dim, dim, 4);
         let input = workload.ramp_input();
         let mut sm = workload.smache(HybridMode::default());
@@ -140,7 +139,7 @@ fn baseline_pipelining() {
     let workload = paper_problem(11, 11, 20);
     let input = workload.ramp_input();
     let depths: Vec<usize> = vec![1, 2, 4, 8];
-    let rows = parallel_map(depths, 4, |&d| {
+    let rows = smache_sim::run_batch(depths, 4, |d| {
         let mut bl = workload.baseline(BaselineConfig {
             max_inflight_elements: d,
             ..BaselineConfig::default()
@@ -170,7 +169,7 @@ fn baseline_pipelining() {
 fn row_miss_sensitivity() {
     println!("== Ablation 5: DRAM row-miss penalty (8x2048 bank-conflict grid, 2 instances) ==");
     let penalties: Vec<u64> = vec![0, 2, 6, 12, 24];
-    let rows = parallel_map(penalties, 8, |&p| {
+    let rows = smache_sim::run_batch(penalties, 8, |p| {
         let workload = paper_problem(8, 2048, 2);
         let input = workload.ramp_input();
         let dram = DramConfig {
@@ -210,7 +209,7 @@ fn lane_scaling() {
     let bounds = smache_stencil::BoundarySpec::all_open(2).expect("bounds");
     let input: Vec<u64> = (0..4096u64).collect();
     let lanes_list: Vec<usize> = vec![1, 2, 4, 8];
-    let rows = parallel_map(lanes_list, 4, |&lanes| {
+    let rows = smache_sim::run_batch(lanes_list, 4, |lanes| {
         let plan = SmacheBuilder::new(grid.clone())
             .boundaries(bounds.clone())
             .plan()

@@ -31,7 +31,6 @@ use smache::HybridMode;
 use smache_baseline::BaselineConfig;
 use smache_bench::flags::{arg_value, pipeline_args, BatchFlags};
 use smache_bench::json::Json;
-use smache_bench::parallel_map;
 use smache_bench::report::{bar, Table};
 use smache_bench::workloads::{paper_problem, PaperWorkload};
 
@@ -251,7 +250,7 @@ fn main() {
 /// it lane-batched for the other seeds — latency-only chaos replays too,
 /// keyed on its chaos seed, while corrupting plans fall back to full
 /// simulation per lane under the default auto mode), baseline lanes
-/// through `parallel_map`, outputs cross-checked per seed, summary
+/// through `smache_sim::run_batch`, outputs cross-checked per seed, summary
 /// written as JSON.
 fn run_sweep(seeds: u64, mut flags: BatchFlags, json_path: &str, chaos: smache_mem::FaultPlan) {
     let workload = paper_problem(11, 11, 100);
@@ -293,7 +292,7 @@ fn run_sweep(seeds: u64, mut flags: BatchFlags, json_path: &str, chaos: smache_m
 
     let lanes: Vec<(u64, &PaperWorkload)> = (0..seeds).map(|s| (s, &workload)).collect();
     let t0 = Instant::now();
-    let base_reports = parallel_map(lanes, jobs, |&(seed, w)| {
+    let base_reports = smache_sim::run_batch(lanes, jobs, |(seed, w)| {
         let mut baseline = w.baseline(BaselineConfig::default());
         baseline.run(&w.input(seed), w.instances).expect("baseline")
     });

@@ -13,7 +13,6 @@
 use smache::cost::{CostEstimate, MemoryBreakdown, SynthesisModel};
 use smache::{HybridMode, SmacheBuilder};
 use smache_bench::json::Json;
-use smache_bench::parallel_map;
 use smache_bench::report::Table;
 use smache_stencil::GridSpec;
 
@@ -59,7 +58,7 @@ fn design_points(jobs: usize) -> Vec<(&'static str, MemoryBreakdown, MemoryBreak
         (1024, HybridMode::CaseR, "1024x1024r"),
         (1024, HybridMode::default(), "1024x1024h"),
     ];
-    parallel_map(points, jobs, |&(dim, hybrid, label)| {
+    smache_sim::run_batch(points, jobs, |(dim, hybrid, label)| {
         let plan = SmacheBuilder::new(GridSpec::d2(dim, dim).expect("valid"))
             .hybrid(hybrid)
             .plan()

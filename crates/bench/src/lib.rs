@@ -20,8 +20,8 @@
 //! machine-readable `BENCH_fig2.json` / `BENCH_table1.json` summaries (see
 //! `docs/PERFORMANCE.md` for how to read them).
 //!
-//! The library part holds the shared workload generators, the parallel
-//! sweep driver, the batch flag group shared by the sweep binaries
+//! The library part holds the shared workload generators, the batch flag
+//! group shared by the sweep binaries
 //! (`--jobs`/`--replay`/`--store`/`--store-mb`/`--lane-block`), JSON
 //! artefact emission, and plain-text table rendering.
 
@@ -30,11 +30,9 @@
 pub mod flags;
 pub mod json;
 pub mod report;
-pub mod sweep;
 pub mod workloads;
 
 pub use flags::BatchFlags;
 pub use json::Json;
 pub use report::Table;
-pub use sweep::parallel_map;
 pub use workloads::{paper_problem, PaperWorkload};

@@ -9,8 +9,8 @@ use smache::arch::kernel::Kernel as _;
 use smache::cost::{CostEstimate, CycleModel, FreqModel, SynthesisModel};
 use smache::functional::golden::golden_run;
 use smache::spec::seeded_input;
-use smache::system::{CaptureOutcome, DesignMetrics, ReplayMode, RunReport, SystemConfig};
-use smache::{PipelineConfig, SmacheSystem};
+use smache::system::{CaptureOutcome, DesignMetrics, ReplayMode, RunReport};
+use smache::{BufferPlan, PipelineConfig, SmacheSystem};
 use smache_baseline::{BaselineConfig, BaselineSystem};
 use smache_codegen::{lint_verilog, VerilogGen};
 
@@ -249,23 +249,38 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// Refuses `--lanes` other than 1 for a command whose model covers one
-/// lane only.
-fn one_lane_only(args: &Args, command: &str) -> Result<(), CliError> {
-    let lanes: usize = args.get_num("lanes", 1)?;
-    if lanes == 1 {
-        return Ok(());
+/// The engine geometry of `spec` plus `--lanes`: the one
+/// [`PipelineConfig`] `simulate`, `predict`, `plan` and `cost` model,
+/// refused here exactly as the engine refuses it.
+fn geometry(
+    args: &Args,
+    spec: &ProblemSpec,
+    plan: &BufferPlan,
+) -> Result<PipelineConfig, CliError> {
+    let mut config = PipelineConfig {
+        depth: spec.timesteps as usize,
+        channels: spec.channels,
+        ..PipelineConfig::default()
+    };
+    config.system.dram.bus_words = args.get_num("lanes", 1)?;
+    SmacheSystem::check_lanes(plan, &config)?;
+    Ok(config)
+}
+
+/// The geometry line `plan` and `cost` print for anything but the
+/// paper's one-lane single step.
+fn geometry_line(out: &mut String, config: &PipelineConfig) {
+    let lanes = config.system.dram.bus_words;
+    if lanes > 1 || !config.single_step() {
+        let _ = writeln!(
+            out,
+            "geometry: {lanes} lane(s), {} stage(s), {} channel(s)",
+            config.depth, config.channels
+        );
     }
-    Err(ArgError::BadValue {
-        key: "lanes".into(),
-        value: lanes.to_string(),
-        expected: format!("1 (`{command}` models a one-word bus; `predict` models lanes)"),
-    }
-    .into())
 }
 
 fn cmd_plan(args: &Args) -> Result<String, CliError> {
-    one_lane_only(args, "plan")?;
     let spec = spec_from_args(args)?;
     let mut builder = spec.builder();
     if let Some(b) = args.get("budget-bits") {
@@ -277,7 +292,9 @@ fn cmd_plan(args: &Args) -> Result<String, CliError> {
         builder = builder.on_chip_budget_bits(bits);
     }
     let plan = builder.plan()?;
+    let config = geometry(args, &spec, &plan)?;
     let mut out = String::new();
+    geometry_line(&mut out, &config);
     let _ = writeln!(
         out,
         "problem: grid {:?}, {} stencil points, {} stencil cases",
@@ -317,18 +334,19 @@ fn cmd_plan(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "estimated Fmax: {:.1} MHz",
-        FreqModel.smache_fmax(&plan, 1)
+        FreqModel.smache_fmax(&plan, config.system.dram.bus_words)
     );
     Ok(out)
 }
 
 fn cmd_cost(args: &Args) -> Result<String, CliError> {
-    one_lane_only(args, "cost")?;
     let spec = spec_from_args(args)?;
     let plan = spec.builder().plan()?;
+    let config = geometry(args, &spec, &plan)?;
     let est = CostEstimate.memory(&plan);
     let act = SynthesisModel.memory(&plan);
     let mut out = String::new();
+    geometry_line(&mut out, &config);
     let _ = writeln!(
         out,
         "{:<10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -347,38 +365,36 @@ fn cmd_cost(args: &Args) -> Result<String, CliError> {
             m.b_total()
         );
     }
+    // Lanes share a stage's buffers and channels are off-chip; every
+    // stage holds its own buffers, and each stage link one grid.
+    let stage = CostEstimate.total_bits(&plan);
+    let stages = config.depth as u64;
+    let link = plan.grid.len() as u64 * u64::from(plan.word_bits);
     let _ = writeln!(
         out,
         "\ntotal estimate: {} bits on-chip",
-        CostEstimate.total_bits(&plan)
+        stages * stage + (stages - 1) * link
     );
+    if stages > 1 {
+        let _ = writeln!(
+            out,
+            "  = {stages} stages x {stage} bits + {} stage link(s) x {link} bits",
+            stages - 1
+        );
+    }
     Ok(out)
 }
 
 fn cmd_predict(args: &Args) -> Result<String, CliError> {
     let spec = spec_from_args(args)?;
     let instances: u64 = args.get_num("instances", 100)?;
-    let lanes: usize = args.get_num("lanes", 1)?;
-    single_step_only(args, &spec, &[("lanes", lanes > 1)])?;
+    let passes = spec.passes(instances).map_err(ArgError::from)?;
     let plan = spec.builder().plan()?;
-    // Predict only the geometries `simulate` builds, refusing the others
-    // with the engine's own error.
-    let mut config = PipelineConfig {
-        depth: spec.timesteps as usize,
-        channels: spec.channels,
-        ..PipelineConfig::default()
-    };
-    config.system.dram.bus_words = lanes;
-    SmacheSystem::check_lanes(&plan, &config)?;
-    let dram = config.system.dram;
-    let kernel = smache::arch::kernel::AverageKernel;
-
-    let sm = if lanes == 1 {
-        CycleModel.smache(&plan, &dram, kernel.latency(), instances)
-    } else {
-        CycleModel.multilane(&plan, &dram, kernel.latency(), lanes, instances)
-    };
+    let mut config = geometry(args, &spec, &plan)?;
+    config.system.fault_plan = chaos_plan(args)?;
+    let sm = CycleModel.predict(&plan, &config, AverageKernel.latency(), passes)?;
     let avg_reads = CycleModel.avg_reads(&plan);
+    let dram = config.system.dram;
     let bl = CycleModel.baseline(plan.grid.len() as u64, avg_reads, 0.0, &dram, instances);
 
     let mut out = String::new();
@@ -408,30 +424,6 @@ fn cmd_predict(args: &Args) -> Result<String, CliError> {
         bl.exec_us() / sm.exec_us()
     );
     Ok(out)
-}
-
-/// Refuses, for a pipelined spec, each flag whose `unsupported` is set:
-/// pipelined `--timesteps`/`--channels` runs are the temporal pipeline
-/// only.
-fn single_step_only(
-    args: &Args,
-    spec: &ProblemSpec,
-    flags: &[(&str, bool)],
-) -> Result<(), CliError> {
-    if !spec.pipelined() {
-        return Ok(());
-    }
-    match flags.iter().find(|(_, unsupported)| *unsupported) {
-        Some((key, _)) => Err(ArgError::BadValue {
-            key: (*key).into(),
-            value: args.get_or(key, "").into(),
-            expected: "a single-step spec (pipelined --timesteps/--channels runs \
-                       the Smache temporal pipeline only)"
-                .into(),
-        }
-        .into()),
-        None => Ok(()),
-    }
 }
 
 /// Parses `--chaos-seed`/`--chaos-profile` into a [`smache_mem::FaultPlan`].
@@ -695,23 +687,22 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         .into());
     }
 
+    // The baseline design has no pipeline form.
+    if spec.pipelined() && design != "smache" {
+        return Err(ArgError::BadValue {
+            key: "design".into(),
+            value: design.into(),
+            expected: "smache (pipelined --timesteps/--channels runs the Smache \
+                       temporal pipeline only)"
+                .into(),
+        }
+        .into());
+    }
     let chaos = chaos_plan(args)?;
-
     let batch: u64 = args.get_num("batch", 0)?;
-    let mut config = SystemConfig {
-        fault_plan: chaos,
-        ..SystemConfig::default()
-    };
-    config.dram.bus_words = args.get_num("lanes", 1)?;
-    single_step_only(
-        args,
-        &spec,
-        &[
-            ("batch", batch > 0),
-            ("lanes", config.dram.bus_words > 1),
-            ("design", design != "smache"),
-        ],
-    )?;
+    let plan = spec.builder().plan()?;
+    let mut config = geometry(args, &spec, &plan)?;
+    config.system.fault_plan = chaos;
     let trace_fmt: Option<&str> = match args.get("trace") {
         Some(_) => Some(trace_format(args, "vcd")?),
         None => None,
@@ -733,7 +724,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         }
     }
     if batch > 0 {
-        return cmd_simulate_batch(args, &spec, config, instances, seed, batch);
+        return cmd_simulate_batch(args, &spec, plan, config, instances, seed, batch);
     }
 
     let input = seeded_input(spec.grid.len(), seed);
@@ -742,11 +733,10 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let mode = replay_mode(args)?;
     let mut out = String::new();
     if design == "smache" || design == "both" {
-        let mut builder = spec.builder().system_config(config);
+        let mut system = SmacheSystem::new(plan, Box::new(AverageKernel), config)?;
         if trace_fmt.is_some() {
-            builder = builder.telemetry(smache_sim::TelemetryConfig::default());
+            system.attach_telemetry(smache_sim::TelemetryConfig::default());
         }
-        let mut system = builder.build()?;
         let (report, engine_note) = run_with_replay(mode, &mut system, &input, passes)?;
         if spec.pipelined() {
             let _ = writeln!(
@@ -792,7 +782,8 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 fn cmd_simulate_batch(
     args: &Args,
     spec: &ProblemSpec,
-    config: SystemConfig,
+    plan: BufferPlan,
+    config: PipelineConfig,
     instances: u64,
     seed: u64,
     batch: u64,
@@ -803,8 +794,8 @@ fn cmd_simulate_batch(
         mut store,
         lane_block,
     } = batch_flags(args)?;
-    let chaos = config.fault_plan;
-    let plan = spec.builder().plan()?;
+    let chaos = config.system.fault_plan;
+    let passes = spec.passes(instances).map_err(ArgError::from)?;
     let inputs: Vec<Vec<u64>> = (0..batch)
         .map(|lane| seeded_input(spec.grid.len(), seed + lane))
         .collect();
@@ -816,7 +807,7 @@ fn cmd_simulate_batch(
                 plan.clone(),
                 Arc::clone(&kernel),
                 input.clone(),
-                instances,
+                passes,
             )
             .with_config(config)
         })
@@ -855,11 +846,12 @@ fn cmd_simulate_batch(
         let lane_report = result.as_ref().map_err(|e| CliError::Core(e.clone()))?;
         let _ = writeln!(
             out,
-            "  seed {:>4}: {:>8} cycles, {:>6} beats, engine={}",
+            "  seed {:>4}: {:>8} cycles, {:>6} beats, engine={} fp={}",
             seed + lane as u64,
             lane_report.metrics.cycles,
             lane_report.stats.transfers,
-            lane_report.engine.label()
+            lane_report.engine.label(),
+            output_fp(&lane_report.output)
         );
         if chaos.is_active() {
             let _ = writeln!(out, "    chaos: {}", lane_report.metrics.faults);
@@ -1089,8 +1081,9 @@ mod tests {
         assert!(out.contains("smache:"), "{out}");
         assert!(out.contains("baseline:"));
         assert!(out.contains("speed-up"));
-        // The closed-form numbers land in the Fig. 2 regime.
-        assert!(out.contains("1394") || out.contains("1395"), "{out}");
+        // The closed-form number lands on Fig. 2's simulated 13 937 cycles.
+        let error = predicted_cycles(&out).abs_diff(13_937) as f64 / 13_937.0;
+        assert!(error <= 0.01, "{out}");
     }
 
     /// The smache cycle count `predict` prints.
@@ -1156,18 +1149,55 @@ mod tests {
     }
 
     #[test]
+    fn predict_refuses_chaos_it_cannot_model() {
+        let err = run_str("predict --chaos-profile jitter").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CliError::Core(smache::CoreError::Unmodelled(
+                    smache::cost::Unmodelled::FaultPlan
+                ))
+            ),
+            "{err}"
+        );
+        assert!(run_str("predict --chaos-profile off").is_ok());
+    }
+
+    #[test]
     fn plan_and_cost_refuse_lanes_they_cannot_model() {
         for command in ["plan", "cost"] {
-            let err = run_str(&format!("{command} --lanes 2")).unwrap_err();
+            // The engine's geometry rule, with the engine's own error.
+            let line = "--grid 32x32 --instances 4 --lanes 4";
+            let refused = run_str(&format!("{command} {line}")).unwrap_err();
+            let simulated = run_str(&format!("simulate {line}")).unwrap_err();
+            assert_eq!(refused.to_string(), simulated.to_string(), "{command}");
+            // Every geometry the engine runs is honoured and named.
+            let out = run_str(&format!("{command} --rows open --lanes 4")).unwrap();
+            assert!(out.contains("geometry: 4 lane(s)"), "{command}: {out}");
+            let out = run_str(&format!("{command} --timesteps 4 --channels 2")).unwrap();
             assert!(
-                matches!(&err, CliError::Args(ArgError::BadValue { key, .. }) if key == "lanes"),
-                "{command}: {err}"
+                out.contains("geometry: 1 lane(s), 4 stage(s), 2 channel(s)"),
+                "{command}: {out}"
             );
             assert!(
-                run_str(&format!("{command} --lanes 1")).is_ok(),
+                !run_str(command).unwrap().contains("geometry:"),
                 "{command}"
             );
         }
+        // Lanes lift the gather mux a level; a pipeline holds every stage.
+        let fmax = |line: &str| run_str(line).unwrap().lines().last().unwrap().to_string();
+        assert_ne!(fmax("plan --rows open"), fmax("plan --rows open --lanes 4"));
+        let bits = |line: &str| -> u64 {
+            let out = run_str(line).unwrap();
+            let total = out
+                .lines()
+                .find(|l| l.starts_with("total estimate"))
+                .unwrap();
+            total.split_whitespace().nth(2).unwrap().parse().unwrap()
+        };
+        let one = bits("cost");
+        assert_eq!(bits("cost --timesteps 4"), 4 * one + 3 * 121 * 32);
+        assert_eq!(bits("cost --channels 2"), one);
     }
 
     #[test]
@@ -1341,11 +1371,8 @@ mod tests {
             run_str("simulate --grid 8x8 --timesteps 3 --instances 8"),
             Err(CliError::Args(ArgError::BadValue { .. }))
         ));
-        // Batch, lanes and other designs are single-step-only; a trace
-        // needs whole passes too.
+        // Other designs are single-step-only; a trace needs whole passes.
         for argv in [
-            "simulate --grid 8x8 --timesteps 2 --instances 4 --batch 2",
-            "simulate --grid 8x8 --timesteps 2 --instances 4 --lanes 2",
             "simulate --grid 8x8 --timesteps 2 --instances 4 --design both",
             "trace --grid 8x8 --timesteps 2 --instances 3",
         ] {
@@ -1357,6 +1384,20 @@ mod tests {
                 "{argv}"
             );
         }
+        // A wide bus under a pipeline is the engine's refusal.
+        let err = run_str("simulate --grid 8x8 --timesteps 2 --instances 4 --lanes 2").unwrap_err();
+        assert!(
+            matches!(err, CliError::Core(smache::CoreError::Config(_))),
+            "{err}"
+        );
+        // A pipeline batches: every lane verifies, one captures, the rest
+        // replay.
+        let out = run_str(
+            "simulate --grid 8x8 --timesteps 2 --channels 2 --instances 4 --batch 3 --verify",
+        )
+        .unwrap();
+        assert!(out.contains("all lanes verified"), "{out}");
+        assert_eq!(out.matches("engine=replay").count(), 2, "{out}");
     }
 
     #[test]

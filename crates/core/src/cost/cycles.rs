@@ -2,25 +2,47 @@
 //!
 //! The paper's §III closes with a memory cost model "that can easily be
 //! incorporated in a larger cost-model for design-space exploration"; a
-//! larger model also needs *time*. This module predicts the cycle count of
-//! both designs in closed form from the problem parameters, so a DSE sweep
-//! can rank thousands of configurations without simulating them. The
-//! predictions are validated against the cycle-accurate simulations (see
-//! tests: within a few per cent across sizes).
+//! larger model also needs *time*. [`CycleModel::predict`] predicts the
+//! engine's cycles at the one geometry it takes, a [`PipelineConfig`]
+//! (lanes, depth, channels, `cmd_gap`), so a DSE sweep can rank thousands
+//! of configurations without simulating them. `tests/cycle_model.rs`
+//! checks it against the simulator and states its bound.
+
+use std::collections::BTreeSet;
 
 use smache_mem::DramConfig;
 
 use crate::config::BufferPlan;
 use crate::cost::FreqModel;
+use crate::error::CoreError;
+use crate::pipeline::PipelineConfig;
+use crate::system::SmacheSystem;
+use crate::CoreResult;
 
-/// Fixed pipeline overheads of the simulated Smache system, in cycles.
-/// (DRAM first-response latency at an instance start: one row activation
-/// plus CAS; instance-boundary drain of kernel + write + swap.)
-const SMACHE_INSTANCE_OVERHEAD: u64 = 12;
+/// Per-instance issue overhead of the baseline design, in cycles.
+const BASELINE_INSTANCE_OVERHEAD: u64 = 12;
 
 /// Per-element issue overhead of the baseline FSM (the address-setup
 /// cycle) plus the amortised response-drain bubble.
 const BASELINE_ELEMENT_OVERHEAD: f64 = 1.03;
+
+/// Why [`CycleModel::predict`] declines a geometry the engine runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unmodelled {
+    /// An active fault plan: chaos jitter and stall storms add cycles the
+    /// model does not draw.
+    FaultPlan,
+}
+
+impl std::fmt::Display for Unmodelled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Unmodelled::FaultPlan => {
+                f.write_str("an active fault plan adds cycles it does not draw")
+            }
+        }
+    }
+}
 
 /// The analytical time model.
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,50 +66,146 @@ impl CyclePrediction {
     }
 }
 
-impl CycleModel {
-    /// Predicts the Smache design's cycles for `instances` work-instances.
-    ///
-    /// Per instance the module streams `N` words at one per cycle, then
-    /// flushes `lookahead + 1` positions; add the DRAM start-up latency,
-    /// the kernel drain and the swap. The warm-up prefetch reads every
-    /// static word once (plus one DRAM round trip).
-    pub fn smache(
-        &self,
-        plan: &BufferPlan,
-        dram: &DramConfig,
-        kernel_latency: u64,
-        instances: u64,
-    ) -> CyclePrediction {
-        let n = plan.grid.len() as u64;
-        let start_latency = 1 + dram.row_miss_penalty + dram.cas_latency;
-        let warmup = if plan.static_words() > 0 {
-            // The prefetch streams every static word at one per cycle
-            // behind an initial activation+CAS; if the buffer regions span
-            // several DRAM rows, the burst between them pays one more
-            // activation (it is non-sequential).
-            let spans_rows = plan
+/// One geometry's timing: every pass streams `⌈N/P⌉` beats, each stage
+/// adds its lookahead fill and kernel drain, and stage 0 warms its static
+/// buffers up from DRAM — once for the double-buffered single step, every
+/// pass for a pipeline. A later stage prefetches its static buffers from
+/// its upstream link, so it waits for each static region to be produced:
+/// wrap-heavy plans serialise their stages within a pass.
+struct Timing<'a> {
+    plan: &'a BufferPlan,
+    config: &'a PipelineConfig,
+    kernel_latency: f64,
+    /// Extra cycles per streamed beat when the channels cannot feed one
+    /// beat per cycle (`1/rate − 1`).
+    slow: f64,
+    /// Per static region in prefetch order: its last grid index and the
+    /// prefetch words that follow it.
+    regions: Vec<(f64, f64)>,
+}
+
+impl Timing<'_> {
+    /// Cycles and warm-up cycles of pass `index` (0-based); every pass
+    /// from the third on repeats the third.
+    fn pass(&self, index: u64) -> (f64, f64) {
+        let dram: &DramConfig = &self.config.system.dram;
+        let (n, lanes, channels) = (self.plan.grid.len(), dram.bus_words, self.config.channels);
+        let (cas, miss) = (dram.cas_latency as f64, dram.row_miss_penalty as f64);
+        // A pass starts with a row activation unless an earlier pass left
+        // the first row of its ping-pong region (in one channel's rows) open.
+        let region = (n + lanes - 1).div_ceil(dram.row_words) * dram.row_words;
+        let hit = match index {
+            0 => false,
+            1 => region / channels < dram.row_words,
+            _ => 2 * region.div_ceil(channels * dram.row_words) <= dram.num_banks,
+        };
+        let double_buffered = self.config.single_step() && self.config.system.double_buffering;
+        let (warmup, start) = if !self.regions.is_empty() && (index == 0 || !double_buffered) {
+            // The warm-up reads every static word, one more activation when
+            // the regions span rows; the stream starts in a row it opened.
+            let rows = self
+                .plan
                 .static_buffers
                 .iter()
-                .map(|b| b.region_start / dram.row_words)
-                .collect::<std::collections::BTreeSet<_>>()
-                .len()
-                > 1;
-            plan.static_words()
-                + (dram.cas_latency + dram.row_miss_penalty - 1)
-                + if spans_rows { dram.row_miss_penalty } else { 0 }
+                .map(|b| b.region_start / dram.row_words);
+            let activations = match (hit, rows.collect::<BTreeSet<_>>().len() > 1) {
+                (true, _) => 0.0,
+                (false, spans) => 1.0 + f64::from(u8::from(spans)),
+            };
+            let words = self.plan.static_words() as f64 * (1.0 + self.slow);
+            (words + cas - 1.0 + activations * miss, 2.0 + cas)
         } else {
-            0
+            // The second pass may continue the first pass's burst.
+            let sequential = index == 1 && channels == 1 && n.div_ceil(lanes) * lanes == region;
+            (0.0, 1.0 + cas + if hit || sequential { 0.0 } else { miss })
         };
-        // Steady state: N streamed words, the lookahead flush, the kernel
-        // drain, and a small fixed boundary overhead; the next instance's
-        // DRAM start-up overlaps the previous instance's flush, leaving
-        // only a one-time start latency for the whole run.
-        let per_instance = n + plan.lookahead as u64 + kernel_latency + 5;
-        CyclePrediction {
-            cycles: warmup + start_latency + instances * per_instance,
-            warmup_cycles: warmup,
-            fmax_mhz: FreqModel.smache_fmax(plan, 1),
+        let shift0 = warmup + start - 2.0;
+        let mut ready = Vec::with_capacity(self.config.depth);
+        for t in 1..self.config.depth {
+            let warm = self
+                .regions
+                .iter()
+                .map(|&(last, after)| self.produced(t - 1, last, shift0, &ready) + after);
+            ready.push(warm.fold(f64::NEG_INFINITY, f64::max));
         }
+        let last = n as f64 - 1.0;
+        let end = self.produced(self.config.depth - 1, last, shift0, &ready);
+        (end + 2.0, warmup)
+    }
+
+    /// The cycle stage `t` hands element `e`'s result on: its word
+    /// `e + A + 1` shifted in (flush zeros past the grid), plus the kernel.
+    /// `shift0` places stage 0's first beat; `ready[t − 1]` is the cycle
+    /// stage `t` finishes its warm-up (−∞ without static buffers).
+    fn produced(&self, t: usize, e: f64, shift0: f64, ready: &[f64]) -> f64 {
+        let lanes = self.config.system.dram.bus_words as f64;
+        let last = self.plan.grid.len() as f64 - 1.0;
+        let word = e + self.plan.lookahead as f64 + 1.0;
+        let (k, flush) = (word.min(last), ((word - last) / lanes).ceil().max(0.0));
+        let shifted = if t == 0 {
+            let beats = ((k + 1.0) / lanes).ceil();
+            shift0 + beats - 1.0 + (beats - 2.0).max(0.0) * self.slow
+        } else {
+            (ready[t - 1] + k).max(self.produced(t - 1, k, shift0, ready))
+        };
+        self.kernel_latency + 1.0 + shifted + flush
+    }
+}
+
+impl CycleModel {
+    /// Predicts the Smache engine's cycles for `passes` passes of the
+    /// geometry `config` (work-instances for the single step, `depth`
+    /// timesteps each for a pipeline).
+    ///
+    /// Refuses what [`SmacheSystem::new`] refuses, with the same error
+    /// ([`SmacheSystem::check_lanes`]), and what the model does not cover
+    /// with [`CoreError::Unmodelled`].
+    pub fn predict(
+        &self,
+        plan: &BufferPlan,
+        config: &PipelineConfig,
+        kernel_latency: u64,
+        passes: u64,
+    ) -> CoreResult<CyclePrediction> {
+        SmacheSystem::check_lanes(plan, config)?;
+        if kernel_latency == 0 {
+            return Err(CoreError::KernelLatencyZero);
+        }
+        if config.system.fault_plan.is_active() {
+            return Err(CoreError::Unmodelled(Unmodelled::FaultPlan));
+        }
+        // A block of `interleave_words` consecutive words sits on one
+        // channel, which accepts a read every `cmd_gap` cycles.
+        let (gap, block) = (config.cmd_gap as f64, config.interleave_words as f64);
+        let rate = (config.channels as f64 / gap).min(block / ((block - 1.0) * gap + 1.0));
+        let mut after = plan.static_words();
+        let timing = Timing {
+            plan,
+            config,
+            kernel_latency: kernel_latency as f64,
+            slow: 1.0 / rate.min(1.0) - 1.0,
+            regions: plan
+                .static_buffers
+                .iter()
+                .map(|b| {
+                    after -= b.len as u64;
+                    ((b.region_start + b.len - 1) as f64, after as f64)
+                })
+                .collect(),
+        };
+        let (mut cycles, mut warmup) = (0.0, 0.0);
+        for (index, times) in [(0, 1), (1, 1), (2, passes.saturating_sub(2))] {
+            if index < passes {
+                let (c, w) = timing.pass(index);
+                cycles += times as f64 * c;
+                warmup += times as f64 * w;
+            }
+        }
+        Ok(CyclePrediction {
+            cycles: cycles.round() as u64,
+            warmup_cycles: warmup.round() as u64,
+            fmax_mhz: FreqModel.smache_fmax(plan, config.system.dram.bus_words),
+        })
     }
 
     /// Predicts the baseline design's cycles.
@@ -108,65 +226,11 @@ impl CycleModel {
         let per_element = 1.0
             + avg_reads * (1.0 + miss_fraction * dram.row_miss_penalty as f64)
             + (BASELINE_ELEMENT_OVERHEAD - 1.0);
-        let per_instance = (n as f64 * per_element).round() as u64 + SMACHE_INSTANCE_OVERHEAD;
+        let per_instance = (n as f64 * per_element).round() as u64 + BASELINE_INSTANCE_OVERHEAD;
         CyclePrediction {
             cycles: instances * per_instance,
             warmup_cycles: 0,
             fmax_mhz: FreqModel.baseline_fmax(n),
-        }
-    }
-
-    /// Predicts the `lanes`-wide engine (a `lanes`-word DRAM bus): the
-    /// group rate divides the streamed element count by `lanes`; fill,
-    /// flush and drain scale with the window, and the gather mux costs
-    /// `⌈log2 lanes⌉` Fmax levels.
-    pub fn multilane(
-        &self,
-        plan: &BufferPlan,
-        dram: &DramConfig,
-        kernel_latency: u64,
-        lanes: usize,
-        instances: u64,
-    ) -> CyclePrediction {
-        let n = plan.grid.len() as u64;
-        let p = lanes as u64;
-        let start_latency = 1 + dram.row_miss_penalty + dram.cas_latency;
-        let warmup = if plan.static_words() > 0 {
-            plan.static_words() + dram.cas_latency + dram.row_miss_penalty + 1
-        } else {
-            0
-        };
-        let groups = n.div_ceil(p);
-        let fill = (plan.lookahead as u64 + p + 1).div_ceil(p);
-        let per_instance = groups + fill + kernel_latency + 4;
-        CyclePrediction {
-            cycles: warmup + start_latency + instances * per_instance,
-            warmup_cycles: warmup,
-            fmax_mhz: FreqModel.smache_fmax(plan, lanes),
-        }
-    }
-
-    /// Predicts a `depth`-stage [`TemporalPipeline`](crate::TemporalPipeline):
-    /// one DRAM pass streams N words while every stage adds one window-fill
-    /// of skew. Valid for plans without static buffers (no per-pass
-    /// warm-up) on one DRAM channel at `cmd_gap` 1; wrap plans, extra
-    /// channels and throttled channels are outside the model.
-    pub fn cascade(
-        &self,
-        plan: &BufferPlan,
-        dram: &DramConfig,
-        kernel_latency: u64,
-        depth: usize,
-        passes: u64,
-    ) -> CyclePrediction {
-        let n = plan.grid.len() as u64;
-        let start_latency = 1 + dram.row_miss_penalty + dram.cas_latency;
-        let skew = (plan.lookahead as u64 + kernel_latency + 3) * depth as u64;
-        let per_pass = n + skew + 2;
-        CyclePrediction {
-            cycles: start_latency + passes * per_pass,
-            warmup_cycles: 0,
-            fmax_mhz: FreqModel.smache_fmax(plan, 1),
         }
     }
 
@@ -193,167 +257,132 @@ mod tests {
     use super::*;
     use crate::arch::kernel::{AverageKernel, Kernel};
     use crate::builder::SmacheBuilder;
-    use crate::system::smache_system::{SmacheSystem, SystemConfig};
-    use crate::HybridMode;
-    use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
+    use smache_mem::{ChaosProfile, FaultPlan};
+    use smache_stencil::{BoundarySpec, GridSpec};
 
-    fn run_and_compare(dim: usize, instances: u64, tolerance: f64) {
-        let builder = || {
-            SmacheBuilder::new(GridSpec::d2(dim, dim).expect("grid"))
-                .shape(StencilShape::four_point_2d())
-                .boundaries(BoundarySpec::paper_case())
-                .hybrid(HybridMode::default())
-        };
-        let plan = builder().plan().expect("plan");
-        let config = SystemConfig::default();
-        let predicted = CycleModel.smache(&plan, &config.dram, AverageKernel.latency(), instances);
+    fn plan(dim: usize, bounds: BoundarySpec) -> BufferPlan {
+        SmacheBuilder::new(GridSpec::d2(dim, dim).expect("grid"))
+            .boundaries(bounds)
+            .plan()
+            .expect("plan")
+    }
 
-        let mut system = builder().build().expect("system");
-        let input: Vec<u64> = (0..(dim * dim) as u64).collect();
-        let measured = system.run(&input, instances).expect("run");
-
-        let err = (predicted.cycles as f64 - measured.metrics.cycles as f64).abs()
-            / measured.metrics.cycles as f64;
-        assert!(
-            err < tolerance,
-            "{dim}x{dim}/{instances}: predicted {} vs measured {} ({err:.3})",
-            predicted.cycles,
-            measured.metrics.cycles
-        );
+    /// The model's relative error against a full simulation of `config`.
+    fn error(plan: BufferPlan, config: PipelineConfig, passes: u64) -> f64 {
+        let predicted = CycleModel
+            .predict(&plan, &config, AverageKernel.latency(), passes)
+            .expect("modelled");
+        let n = plan.grid.len() as u64;
+        let mut system = SmacheSystem::new(plan, Box::new(AverageKernel), config).expect("sys");
+        let measured = system
+            .run(&(0..n).collect::<Vec<_>>(), passes)
+            .expect("run");
         assert_eq!(predicted.fmax_mhz, measured.metrics.fmax_mhz);
+        predicted.cycles.abs_diff(measured.metrics.cycles) as f64 / measured.metrics.cycles as f64
     }
 
     #[test]
     fn smache_prediction_tracks_simulation() {
-        run_and_compare(11, 100, 0.01);
-        run_and_compare(16, 20, 0.01);
-        run_and_compare(32, 10, 0.01);
-        run_and_compare(64, 5, 0.01);
-    }
-
-    #[test]
-    fn baseline_prediction_tracks_simulation() {
-        use smache_baseline_shim::run_baseline;
-        // (defined below — avoids a circular dev-dependency)
-        let plan = SmacheBuilder::new(GridSpec::d2(11, 11).expect("grid"))
-            .plan()
-            .expect("plan");
-        let avg_reads = CycleModel.avg_reads(&plan);
-        assert!((avg_reads - 462.0 / 121.0).abs() < 1e-9);
-        let predicted = CycleModel.baseline(121, avg_reads, 0.0, &DramConfig::default(), 100);
-        let measured = run_baseline();
-        let err = (predicted.cycles as f64 - measured as f64).abs() / measured as f64;
-        assert!(
-            err < 0.06,
-            "predicted {} vs measured {measured}",
-            predicted.cycles
-        );
-    }
-
-    /// Minimal in-crate baseline: the real baseline lives in the
-    /// `smache-baseline` crate, which depends on this one; duplicating a
-    /// tiny measured constant here would hide regressions, so this shim
-    /// replays the one measured number recorded from the Fig. 2 harness
-    /// and the integration suite re-checks it against the live simulation
-    /// (`tests/fig2_shape.rs` pins the same value within its band).
-    mod smache_baseline_shim {
-        /// Cycle count of the default baseline on the paper workload, as
-        /// measured by `cargo run -p smache-bench --bin fig2`.
-        pub fn run_baseline() -> u64 {
-            58_812
+        for (dim, instances) in [(11, 100), (16, 20), (32, 10), (64, 5)] {
+            let err = error(
+                plan(dim, BoundarySpec::paper_case()),
+                PipelineConfig::default(),
+                instances,
+            );
+            assert!(err <= 0.01, "{dim}x{dim}/{instances}: {err:.4}");
         }
     }
 
     #[test]
-    fn warmup_only_with_static_buffers() {
-        let open_plan = SmacheBuilder::new(GridSpec::d2(8, 8).expect("grid"))
-            .boundaries(BoundarySpec::all_open(2).expect("bounds"))
-            .plan()
-            .expect("plan");
-        let p = CycleModel.smache(&open_plan, &DramConfig::default(), 1, 5);
-        assert_eq!(p.warmup_cycles, 0);
-
-        let wrap_plan = SmacheBuilder::new(GridSpec::d2(8, 8).expect("grid"))
-            .plan()
-            .expect("plan");
-        let p = CycleModel.smache(&wrap_plan, &DramConfig::default(), 1, 5);
-        assert!(p.warmup_cycles >= 16);
-    }
-
-    #[test]
     fn multilane_prediction_tracks_simulation() {
-        let bounds = BoundarySpec::all_open(2).expect("bounds");
-        let grid = GridSpec::d2(32, 32).expect("grid");
-        let input: Vec<u64> = (0..1024).collect();
         for lanes in [1usize, 2, 4, 8] {
-            let plan = SmacheBuilder::new(grid.clone())
-                .boundaries(bounds.clone())
-                .plan()
-                .expect("plan");
-            let mut config = SystemConfig::default();
-            config.dram.bus_words = lanes;
-            let predicted =
-                CycleModel.multilane(&plan, &config.dram, AverageKernel.latency(), lanes, 6);
-            let mut sys = SmacheSystem::new(plan, Box::new(AverageKernel), config).expect("sys");
-            let measured = sys.run(&input, 6).expect("run");
-            let err = (predicted.cycles as f64 - measured.metrics.cycles as f64).abs()
-                / measured.metrics.cycles as f64;
-            assert!(
-                err < 0.06,
-                "lanes {lanes}: predicted {} vs measured {} ({err:.3})",
-                predicted.cycles,
-                measured.metrics.cycles
-            );
-            assert_eq!(predicted.fmax_mhz, measured.metrics.fmax_mhz);
+            let mut config = PipelineConfig::default();
+            config.system.dram.bus_words = lanes;
+            let open = plan(32, BoundarySpec::all_open(2).expect("bounds"));
+            let err = error(open, config, 6);
+            assert!(err <= 0.06, "lanes {lanes}: {err:.4}");
         }
     }
 
     #[test]
     fn cascade_prediction_tracks_simulation() {
-        use crate::pipeline::{PipelineConfig, TemporalPipeline};
-        let bounds = BoundarySpec::all_open(2).expect("bounds");
-        let grid = GridSpec::d2(24, 24).expect("grid");
-        let input: Vec<u64> = (0..576).collect();
         for depth in [1usize, 2, 4] {
-            let plan = SmacheBuilder::new(grid.clone())
-                .boundaries(bounds.clone())
-                .plan()
-                .expect("plan");
-            let config = SystemConfig::default();
-            let predicted =
-                CycleModel.cascade(&plan, &config.dram, AverageKernel.latency(), depth, 4);
-            let mut sys = TemporalPipeline::new(
-                plan,
-                Box::new(AverageKernel),
-                PipelineConfig {
-                    depth,
-                    system: config,
-                    ..Default::default()
-                },
-            )
-            .expect("sys");
-            let measured = sys.run(&input, 4).expect("run");
-            let err = (predicted.cycles as f64 - measured.metrics.cycles as f64).abs()
-                / measured.metrics.cycles as f64;
-            assert!(
-                err < 0.06,
-                "depth {depth}: predicted {} vs measured {} ({err:.3})",
-                predicted.cycles,
-                measured.metrics.cycles
-            );
+            let config = PipelineConfig {
+                depth,
+                ..PipelineConfig::default()
+            };
+            let open = plan(24, BoundarySpec::all_open(2).expect("bounds"));
+            let err = error(open, config, 4);
+            assert!(err <= 0.06, "depth {depth}: {err:.4}");
+            // Static buffers serialise the stages within a pass.
+            let err = error(plan(11, BoundarySpec::paper_case()), config, 4);
+            assert!(err <= 0.06, "paper case, depth {depth}: {err:.4}");
         }
     }
 
     #[test]
     fn predictions_scale_linearly_with_instances() {
-        let plan = SmacheBuilder::new(GridSpec::d2(16, 16).expect("grid"))
-            .plan()
-            .expect("plan");
-        let d = DramConfig::default();
-        let one = CycleModel.smache(&plan, &d, 2, 1);
-        let ten = CycleModel.smache(&plan, &d, 2, 10);
-        let fixed = one.warmup_cycles + 1 + d.row_miss_penalty + d.cas_latency;
-        assert_eq!(ten.cycles - fixed, 10 * (one.cycles - fixed));
-        assert!(one.exec_us() > 0.0);
+        // Both ping-pong regions are open from the third pass on, so every
+        // later pass costs the same.
+        let wrap = plan(16, BoundarySpec::paper_case());
+        for config in [
+            PipelineConfig::default(),
+            PipelineConfig {
+                depth: 3,
+                channels: 2,
+                ..PipelineConfig::default()
+            },
+        ] {
+            let cycles = |passes| CycleModel.predict(&wrap, &config, 2, passes).expect("ok");
+            let (two, three, ten) = (cycles(2), cycles(3), cycles(10));
+            assert_eq!(ten.cycles - two.cycles, 8 * (three.cycles - two.cycles));
+            assert_eq!(
+                ten.warmup_cycles - two.warmup_cycles,
+                8 * (three.warmup_cycles - two.warmup_cycles)
+            );
+        }
+    }
+
+    #[test]
+    fn warmup_only_with_static_buffers() {
+        let config = PipelineConfig::default();
+        let open = plan(8, BoundarySpec::all_open(2).expect("bounds"));
+        let p = CycleModel.predict(&open, &config, 1, 5).expect("modelled");
+        assert_eq!(p.warmup_cycles, 0);
+
+        let wrap = plan(8, BoundarySpec::paper_case());
+        let once = CycleModel.predict(&wrap, &config, 1, 5).expect("modelled");
+        assert!(once.warmup_cycles >= 16);
+        // A pipeline re-warms every pass.
+        let piped = PipelineConfig { depth: 2, ..config };
+        let every = CycleModel.predict(&wrap, &piped, 1, 5).expect("modelled");
+        assert!(every.warmup_cycles >= 5 * 16);
+        assert!(once.exec_us() > 0.0);
+    }
+
+    #[test]
+    fn refuses_what_the_engine_refuses_and_what_it_cannot_model() {
+        let wrap = plan(8, BoundarySpec::paper_case());
+        let mut wide = PipelineConfig::default();
+        wide.system.dram.bus_words = 4;
+        assert_eq!(
+            CycleModel.predict(&wrap, &wide, 2, 1).unwrap_err(),
+            SmacheSystem::check_lanes(&wrap, &wide).unwrap_err()
+        );
+        let mut chaos = PipelineConfig::default();
+        chaos.system.fault_plan = FaultPlan::new(1, ChaosProfile::storms());
+        assert_eq!(
+            CycleModel.predict(&wrap, &chaos, 2, 1),
+            Err(CoreError::Unmodelled(Unmodelled::FaultPlan))
+        );
+        let zero_depth = PipelineConfig {
+            depth: 0,
+            ..PipelineConfig::default()
+        };
+        assert!(CycleModel.predict(&wrap, &zero_depth, 2, 1).is_err());
+        assert_eq!(
+            CycleModel.predict(&wrap, &PipelineConfig::default(), 0, 1),
+            Err(CoreError::KernelLatencyZero)
+        );
     }
 }

@@ -19,7 +19,7 @@ pub mod estimate;
 pub mod freq;
 pub mod synthesis;
 
-pub use cycles::{CycleModel, CyclePrediction};
+pub use cycles::{CycleModel, CyclePrediction, Unmodelled};
 pub use estimate::{CostEstimate, MemoryBreakdown};
 pub use freq::FreqModel;
 pub use synthesis::SynthesisModel;

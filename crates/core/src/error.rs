@@ -108,6 +108,9 @@ pub enum CoreError {
     /// (see [`smache_sim::ReplayUnsupported`]). Surfaced only when replay
     /// was *forced*; the auto mode falls back to full simulation instead.
     ReplayRefused(smache_sim::ReplayUnsupported),
+    /// The cycle model declines a geometry the engine runs, with the typed
+    /// reason (see [`crate::cost::Unmodelled`]).
+    Unmodelled(crate::cost::Unmodelled),
 }
 
 impl fmt::Display for CoreError {
@@ -159,6 +162,7 @@ impl fmt::Display for CoreError {
             ),
             CoreError::FaultDetected(d) => write!(f, "fault detected: {d}"),
             CoreError::ReplayRefused(r) => write!(f, "{r}"),
+            CoreError::Unmodelled(why) => write!(f, "cycle model: {why}"),
         }
     }
 }

@@ -31,8 +31,9 @@ use smache_sim::CycleStats;
 use crate::arch::kernel::Kernel;
 use crate::config::BufferPlan;
 use crate::error::CoreError;
+use crate::pipeline::PipelineConfig;
 use crate::system::replay::{schedule_key, ControlSchedule, ReplayMode};
-use crate::system::smache_system::{RunReport, SmacheSystem, SystemConfig};
+use crate::system::smache_system::{RunReport, SmacheSystem};
 use crate::system::store::ScheduleStore;
 use crate::CoreResult;
 
@@ -56,29 +57,34 @@ pub struct BatchJob {
     pub plan: BufferPlan,
     /// Constructs the lane's kernel (invoked on the worker thread).
     pub kernel: KernelFactory,
-    /// System tunables (DRAM timing, skid depth, double buffering).
-    pub config: SystemConfig,
+    /// The engine geometry and its system tunables: lanes, depth,
+    /// channels, DRAM timing, skid depth, double buffering.
+    pub config: PipelineConfig,
     /// The input grid for the run.
     pub input: Vec<u64>,
-    /// Work-instances to execute.
+    /// Passes to run, as [`SmacheSystem::run`] counts them: work-instances
+    /// for the single step, `depth` timesteps each for a pipeline.
     pub instances: u64,
 }
 
 impl BatchJob {
-    /// A job with the default [`SystemConfig`].
+    /// A job on the paper's single-step geometry with the default
+    /// [`SystemConfig`](crate::system::SystemConfig).
     pub fn new(plan: BufferPlan, kernel: KernelFactory, input: Vec<u64>, instances: u64) -> Self {
         BatchJob {
             plan,
             kernel,
-            config: SystemConfig::default(),
+            config: PipelineConfig::default(),
             input,
             instances,
         }
     }
 
-    /// Replaces the system configuration.
-    pub fn with_config(mut self, config: SystemConfig) -> Self {
-        self.config = config;
+    /// Replaces the configuration: a
+    /// [`SystemConfig`](crate::system::SystemConfig) sets the single step,
+    /// a [`PipelineConfig`] any geometry.
+    pub fn with_config(mut self, config: impl Into<PipelineConfig>) -> Self {
+        self.config = config.into();
         self
     }
 }
@@ -190,11 +196,6 @@ fn run_one(job: BatchJob) -> CoreResult<RunReport> {
 /// it, so the key text is not formatted a second time while sealing.
 fn capture_one(job: &BatchJob, key: (u64, u64)) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
     let mut system = SmacheSystem::new(job.plan.clone(), (job.kernel)(), job.config)?;
-    debug_assert_eq!(
-        key,
-        smache_sim::hash::fingerprint128(system.schedule_key_text(job.instances).as_bytes()),
-        "a batch job's key is the key its system would derive"
-    );
     system.run_captured_keyed(&job.input, job.instances, key)
 }
 
@@ -205,7 +206,7 @@ fn capture_one(job: &BatchJob, key: (u64, u64)) -> CoreResult<(RunReport, Arc<Co
 struct SpecKey {
     kernel: KernelFactory,
     instances: u64,
-    config: SystemConfig,
+    config: PipelineConfig,
     plan: BufferPlan,
     key: (u64, u64),
 }
@@ -271,8 +272,8 @@ impl SmacheSystem {
     /// running the jobs serially, independent of `options.threads`.
     ///
     /// **Replay** ([`BatchOptions::replay`], default [`ReplayMode::Auto`]):
-    /// lanes that share a [`schedule_key`] (same plan, config, kernel,
-    /// instance count and — for active latency-only fault plans — chaos
+    /// lanes that share a [`schedule_key`] (same plan, geometry and
+    /// config, kernel, pass count and — for active latency-only fault plans — chaos
     /// seed; *data* seeds do not matter) capture the control plane **once**
     /// and replay it for every other lane, bit-exact with the full
     /// simulation. Replay lanes are grouped into blocks of
@@ -411,6 +412,7 @@ mod tests {
     use crate::arch::kernel::AverageKernel;
     use crate::builder::SmacheBuilder;
     use crate::system::report::RunEngine;
+    use crate::system::SystemConfig;
     use smache_stencil::GridSpec;
 
     fn paper_plan() -> BufferPlan {

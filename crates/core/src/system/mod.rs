@@ -12,7 +12,7 @@ pub mod store;
 pub use axi::{AxiSmache, StallFuzzSink, StallFuzzSource};
 pub use batch::{BatchJob, BatchOptions, BatchReport, KernelFactory, DEFAULT_LANE_BLOCK};
 pub use metrics::{DesignMetrics, NormalisedMetrics};
-pub use replay::{schedule_key, CaptureOutcome, ControlSchedule, ReplayMode};
+pub use replay::{schedule_key, schedule_key_text, CaptureOutcome, ControlSchedule, ReplayMode};
 pub use report::{RunEngine, RunReport};
 pub use report_json::REPORT_SCHEMA_VERSION;
 pub use smache_system::{SmacheSystem, SystemConfig};

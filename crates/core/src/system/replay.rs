@@ -62,8 +62,9 @@ use smache_sim::{ControlTrace, GatherTable, ReplayUnsupported};
 use crate::arch::kernel::Kernel;
 use crate::config::BufferPlan;
 use crate::error::CoreError;
+use crate::pipeline::PipelineConfig;
 use crate::system::report::{RunEngine, RunReport};
-use crate::system::smache_system::{SmacheSystem, SystemConfig};
+use crate::system::smache_system::SmacheSystem;
 use crate::CoreResult;
 
 /// How a front end chooses between full simulation and schedule replay.
@@ -107,12 +108,19 @@ impl ReplayMode {
 /// *chaos* seed and profile of an active latency-only fault plan **are**
 /// present: chaos draws are a pure function of (chaos-seed, cycle), so
 /// they shape the control plane exactly like any other spec parameter.
+///
+/// `passes` counts what [`SmacheSystem::run`] takes; the text names the
+/// `depth × passes` timesteps the schedule carries. A pipeline appends its
+/// geometry (`;pipeline=depth:channels:interleave:cmd_gap`); the single
+/// step appends nothing, so its keys stay byte-identical to those already
+/// on disk.
 pub fn schedule_key_text(
     plan: &BufferPlan,
-    config: &SystemConfig,
+    config: &PipelineConfig,
     kernel: &dyn Kernel,
-    instances: u64,
+    passes: u64,
 ) -> String {
+    let system = &config.system;
     // `Debug` renderings are deterministic for these plain-data types. An
     // inactive fault plan (any seed) does not touch the control plane, so
     // it contributes nothing — keeping the inactive-plan key text
@@ -120,18 +128,24 @@ pub fn schedule_key_text(
     let mut text = format!(
         "sched-v1;plan={:?};dram={:?};resp_high_water={};watchdog={};double_buffering={};kernel={}:{};instances={}",
         plan,
-        config.dram,
-        config.resp_high_water,
-        config.watchdog_cycles_per_element,
-        config.double_buffering,
+        system.dram,
+        system.resp_high_water,
+        system.watchdog_cycles_per_element,
+        system.double_buffering,
         kernel.name(),
         kernel.latency(),
-        instances,
+        config.depth as u64 * passes,
     );
-    if config.fault_plan.is_active() {
+    if system.fault_plan.is_active() {
         text.push_str(&format!(
             ";chaos={}:{:?}",
-            config.fault_plan.seed, config.fault_plan.profile
+            system.fault_plan.seed, system.fault_plan.profile
+        ));
+    }
+    if !config.single_step() {
+        text.push_str(&format!(
+            ";pipeline={}:{}:{}:{}",
+            config.depth, config.channels, config.interleave_words, config.cmd_gap
         ));
     }
     text
@@ -141,11 +155,11 @@ pub fn schedule_key_text(
 /// ([`fingerprint128`] of [`schedule_key_text`]).
 pub fn schedule_key(
     plan: &BufferPlan,
-    config: &SystemConfig,
+    config: &PipelineConfig,
     kernel: &dyn Kernel,
-    instances: u64,
+    passes: u64,
 ) -> (u64, u64) {
-    fingerprint128(schedule_key_text(plan, config, kernel, instances).as_bytes())
+    fingerprint128(schedule_key_text(plan, config, kernel, passes).as_bytes())
 }
 
 /// A captured control schedule: everything needed to reproduce a run of
@@ -433,20 +447,10 @@ impl ReplayMode {
 
 impl SmacheSystem {
     /// The canonical key text of a schedule captured from this system for
-    /// `passes` passes: [`schedule_key_text`] over `depth × passes`
-    /// instances, extended for a pipeline with its geometry (every knob
-    /// that shapes the pipelined control plane). The single-step system's
-    /// key carries no suffix, so it stays byte-identical to keys already
-    /// on disk.
+    /// `passes` passes: [`schedule_key_text`] of its plan, geometry and
+    /// kernel.
     pub fn schedule_key_text(&self, passes: u64) -> String {
-        let mut text = schedule_key_text(
-            self.plan(),
-            self.config(),
-            self.kernel(),
-            self.depth() as u64 * passes,
-        );
-        text.push_str(self.key_suffix());
-        text
+        schedule_key_text(self.plan(), self.pipeline_config(), self.kernel(), passes)
     }
 
     /// Runs the full cycle-accurate simulation *once* with the control
@@ -500,6 +504,7 @@ mod tests {
     use crate::arch::kernel::{AverageKernel, MaxKernel};
     use crate::builder::SmacheBuilder;
     use crate::config::SourceRef;
+    use crate::system::SystemConfig;
     use smache_sim::SlotSource;
     use smache_stencil::GridSpec;
 
@@ -728,28 +733,28 @@ mod tests {
                 .expect("build")
         };
         let clean = paper_system();
-        let clean_key = schedule_key(clean.plan(), clean.config(), &AverageKernel, 4);
+        let clean_key = schedule_key(clean.plan(), clean.pipeline_config(), &AverageKernel, 4);
         // Inactive plans (any seed) key identically to no plan at all — the
         // key *text* is byte-identical, so on-disk schedules stay valid.
         let idle = with_plan(FaultPlan::new(99, ChaosProfile::none()));
         assert_eq!(
-            schedule_key_text(clean.plan(), clean.config(), &AverageKernel, 4),
-            schedule_key_text(idle.plan(), idle.config(), &AverageKernel, 4),
+            schedule_key_text(clean.plan(), clean.pipeline_config(), &AverageKernel, 4),
+            schedule_key_text(idle.plan(), idle.pipeline_config(), &AverageKernel, 4),
         );
         // An active plan forks the key, per chaos seed and per profile.
         let a = with_plan(FaultPlan::new(7, ChaosProfile::storms()));
-        let key_a = schedule_key(a.plan(), a.config(), &AverageKernel, 4);
+        let key_a = schedule_key(a.plan(), a.pipeline_config(), &AverageKernel, 4);
         assert_ne!(key_a, clean_key);
         let b = with_plan(FaultPlan::new(8, ChaosProfile::storms()));
         assert_ne!(
             key_a,
-            schedule_key(b.plan(), b.config(), &AverageKernel, 4),
+            schedule_key(b.plan(), b.pipeline_config(), &AverageKernel, 4),
             "chaos seed is part of the key"
         );
         let c = with_plan(FaultPlan::new(7, ChaosProfile::jitter()));
         assert_ne!(
             key_a,
-            schedule_key(c.plan(), c.config(), &AverageKernel, 4),
+            schedule_key(c.plan(), c.pipeline_config(), &AverageKernel, 4),
             "chaos profile is part of the key"
         );
     }
@@ -793,17 +798,17 @@ mod tests {
     fn schedule_keys_are_seed_independent_and_spec_sensitive() {
         let a = paper_system();
         let b = paper_system();
-        let key_a = schedule_key(a.plan(), a.config(), &AverageKernel, 4);
-        let key_b = schedule_key(b.plan(), b.config(), &AverageKernel, 4);
+        let key_a = schedule_key(a.plan(), a.pipeline_config(), &AverageKernel, 4);
+        let key_b = schedule_key(b.plan(), b.pipeline_config(), &AverageKernel, 4);
         assert_eq!(key_a, key_b, "same spec, same key — no seed involved");
         assert_ne!(
             key_a,
-            schedule_key(a.plan(), a.config(), &AverageKernel, 5),
+            schedule_key(a.plan(), a.pipeline_config(), &AverageKernel, 5),
             "instances are part of the key"
         );
         assert_ne!(
             key_a,
-            schedule_key(a.plan(), a.config(), &MaxKernel, 4),
+            schedule_key(a.plan(), a.pipeline_config(), &MaxKernel, 4),
             "kernel is part of the key"
         );
     }

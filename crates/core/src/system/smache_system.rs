@@ -94,9 +94,6 @@ struct Geometry {
     handshakes: [&'static str; 5],
     /// [`DesignMetrics::name`] of every run.
     metric_name: String,
-    /// Appended to the schedule key text (empty for the single step, so
-    /// its keys stay byte-identical to those already on disk).
-    key_suffix: String,
     /// The single-step telemetry view: FSM residency counters, one
     /// `stall.dram_starved` counter, and probes on stage 0's module and
     /// the one DRAM device (whose release queue is the in-flight count).
@@ -124,7 +121,6 @@ impl Geometry {
                 } else {
                     format!("Smache-x{lanes}")
                 },
-                key_suffix: String::new(),
                 device_view: true,
             }
         } else {
@@ -139,10 +135,6 @@ impl Geometry {
                     "pipe.write_accept",
                 ],
                 metric_name: format!("Smache-pipe{}x{}", config.depth, config.channels),
-                key_suffix: format!(
-                    ";pipeline={}:{}:{}:{}",
-                    config.depth, config.channels, config.interleave_words, config.cmd_gap
-                ),
                 device_view: false,
             }
         }
@@ -247,12 +239,19 @@ pub struct SmacheSystem {
 }
 
 impl SmacheSystem {
-    /// Refuses a DRAM bus width the engine cannot run `plan` at under
-    /// `config`, with the error [`SmacheSystem::new`] gives: more lanes
-    /// than a beat carries, a wide bus under a pipeline, several channels
-    /// or an active fault plan, region-deduplicated static buffers, or more
-    /// lanes than the two BRAM ports of a static buffer serve.
+    /// Refuses a geometry the engine cannot run `plan` at, with the error
+    /// [`SmacheSystem::new`] gives: a zero depth, channel count, interleave
+    /// or command gap, more lanes than a beat carries, a wide bus under a
+    /// pipeline, several channels or an active fault plan,
+    /// region-deduplicated static buffers, or more lanes than the two BRAM
+    /// ports of a static buffer serve.
     pub fn check_lanes(plan: &BufferPlan, config: &PipelineConfig) -> CoreResult<()> {
+        let geometry = [config.depth, config.channels, config.interleave_words];
+        if geometry.contains(&0) || config.cmd_gap == 0 {
+            return Err(CoreError::Config(
+                "pipeline depth, channels, interleave_words and cmd_gap must be >= 1".into(),
+            ));
+        }
         let lanes = config.system.dram.bus_words;
         if lanes == 0 || lanes > MAX_BEAT_WORDS {
             return Err(CoreError::LaneCountUnsupported {
@@ -305,9 +304,6 @@ impl SmacheSystem {
         let lanes = config.system.dram.bus_words;
         if kernel.latency() == 0 {
             return Err(CoreError::KernelLatencyZero);
-        }
-        if config.depth == 0 {
-            return Err(CoreError::Config("pipeline depth must be >= 1".into()));
         }
         let geometry = Geometry::new(&config, &plan);
         let n = plan.grid.len();
@@ -394,11 +390,6 @@ impl SmacheSystem {
     /// The kernel driving the datapath.
     pub(crate) fn kernel(&self) -> &dyn Kernel {
         self.kernel.as_ref()
-    }
-
-    /// What a pipeline appends to its schedule key text: its geometry.
-    pub(crate) fn key_suffix(&self) -> &str {
-        &self.geometry.key_suffix
     }
 
     /// Number of chained stages (timesteps per pass).

@@ -6,145 +6,61 @@
 //! handed out byte-identical to the run that produced it (no re-encode,
 //! no drift).
 //!
-//! Eviction is least-recently-used under a byte budget: every `get` hit
-//! and every `insert` stamps the entry with a monotonic use counter, and
-//! inserts evict the lowest-stamped entries until the budget holds. The
-//! policy is fully deterministic — same operation sequence, same
-//! evictions — which the eviction-order test pins.
-//!
-//! Entries are held as `Arc<str>`: a hit hands out a reference-counted
-//! view of the cached text instead of copying it, so the reactor thread
-//! serves hot results in O(1) regardless of response size.
+//! The cache is the workspace's one byte-budget LRU,
+//! [`ScheduleCache`], holding result texts at their length in bytes: the
+//! same deterministic eviction order, the same [`CacheStats`]. Entries are
+//! held as `Arc<str>`: a hit hands out a reference-counted view of the
+//! cached text instead of copying it, so the reactor thread serves hot
+//! results in O(1) regardless of response size.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Running totals the server's `stats` command reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries stored.
-    pub insertions: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Results larger than the whole budget, never stored.
-    pub oversize: u64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    text: Arc<str>,
-    last_used: u64,
-}
+pub use smache_sim::CacheStats;
+use smache_sim::ScheduleCache;
 
 /// An LRU result cache with a byte budget.
 #[derive(Debug)]
-pub struct ResultCache {
-    budget: usize,
-    bytes: usize,
-    tick: u64,
-    entries: BTreeMap<(u64, u64), Entry>,
-    stats: CacheStats,
-}
+pub struct ResultCache(ScheduleCache<str>);
 
 impl ResultCache {
     /// Creates an empty cache holding at most `budget` bytes of result
     /// text.
     pub fn new(budget: usize) -> ResultCache {
-        ResultCache {
-            budget,
-            bytes: 0,
-            tick: 0,
-            entries: BTreeMap::new(),
-            stats: CacheStats::default(),
-        }
+        ResultCache(ScheduleCache::new(budget))
     }
 
     /// Looks `key` up, refreshing its recency on a hit. The returned
     /// `Arc<str>` shares the cached allocation — no copy, O(1) per hit.
     pub fn get(&mut self, key: (u64, u64)) -> Option<Arc<str>> {
-        self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.stats.hits += 1;
-                Some(Arc::clone(&entry.text))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.0.get(key)
     }
 
     /// Stores `text` under `key`, evicting least-recently-used entries
     /// until the byte budget holds. A result larger than the entire
     /// budget is not stored (counted in [`CacheStats::oversize`]).
     pub fn insert(&mut self, key: (u64, u64), text: String) {
-        if text.len() > self.budget {
-            self.stats.oversize += 1;
-            return;
-        }
-        self.tick += 1;
-        if let Some(old) = self.entries.insert(
-            key,
-            Entry {
-                last_used: self.tick,
-                text: Arc::from(text),
-            },
-        ) {
-            self.bytes -= old.text.len();
-        } else {
-            self.stats.insertions += 1;
-        }
-        self.bytes += self.entries[&key].text.len();
-
-        while self.bytes > self.budget {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-                .expect("over budget implies non-empty");
-            let evicted = self.entries.remove(&victim).expect("victim exists");
-            self.bytes -= evicted.text.len();
-            self.stats.evictions += 1;
-        }
+        let bytes = text.len();
+        self.0.insert(key, text, bytes);
     }
 
     /// Bytes of result text currently held.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.0.bytes()
     }
 
     /// Number of entries currently held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.0.len()
     }
 
     /// True when the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.0.is_empty()
     }
 
     /// The running hit/miss/eviction totals.
     pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Keys currently resident, least-recently-used first — the order the
-    /// next evictions would take. Test/diagnostic surface.
-    pub fn keys_by_age(&self) -> Vec<(u64, u64)> {
-        let mut keys: Vec<_> = self
-            .entries
-            .iter()
-            .map(|(&k, e)| (e.last_used, k))
-            .collect();
-        keys.sort();
-        keys.into_iter().map(|(_, k)| k).collect()
+        self.0.stats()
     }
 }
 
@@ -152,72 +68,19 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn key(n: u64) -> (u64, u64) {
-        (n, n.wrapping_mul(31))
-    }
-
     #[test]
-    fn hit_miss_and_byte_accounting() {
-        let mut c = ResultCache::new(100);
-        assert_eq!(c.get(key(1)), None);
-        c.insert(key(1), "x".repeat(10));
-        assert_eq!(c.get(key(1)).as_deref(), Some("xxxxxxxxxx"));
-        assert_eq!(c.bytes(), 10);
-        assert_eq!(c.len(), 1);
+    fn results_cost_their_text_length() {
+        let mut c = ResultCache::new(25);
+        c.insert((1, 1), "x".repeat(10));
+        c.insert((2, 2), "y".repeat(10));
+        assert_eq!(c.get((1, 1)).as_deref(), Some("xxxxxxxxxx"));
+        assert_eq!((c.bytes(), c.len()), (20, 2));
+        // The oldest text goes to make room; an oversized one never lands.
+        c.insert((3, 3), "z".repeat(10));
+        assert_eq!(c.get((2, 2)), None);
+        c.insert((4, 4), "w".repeat(26));
+        assert_eq!(c.len(), 2);
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
-    }
-
-    #[test]
-    fn reinsert_replaces_without_double_counting() {
-        let mut c = ResultCache::new(100);
-        c.insert(key(1), "aaaa".to_string());
-        c.insert(key(1), "bb".to_string());
-        assert_eq!(c.bytes(), 2);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(key(1)).as_deref(), Some("bb"));
-    }
-
-    #[test]
-    fn eviction_is_least_recently_used() {
-        // Budget fits three 10-byte entries. Touch `a`, then insert `d`:
-        // `b` (now the oldest) must be evicted, not `a`.
-        let mut c = ResultCache::new(30);
-        c.insert(key(1), "a".repeat(10));
-        c.insert(key(2), "b".repeat(10));
-        c.insert(key(3), "c".repeat(10));
-        assert!(c.get(key(1)).is_some()); // refresh a
-        c.insert(key(4), "d".repeat(10));
-        assert_eq!(c.get(key(2)), None, "LRU victim must be b");
-        assert!(c.get(key(1)).is_some());
-        assert!(c.get(key(3)).is_some());
-        assert!(c.get(key(4)).is_some());
-        assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.bytes(), 30);
-    }
-
-    #[test]
-    fn eviction_order_is_deterministic() {
-        // The full age order is observable and matches eviction order.
-        let mut c = ResultCache::new(40);
-        for n in 1..=4 {
-            c.insert(key(n), "x".repeat(10));
-        }
-        c.get(key(2));
-        c.get(key(1));
-        assert_eq!(c.keys_by_age(), vec![key(3), key(4), key(2), key(1)]);
-        // One oversized insert evicts in exactly that order.
-        c.insert(key(5), "y".repeat(35));
-        assert_eq!(c.keys_by_age(), vec![key(5)]);
-        assert_eq!(c.stats().evictions, 4);
-    }
-
-    #[test]
-    fn oversize_results_are_never_stored() {
-        let mut c = ResultCache::new(10);
-        c.insert(key(1), "z".repeat(11));
-        assert!(c.is_empty());
-        assert_eq!(c.stats().oversize, 1);
-        assert_eq!(c.stats().insertions, 0);
+        assert_eq!((s.evictions, s.oversize, s.insertions), (1, 1, 3));
     }
 }

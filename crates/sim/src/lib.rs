@@ -61,8 +61,9 @@
 //!   numbers for Table I of the paper are produced.
 //! * [`replay`] — control-schedule capture/replay primitives: the packed
 //!   per-cycle control trace, the per-element gather table, the typed
-//!   [`ReplayUnsupported`] refusal reasons, and the byte-budgeted LRU
-//!   [`ScheduleCache`]. See `docs/PERFORMANCE.md` §6.
+//!   [`ReplayUnsupported`] refusal reasons. See `docs/PERFORMANCE.md` §6.
+//! * [`cache`] — the one byte-budgeted LRU, [`ScheduleCache`]: captured
+//!   schedules in serve's second-level cache, result texts in its first.
 //! * [`json`] — the workspace's dependency-free JSON tree, serialisers
 //!   (pretty artefacts, compact wire format) and strict parser.
 //! * [`hash`] — stable FNV-1a/splitmix64 helpers: per-component chaos
@@ -70,6 +71,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod error;
 pub mod hash;
 pub mod json;
@@ -83,13 +85,14 @@ pub mod stats;
 pub mod stream;
 pub mod telemetry;
 
+pub use cache::{CacheStats, ScheduleCache};
 pub use error::SimError;
 pub use json::{Json, JsonError};
 pub use module::Module;
 pub use parallel::{run_batch, run_scatter};
 pub use replay::{
-    ControlTrace, CycleRecord, GatherRows, GatherRuns, GatherTable, ReplayUnsupported,
-    ScheduleCache, SlotSource, TraceTotals,
+    ControlTrace, CycleRecord, GatherRows, GatherRuns, GatherTable, ReplayUnsupported, SlotSource,
+    TraceTotals,
 };
 pub use resources::ResourceUsage;
 pub use signal::{Reg, SimCtx, Wire, WireId};

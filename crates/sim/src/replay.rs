@@ -27,19 +27,16 @@
 //!   sound while control stays data-independent; anything that breaks that
 //!   (fault injection, stall fuzzing, external backpressure, attached
 //!   observers) must refuse, never silently diverge.
-//! * [`ScheduleCache`] — a byte-budgeted LRU for captured schedules keyed
-//!   by [`fingerprint128`](crate::hash::fingerprint128) of the canonical
-//!   spec text.
 //!
 //! The Smache-specific capture/replay executor lives in
-//! `smache_core::system::replay`; `smache serve` stacks a [`ScheduleCache`]
-//! behind its result cache so differing-seed requests for one spec hit the
-//! fast path.
+//! `smache_core::system::replay`; `smache serve` stacks a
+//! [`ScheduleCache`](crate::ScheduleCache) behind its result cache so
+//! differing-seed requests for one spec hit the fast path.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::Word;
 
@@ -696,146 +693,11 @@ impl std::fmt::Display for ReplayUnsupported {
 
 impl std::error::Error for ReplayUnsupported {}
 
-/// Running totals a [`ScheduleCache`] reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScheduleCacheStats {
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries stored.
-    pub insertions: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Schedules larger than the whole budget, never stored.
-    pub oversize: u64,
-}
-
-struct CacheEntry<V> {
-    value: Arc<V>,
-    bytes: usize,
-    last_used: u64,
-}
-
-/// A byte-budgeted LRU cache for captured control schedules (or any other
-/// fingerprint-keyed value with an explicit byte cost).
-///
-/// Same deterministic policy as the serve layer's result cache: every hit
-/// and insert stamps the entry with a monotonic use counter, and inserts
-/// evict the lowest-stamped entries until the budget holds. Values are
-/// handed out as [`Arc`] clones so a hit is O(1) regardless of schedule
-/// size.
-pub struct ScheduleCache<V> {
-    budget: usize,
-    bytes: usize,
-    tick: u64,
-    entries: BTreeMap<(u64, u64), CacheEntry<V>>,
-    stats: ScheduleCacheStats,
-}
-
-impl<V> ScheduleCache<V> {
-    /// Creates an empty cache holding at most `budget` bytes of schedules.
-    pub fn new(budget: usize) -> ScheduleCache<V> {
-        ScheduleCache {
-            budget,
-            bytes: 0,
-            tick: 0,
-            entries: BTreeMap::new(),
-            stats: ScheduleCacheStats::default(),
-        }
-    }
-
-    /// Looks `key` up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: (u64, u64)) -> Option<Arc<V>> {
-        self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.stats.hits += 1;
-                Some(Arc::clone(&entry.value))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// True when `key` is resident, *without* refreshing its recency or
-    /// counting a lookup — a pure probe. The serve reactor uses it to
-    /// classify requests at admission (a resident schedule means the job
-    /// is a cheap replay) without the classification itself perturbing
-    /// the LRU order or the hit/miss statistics.
-    pub fn contains(&self, key: (u64, u64)) -> bool {
-        self.entries.contains_key(&key)
-    }
-
-    /// Stores `value` under `key` with an explicit byte cost, evicting
-    /// least-recently-used entries until the budget holds. A value larger
-    /// than the entire budget is not stored.
-    pub fn insert(&mut self, key: (u64, u64), value: Arc<V>, bytes: usize) {
-        if bytes > self.budget {
-            self.stats.oversize += 1;
-            return;
-        }
-        self.tick += 1;
-        if let Some(old) = self.entries.insert(
-            key,
-            CacheEntry {
-                value,
-                bytes,
-                last_used: self.tick,
-            },
-        ) {
-            self.bytes -= old.bytes;
-        } else {
-            self.stats.insertions += 1;
-        }
-        self.bytes += bytes;
-
-        while self.bytes > self.budget {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-                .expect("over budget implies non-empty");
-            let evicted = self.entries.remove(&victim).expect("victim exists");
-            self.bytes -= evicted.bytes;
-            self.stats.evictions += 1;
-        }
-    }
-
-    /// Bytes of schedule data currently held.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// The byte budget this cache was created with. A `0` budget can
-    /// never store anything — callers use it as "caching disabled".
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Number of entries currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The running hit/miss/eviction totals.
-    pub fn stats(&self) -> ScheduleCacheStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScheduleCache;
+    use std::sync::Arc;
 
     #[test]
     fn cycle_record_packs_phase_and_flags() {

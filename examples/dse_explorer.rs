@@ -14,7 +14,6 @@
 use smache::cost::{FreqModel, SynthesisModel};
 use smache::{HybridMode, SmacheBuilder};
 use smache_bench::report::Table;
-use smache_bench::sweep::parallel_map;
 use smache_mem::MemKind;
 use smache_stencil::{BoundarySpec, GridSpec, StencilShape};
 
@@ -75,7 +74,7 @@ fn main() {
         }
     }
 
-    let evaluated: Vec<Option<Evaluated>> = parallel_map(candidates, 8, |c| {
+    let evaluated: Vec<Option<Evaluated>> = smache_sim::run_batch(candidates, 8, |c| {
         let plan = SmacheBuilder::new(GridSpec::d2(c.problem.0, c.problem.1).expect("valid grid"))
             .shape(StencilShape::four_point_2d())
             .boundaries(BoundarySpec::paper_case())
@@ -85,7 +84,7 @@ fn main() {
             .ok()?;
         let m = SynthesisModel.memory(&plan);
         Some(Evaluated {
-            candidate: c.clone(),
+            candidate: c,
             registers: m.r_total(),
             bram_bits: m.b_total(),
             fmax: FreqModel.smache_fmax(&plan, 1),

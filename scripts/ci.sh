@@ -86,6 +86,23 @@ predict_one=$(cargo run -p smache-cli --release -- $predict_args --lanes 1 | gre
 predict_four=$(cargo run -p smache-cli --release -- $predict_args --lanes 4 | grep 'smache:')
 [ "$predict_one" != "$predict_four" ] || { echo "predict ignores --lanes"; exit 1; }
 
+echo "== geometry smoke (predict models a pipeline; a pipeline batches bit-exactly) =="
+geo_args="--grid 24x24 --rows open --timesteps 4 --instances 8"
+geo_sim=$(cargo run -p smache-cli --release -- simulate $geo_args --replay off \
+  | grep -o '[0-9]* cycles @' | head -n1 | awk '{print $1}')
+geo_pred=$(cargo run -p smache-cli --release -- predict $geo_args | awk '/smache:/{print $2}')
+awk -v s="$geo_sim" -v p="$geo_pred" \
+  'BEGIN { d = p - s; if (d < 0) d = -d; exit (s > 0 && d <= 0.06 * s) ? 0 : 1 }' || {
+  echo "predict ${geo_pred:-missing} is not within 6% of simulate ${geo_sim:-missing}"; exit 1; }
+geo_batch="simulate --grid 11x11 --timesteps 2 --channels 2 --instances 4 --batch 4 --jobs 2 --verify"
+geo_fast=$(cargo run -p smache-cli --release -- $geo_batch)
+echo "$geo_fast" | grep -q 'engine=replay' || { echo "pipelined --batch did not replay"; exit 1; }
+geo_full=$(cargo run -p smache-cli --release -- $geo_batch --replay off)
+geo_fast_fp=$(echo "$geo_fast" | grep -o 'fp=[0-9a-f]*')
+[ "$(echo "$geo_fast_fp" | wc -l)" -eq 4 ] && \
+  [ "$geo_fast_fp" = "$(echo "$geo_full" | grep -o 'fp=[0-9a-f]*')" ] || {
+  echo "pipelined --batch lanes diverged from --replay off"; exit 1; }
+
 echo "== cli smoke =="
 cargo run -p smache-cli --release -- plan >/dev/null
 cargo run -p smache-cli --release -- cost --grid 64x64 >/dev/null

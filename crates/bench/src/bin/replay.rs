@@ -16,7 +16,8 @@
 //!    control recorder attached vs a plain run.
 //! 2. **Batch speedup** at 1/8/64 lanes:
 //!    [`SmacheSystem::run_batch`] with replay off (every lane simulates)
-//!    vs replay on (capture once, replay the rest lane-batched).
+//!    vs replay on (capture once, replay the rest lane-batched), each
+//!    side the median of five calls.
 //! 3. **Chaos replay**: a latency-only fault plan (fixed chaos seed)
 //!    swept across 8 data seeds — the chaotic control plane is captured
 //!    once and replayed for the other lanes.
@@ -76,6 +77,20 @@ fn min_time<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
             t0.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Median wall time of `reps` calls of `f`, in milliseconds, and the
+/// last call's result.
+fn median_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut times = Vec::with_capacity(reps);
+    let mut last = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        last = Some(f());
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    times.sort_by(f64::total_cmp);
+    (times[reps / 2], last.expect("at least one call"))
 }
 
 /// A seed-sweep spec: label, spec words, grid updates, and the
@@ -218,25 +233,25 @@ fn main() {
     let make_jobs =
         |lanes: u64| -> Vec<BatchJob> { workload.batch_jobs(0..lanes, HybridMode::default()) };
 
+    const BATCH_REPS: usize = 5;
     let mut batch_rows = Vec::new();
     println!(
-        "== batch sweep: full sim vs lane-batched schedule replay ({} job(s), lane block {}) ==",
+        "== batch sweep: full sim vs lane-batched schedule replay ({} job(s), lane block {}, median of {BATCH_REPS}) ==",
         flags.jobs, flags.lane_block
     );
     println!("  lanes      full(ms)    replay(ms)   speedup   replayed");
     for lanes in [1u64, 8, 64] {
-        let t0 = Instant::now();
-        let full = SmacheSystem::run_batch(
-            make_jobs(lanes),
-            BatchOptions::new()
-                .threads(flags.jobs)
-                .replay(ReplayMode::Off),
-        );
-        let full_wall = t0.elapsed().as_secs_f64() * 1e3;
-
-        let t0 = Instant::now();
-        let fast = SmacheSystem::run_batch(make_jobs(lanes), flags.options());
-        let fast_wall = t0.elapsed().as_secs_f64() * 1e3;
+        let (full_wall, full) = median_ms(BATCH_REPS, || {
+            SmacheSystem::run_batch(
+                make_jobs(lanes),
+                BatchOptions::new()
+                    .threads(flags.jobs)
+                    .replay(ReplayMode::Off),
+            )
+        });
+        let (fast_wall, fast) = median_ms(BATCH_REPS, || {
+            SmacheSystem::run_batch(make_jobs(lanes), flags.options())
+        });
 
         let replayed_lanes = assert_bit_exact(&full, &fast);
         let speedup = full_wall / fast_wall;

@@ -263,7 +263,7 @@ fn geometry(
         ..PipelineConfig::default()
     };
     config.system.dram.bus_words = args.get_num("lanes", 1)?;
-    SmacheSystem::check_lanes(plan, &config)?;
+    SmacheSystem::check_geometry(plan, &config)?;
     Ok(config)
 }
 
@@ -962,8 +962,15 @@ fn cmd_schedules(action: &str, args: &Args) -> Result<String, CliError> {
                     Ok(e) => {
                         let _ = writeln!(
                             out,
-                            "{:016x}{:016x}  {:>8} B  kernel={} elements={} instances={} cycles={}",
-                            e.key.0, e.key.1, e.bytes, e.kernel, e.elements, e.instances, e.cycles
+                            "{:016x}{:016x}  v{}  {:>8} B  kernel={} elements={} instances={} cycles={}",
+                            e.key.0,
+                            e.key.1,
+                            e.version,
+                            e.bytes,
+                            e.kernel,
+                            e.elements,
+                            e.instances,
+                            e.cycles
                         );
                     }
                     Err(e) => {
@@ -984,7 +991,14 @@ fn cmd_schedules(action: &str, args: &Args) -> Result<String, CliError> {
             for (path, e) in &bad {
                 let _ = writeln!(out, "{}: {} ({e})", path.display(), e.label());
             }
-            let _ = writeln!(out, "verified: {ok} sound, {} damaged", bad.len());
+            let v1 = ok.iter().filter(|e| e.version == 1).count();
+            let _ = writeln!(
+                out,
+                "verified: {} sound, {} damaged ({v1} v1, {} v2)",
+                ok.len(),
+                bad.len(),
+                ok.len() - v1
+            );
             if !bad.is_empty() {
                 return Err(CliError::Io(std::io::Error::other(format!(
                     "{} damaged entries\n{out}",

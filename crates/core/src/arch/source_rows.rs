@@ -9,12 +9,11 @@
 //!
 //! * the [`GatherTable`]'s `u32` rows — per slot a grid index, a constant
 //!   row or the hole row, plus a kernel mask per element. A sealed
-//!   schedule replays from exactly these rows.
+//!   schedule keeps their run form ([`GatherTable::to_runs`]).
 //! * one tag byte per slot naming the architectural source of a grid row:
 //!   a stream tap, or a static bank and BRAM port.
 //!
-//! Every stage's controller and the sealed schedule share one lowering
-//! through an [`Arc`]. [`SourceRows::source`] decodes a slot back into
+//! Every stage's controller shares one lowering through an [`Arc`]. [`SourceRows::source`] decodes a slot back into
 //! the [`SourceRef`] `sources_for` gave it.
 //!
 //! Every architectural source of element `e` resolves to a
@@ -129,7 +128,7 @@ impl SourceRows {
         })
     }
 
-    /// The gather rows a sealed schedule replays from.
+    /// The gather rows the stages read, element by element.
     pub fn gather(&self) -> &Arc<GatherTable> {
         &self.gather
     }

@@ -158,7 +158,7 @@ impl CycleModel {
     /// timesteps each for a pipeline).
     ///
     /// Refuses what [`SmacheSystem::new`] refuses, with the same error
-    /// ([`SmacheSystem::check_lanes`]), and what the model does not cover
+    /// ([`SmacheSystem::check_geometry`]), and what the model does not cover
     /// with [`CoreError::Unmodelled`].
     pub fn predict(
         &self,
@@ -167,7 +167,7 @@ impl CycleModel {
         kernel_latency: u64,
         passes: u64,
     ) -> CoreResult<CyclePrediction> {
-        SmacheSystem::check_lanes(plan, config)?;
+        SmacheSystem::check_geometry(plan, config)?;
         if kernel_latency == 0 {
             return Err(CoreError::KernelLatencyZero);
         }
@@ -367,7 +367,7 @@ mod tests {
         wide.system.dram.bus_words = 4;
         assert_eq!(
             CycleModel.predict(&wrap, &wide, 2, 1).unwrap_err(),
-            SmacheSystem::check_lanes(&wrap, &wide).unwrap_err()
+            SmacheSystem::check_geometry(&wrap, &wide).unwrap_err()
         );
         let mut chaos = PipelineConfig::default();
         chaos.system.fault_plan = FaultPlan::new(1, ChaosProfile::storms());

@@ -11,8 +11,10 @@
 //!
 //! 1. **Capture** ([`SmacheSystem::run_captured`]): one full cycle-accurate
 //!    run with the per-cycle control recorder attached, yielding a
-//!    [`ControlSchedule`] — the packed [`ControlTrace`], the per-element
-//!    [`GatherTable`], and the run's data-independent report template.
+//!    [`ControlSchedule`] — the run-length [`ControlTrace`], the gather
+//!    pattern in run form ([`GatherRuns`]: per run of elements that share
+//!    a stencil case, its first element, row and mask), and the run's
+//!    data-independent report template.
 //! 2. **Replay** ([`ControlSchedule::replay_lanes`], one lane in
 //!    [`ControlSchedule::replay`]): for each work-instance, every output
 //!    element is the kernel applied to its gathered slots — indexed grid
@@ -57,7 +59,7 @@ use std::sync::Arc;
 
 use smache_mem::Word;
 use smache_sim::hash::fingerprint128;
-use smache_sim::{ControlTrace, GatherTable, ReplayUnsupported};
+use smache_sim::{ControlTrace, GatherRuns, GatherTable, ReplayUnsupported};
 
 use crate::arch::kernel::Kernel;
 use crate::config::BufferPlan;
@@ -171,8 +173,8 @@ pub struct ControlSchedule {
     instances: u64,
     kernel_name: String,
     kernel_latency: u64,
-    /// The engine's lowered gather rows, shared with its controllers.
-    gather: Arc<GatherTable>,
+    /// The gather pattern in run form, cut from the engine's rows.
+    gather: GatherRuns,
     trace: ControlTrace,
     /// The capture run's report with the output cleared: every remaining
     /// field (cycles, DRAM traffic, resources, warm-up, stats) is
@@ -229,7 +231,7 @@ impl ControlSchedule {
         instances: u64,
         kernel_name: String,
         kernel_latency: u64,
-        gather: Arc<GatherTable>,
+        gather: GatherRuns,
         trace: ControlTrace,
         template: RunReport,
     ) -> ControlSchedule {
@@ -250,12 +252,13 @@ impl ControlSchedule {
         &self.trace
     }
 
-    /// The per-element gather table (shared with the capturing engine).
-    pub fn gather(&self) -> &Arc<GatherTable> {
+    /// The gather pattern in run form.
+    pub fn gather(&self) -> &GatherRuns {
         &self.gather
     }
 
-    /// Approximate heap footprint in bytes, for cache budgeting.
+    /// Approximate heap footprint in bytes, for cache budgeting: what the
+    /// schedule holds, the run-form gather and the run-length trace.
     pub fn approx_bytes(&self) -> usize {
         self.gather.approx_bytes()
             + self.trace.approx_bytes()
@@ -282,8 +285,8 @@ impl ControlSchedule {
     }
 
     /// Replays the schedule over every lane's input at once
-    /// ([`GatherTable::replay`]): one [`Kernel::apply_lanes`] call per run
-    /// of the gather table, whose tuples are the run's (element, lane)
+    /// ([`GatherRuns::replay`]): one [`Kernel::apply_lanes`] call per run
+    /// of the gather pattern, whose tuples are the run's (element, lane)
     /// pairs. Per lane the result is bit-exact with the full simulation.
     ///
     /// Refuses with a typed reason when the kernel or any lane's input
@@ -331,10 +334,10 @@ impl ControlSchedule {
 /// Seals a recording run into a [`ControlSchedule`]: the one sealing path
 /// every capturing engine goes through.
 ///
-/// `gather` is the engine's lowered gather rows (shared, not copied),
-/// `trace` the control trace recorded while the engine ran `input`,
-/// `report` that run's report, and `instances` the timesteps the schedule
-/// must replay. Before the schedule is handed out, sealing checks that
+/// `gather` is the engine's lowered gather rows, of which the schedule
+/// keeps the run form, `trace` the control trace recorded while the
+/// engine ran `input`, `report` that run's report, and `instances` the
+/// timesteps the schedule must replay. Before the schedule is handed out, sealing checks that
 /// the trace totals reproduce the run's cycle accounting, clears the
 /// template's data, and replays the capture input through the fresh
 /// schedule, demanding bit-exactness. Any mismatch surfaces as
@@ -342,15 +345,15 @@ impl ControlSchedule {
 /// — a loud, typed failure instead of a silently wrong schedule.
 pub(crate) fn seal_capture(
     key: (u64, u64),
-    gather: Arc<GatherTable>,
+    gather: &GatherTable,
     kernel: &dyn Kernel,
     instances: u64,
     mut trace: ControlTrace,
     mut report: RunReport,
     input: &[Word],
 ) -> CoreResult<(RunReport, Arc<ControlSchedule>)> {
-    // The trace grew a cycle at a time; a cached schedule keeps only its
-    // records.
+    // The trace grew a pair at a time; a cached schedule keeps only its
+    // pairs.
     trace.shrink_to_fit();
     let totals = trace.totals();
     let diverged =
@@ -375,7 +378,7 @@ pub(crate) fn seal_capture(
         instances,
         kernel_name: kernel.name().to_string(),
         kernel_latency: kernel.latency(),
-        gather,
+        gather: gather.to_runs(),
         trace,
         template,
     };
@@ -488,7 +491,7 @@ impl SmacheSystem {
         let trace = self.take_capture().unwrap_or_default();
         seal_capture(
             key,
-            Arc::clone(self.source_rows().gather()),
+            self.source_rows().gather(),
             self.kernel(),
             self.depth() as u64 * passes,
             trace,

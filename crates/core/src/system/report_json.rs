@@ -16,6 +16,7 @@ use smache_sim::json::Json;
 use smache_sim::{CycleStats, ResourceUsage, TelemetrySnapshot};
 
 use crate::arch::controller::SmacheResourceBreakdown;
+use crate::pipeline::PIPE_STALL_COMPONENT;
 use crate::system::axi::AXI_COMPONENT;
 use crate::system::metrics::DesignMetrics;
 use crate::system::report::{RunEngine, RunReport};
@@ -34,6 +35,7 @@ const KNOWN_COMPONENTS: &[&str] = &[
     smache_mem::FIFO_COMPONENT,
     AXI_COMPONENT,
     STALL_COMPONENT,
+    PIPE_STALL_COMPONENT,
 ];
 
 fn ju(v: u64) -> Json {

@@ -245,7 +245,7 @@ impl SmacheSystem {
     /// pipeline, several channels or an active fault plan,
     /// region-deduplicated static buffers, or more lanes than the two BRAM
     /// ports of a static buffer serve.
-    pub fn check_lanes(plan: &BufferPlan, config: &PipelineConfig) -> CoreResult<()> {
+    pub fn check_geometry(plan: &BufferPlan, config: &PipelineConfig) -> CoreResult<()> {
         let geometry = [config.depth, config.channels, config.interleave_words];
         if geometry.contains(&0) || config.cmd_gap == 0 {
             return Err(CoreError::Config(
@@ -299,7 +299,7 @@ impl SmacheSystem {
         config: impl Into<PipelineConfig>,
     ) -> CoreResult<Self> {
         let config = config.into();
-        Self::check_lanes(&plan, &config)?;
+        Self::check_geometry(&plan, &config)?;
         let fault_plan = config.system.fault_plan;
         let lanes = config.system.dram.bus_words;
         if kernel.latency() == 0 {
@@ -1190,10 +1190,9 @@ mod tests {
     }
 
     /// The plan is lowered once per engine: every stage gathers from the
-    /// same rows, a sealed schedule replays from the same table, and the
-    /// rows cost at most 4 B per slot, 1 tag byte per slot, 8 B per
-    /// element and 4 B per replay run beyond the constants and the bank
-    /// routes.
+    /// same rows, which cost at most 4 B per slot, 1 tag byte per slot and
+    /// 8 B per element beyond the constants and the bank routes. A sealed
+    /// schedule keeps its own run form of them, and counts only that.
     #[test]
     fn stages_and_the_sealed_schedule_share_one_lowering() {
         let plan = crate::SmacheBuilder::new(GridSpec::d2(11, 11).unwrap())
@@ -1211,12 +1210,19 @@ mod tests {
         }
         let input: Vec<Word> = (0..121).collect();
         let (_, schedule) = sys.run_captured(&input, 2).unwrap();
-        assert!(Arc::ptr_eq(schedule.gather(), rows.gather()));
+        assert_eq!(*schedule.gather(), rows.gather().to_runs());
         let (n, slots) = (121, 121 * 4);
         let statics = sys.plan().static_buffers.len();
-        let runs = rows.gather().runs().len();
+        assert!(rows.approx_bytes() <= slots * 4 + slots + n * 8 + 8 + statics * 32);
+        let runs = schedule.gather().len();
         assert!(runs < n);
-        assert!(rows.approx_bytes() <= slots * 4 + slots + n * 8 + 8 + statics * 32 + runs * 4);
+        let (gather, trace) = (schedule.gather(), schedule.trace());
+        assert_eq!(
+            gather.approx_bytes(),
+            runs * (4 + 4 * 4 + 8) + gather.consts().len() * 8
+        );
+        assert!(schedule.approx_bytes() <= gather.approx_bytes() + trace.approx_bytes() + 1024);
+        assert!(schedule.approx_bytes() < rows.approx_bytes());
     }
 
     fn golden_for(h: usize, w: usize, input: &[Word], instances: u64) -> Vec<Word> {

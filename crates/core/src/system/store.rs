@@ -11,22 +11,30 @@
 //! Design contract, in order of importance:
 //!
 //! 1. **Byte-identity.** A schedule loaded from disk replays bit-exact
-//!    with the in-memory capture it was saved from. The entry encodes the
-//!    packed [`ControlTrace`], the [`GatherTable`] (in CSR form) and the
-//!    canonical-JSON report template verbatim; decode revalidates every
-//!    structural invariant (CSR shape, equal-length rows of at most 64
-//!    slots, grid-index bounds, trace totals vs template stats) and lowers
-//!    the table to fixed-arity rows before handing a schedule out.
+//!    with the in-memory capture it was saved from. A v2 entry encodes
+//!    what the schedule holds, verbatim: the gather pattern in run form
+//!    ([`GatherRuns`]: per run its first element, row and mask), the
+//!    run-length [`ControlTrace`] and the canonical-JSON report template.
+//!    Decode revalidates every structural invariant (runs that ascend from
+//!    element 0 and cover the grid, rows of at most 64 slots that stay in
+//!    the extended grid, trace totals vs template stats) before handing a
+//!    schedule out.
 //! 2. **Corruption is a typed miss, never a wrong answer.** Every entry
-//!    carries a [`fingerprint128`](smache_sim::hash::fingerprint128) checksum over all of its other bytes;
-//!    any single bit flip, truncation or version skew surfaces as a
-//!    [`StoreError`] and the caller recaptures. There is no code path
-//!    from a damaged file to a silently divergent replay.
-//! 3. **Atomic publishes.** Writers publish via write-temp-then-rename in
+//!    carries a checksum over all of its other bytes
+//!    ([`checksum128`], folded a word at a time); any single bit flip,
+//!    truncation or version skew surfaces as a [`StoreError`] and the
+//!    caller recaptures. There is no code path from a damaged file to a
+//!    silently divergent replay.
+//! 3. **v1 still reads.** A v1 entry (per-element CSR gather table, one
+//!    trace byte per cycle, byte-serial
+//!    [`fingerprint128`](smache_sim::hash::fingerprint128) checksum) and a
+//!    v1 pack decode to the same schedule a v2 entry would; saving it again
+//!    writes v2. Schedule keys do not depend on the format.
+//! 4. **Atomic publishes.** Writers publish via write-temp-then-rename in
 //!    the same directory, so concurrent readers (other serve workers,
 //!    other processes sharing the directory) never observe a half-written
 //!    entry.
-//! 4. **Bounded disk usage.** The store is an LRU over on-disk bytes:
+//! 5. **Bounded disk usage.** The store is an LRU over on-disk bytes:
 //!    saves evict the least-recently-used entries until the byte budget
 //!    holds (budget `0` means unbounded).
 //!
@@ -67,16 +75,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-use smache_sim::hash::{fingerprint128_finish, fingerprint128_split, fnv1a, fnv1a_extend};
-use smache_sim::{ControlTrace, CycleRecord, GatherTable, Json, SlotSource};
+use smache_sim::hash::{checksum128, fingerprint128_split};
+use smache_sim::{ControlTrace, CycleRecord, GatherRuns, GatherTable, Json, SlotSource};
 
 use crate::system::replay::ControlSchedule;
 use crate::system::report::RunReport;
 
-/// On-disk format version written into every entry header. Decoders
-/// refuse entries from a newer format with
+/// On-disk format version written into every entry and pack header.
+/// Decoders read this version and v1, and refuse any other with
 /// [`StoreError::UnsupportedVersion`] instead of guessing.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of a single schedule entry.
 const ENTRY_MAGIC: &[u8; 8] = b"SMSCHED1";
@@ -88,8 +96,10 @@ const PACK_MAGIC: &[u8; 8] = b"SMSCPACK";
 const HEADER_LEN: usize = 56;
 /// Offset of the checksum field — the only bytes the checksum excludes.
 const CHECKSUM_OFFSET: usize = 40;
-/// Bytes of one slot source in an entry: a tag byte and a `u64` value.
+/// Bytes of one slot source in a v1 entry: a tag byte and a `u64` value.
 const SOURCE_BYTES: usize = 9;
+/// Bytes of one trace pair in a v2 entry: the record and a `u32` repeat.
+const PAIR_BYTES: usize = 5;
 
 /// Why a store operation failed. Every way an entry can be damaged —
 /// foreign file, future format, truncation, bit flip, structural rot —
@@ -109,7 +119,8 @@ pub enum StoreError {
     /// The entry does not start with the store magic — not a schedule
     /// entry at all (or its first bytes were damaged).
     BadMagic,
-    /// The entry was written by a newer, unknown format version.
+    /// The entry was written by a format version this build does not
+    /// read.
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
@@ -165,7 +176,7 @@ impl std::fmt::Display for StoreError {
             StoreError::BadMagic => write!(f, "not a schedule entry (bad magic)"),
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "entry format v{found} is newer than this build supports (v{supported})"
+                "entry format v{found} is not one this build reads (v1 to v{supported})"
             ),
             StoreError::Truncated { expected, actual } => {
                 write!(
@@ -216,6 +227,8 @@ pub struct EntryInfo {
     pub key: (u64, u64),
     /// On-disk size of the entry in bytes.
     pub bytes: u64,
+    /// The entry's format version (1 or [`STORE_FORMAT_VERSION`]).
+    pub version: u32,
     /// Kernel the schedule was captured with.
     pub kernel: String,
     /// Grid elements per instance.
@@ -509,6 +522,7 @@ impl ScheduleStore {
                         Ok(EntryInfo {
                             key,
                             bytes: len,
+                            version: header_version(&bytes),
                             kernel: schedule.kernel_name().to_string(),
                             elements: schedule.len(),
                             instances: schedule.instances(),
@@ -521,14 +535,14 @@ impl ScheduleStore {
     }
 
     /// Fully validates every entry (checksum, structure, key). Returns
-    /// the number of sound entries and the damaged ones with their typed
+    /// the sound entries' metadata and the damaged ones with their typed
     /// errors.
-    pub fn verify(&self) -> (usize, Vec<(PathBuf, StoreError)>) {
-        let mut ok = 0;
+    pub fn verify(&self) -> (Vec<EntryInfo>, Vec<(PathBuf, StoreError)>) {
+        let mut ok = Vec::new();
         let mut bad = Vec::new();
         for (path, info) in self.ls() {
             match info {
-                Ok(_) => ok += 1,
+                Ok(info) => ok.push(info),
                 Err(e) => bad.push((path, e)),
             }
         }
@@ -537,7 +551,8 @@ impl ScheduleStore {
 
     /// Serialises every sound entry into one portable pack (for shipping
     /// a store between hosts). Damaged entries are skipped — a pack is
-    /// always importable.
+    /// always importable. Entries travel as they are stored, so a pack
+    /// may mix v1 and v2 entries.
     pub fn export_pack(&self) -> Result<Vec<u8>, StoreError> {
         let mut entries: Vec<Vec<u8>> = Vec::new();
         for &key in self.index.keys() {
@@ -560,23 +575,18 @@ impl ScheduleStore {
         Ok(pack)
     }
 
-    /// Imports a pack written by [`ScheduleStore::export_pack`]. Every
-    /// entry is fully validated (checksum and structure) before it is
-    /// published; the first damaged entry aborts the import with its
-    /// typed error, leaving already-imported entries in place.
+    /// Imports a pack written by [`ScheduleStore::export_pack`], of this
+    /// version or v1. Every entry is fully validated (checksum and
+    /// structure) before it is published, and published as v2; the first
+    /// damaged entry aborts the import with its typed error, leaving
+    /// already-imported entries in place.
     pub fn import_pack(&mut self, pack: &[u8]) -> Result<ImportSummary, StoreError> {
         let mut cur = Cursor::new(pack);
         let magic = cur.take(8)?;
         if magic != PACK_MAGIC {
             return Err(StoreError::BadMagic);
         }
-        let version = cur.read_u32()?;
-        if version != STORE_FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: STORE_FORMAT_VERSION,
-            });
-        }
+        check_version(cur.read_u32()?)?;
         let count = cur.read_u64()? as usize;
         let mut summary = ImportSummary::default();
         for _ in 0..count {
@@ -588,6 +598,9 @@ impl ScheduleStore {
             }
             self.save(key, &schedule)?;
             summary.imported += 1;
+        }
+        if !cur.at_end() {
+            return Err(malformed("trailing bytes after the pack's last entry"));
         }
         Ok(summary)
     }
@@ -606,12 +619,34 @@ fn parse_entry_name(name: &str) -> Option<(u64, u64)> {
 
 // --- entry wire format ----------------------------------------------------
 
-/// Encodes one schedule as a self-contained, checksummed entry.
+/// Refuses a format version this build does not read.
+fn check_version(version: u32) -> Result<u32, StoreError> {
+    if version == 1 || version == STORE_FORMAT_VERSION {
+        Ok(version)
+    } else {
+        Err(StoreError::UnsupportedVersion {
+            found: version,
+            supported: STORE_FORMAT_VERSION,
+        })
+    }
+}
+
+/// The format version in the header of an entry that decoded.
+fn header_version(entry: &[u8]) -> u32 {
+    u32::from_le_bytes(entry[8..12].try_into().expect("a decoded header"))
+}
+
+/// Encodes one schedule as a self-contained, checksummed v2 entry.
+///
+/// After the header: the schedule key, the kernel name and latency, the
+/// element and instance counts; the run-form gather (arity, constants,
+/// then per run its first element, mask and first row); the trace's
+/// (record, repeat) pairs; the report template.
 pub fn encode_entry(key: (u64, u64), schedule: &ControlSchedule) -> Vec<u8> {
     let name = schedule.kernel_name().as_bytes();
     let gather = schedule.gather();
-    let (n, arity) = (gather.len(), gather.arity());
-    let records = schedule.trace().records();
+    let arity = gather.arity();
+    let pairs = schedule.trace().runs();
     let template = schedule.template().to_json().compact();
     // The entry is written once, into a buffer of its exact size: the
     // header (checksum patched in last), then the payload.
@@ -619,14 +654,13 @@ pub fn encode_entry(key: (u64, u64), schedule: &ControlSchedule) -> Vec<u8> {
         + 4
         + name.len()
         + 3 * 8
+        + 4
         + 8
-        + (n + 1) * 4
+        + gather.consts().len() * 8
         + 8
-        + n * arity * SOURCE_BYTES
+        + gather.len() * (4 + 8 + 4 * arity)
         + 8
-        + n * 8
-        + 8
-        + records.len()
+        + pairs.len() * PAIR_BYTES
         + 8
         + template.len();
     let mut entry = Vec::with_capacity(HEADER_LEN + payload_len);
@@ -648,57 +682,47 @@ pub fn encode_entry(key: (u64, u64), schedule: &ControlSchedule) -> Vec<u8> {
     entry.extend_from_slice(&(schedule.len() as u64).to_le_bytes());
     entry.extend_from_slice(&schedule.instances().to_le_bytes());
 
-    // The gather table goes to disk in the v1 CSR layout: row starts, the
-    // un-lowered slot sources, then the masks.
-    entry.extend_from_slice(&(n as u64 + 1).to_le_bytes());
-    for e in 0..=n {
-        entry.extend_from_slice(&((e * arity) as u32).to_le_bytes());
+    entry.extend_from_slice(&(arity as u32).to_le_bytes());
+    entry.extend_from_slice(&(gather.consts().len() as u64).to_le_bytes());
+    for c in gather.consts() {
+        entry.extend_from_slice(&c.to_le_bytes());
     }
-    entry.extend_from_slice(&((n * arity) as u64).to_le_bytes());
-    for e in 0..n {
-        for s in gather.slots(e) {
-            let (tag, value): (u8, u64) = match s {
-                SlotSource::Grid(i) => (0, i as u64),
-                SlotSource::Const(v) => (1, v),
-                SlotSource::Hole => (2, 0),
-            };
-            entry.push(tag);
-            entry.extend_from_slice(&value.to_le_bytes());
+    entry.extend_from_slice(&(gather.len() as u64).to_le_bytes());
+    for (i, run) in gather.iter().enumerate() {
+        let (row, mask) = gather.first_row(i);
+        entry.extend_from_slice(&(run.start as u32).to_le_bytes());
+        entry.extend_from_slice(&mask.to_le_bytes());
+        for r in row {
+            entry.extend_from_slice(&r.to_le_bytes());
         }
     }
-    entry.extend_from_slice(&(n as u64).to_le_bytes());
-    for e in 0..n {
-        entry.extend_from_slice(&gather.row(e).1.to_le_bytes());
-    }
 
-    entry.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    entry.extend(records.iter().map(|r| r.0));
+    entry.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+    for &(record, repeat) in pairs {
+        entry.push(record.0);
+        entry.extend_from_slice(&repeat.to_le_bytes());
+    }
 
     entry.extend_from_slice(&(template.len() as u64).to_le_bytes());
     entry.extend_from_slice(template.as_bytes());
     debug_assert_eq!(entry.len(), HEADER_LEN + payload_len);
 
-    let checksum = entry_checksum(&entry, &entry[HEADER_LEN..]);
+    let checksum = checksum128(&entry[..CHECKSUM_OFFSET], &entry[HEADER_LEN..]);
     entry[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.0.to_le_bytes());
     entry[CHECKSUM_OFFSET + 8..HEADER_LEN].copy_from_slice(&checksum.1.to_le_bytes());
     entry
 }
 
-/// The checksum covers every entry byte except the checksum field itself:
-/// the pre-checksum header (magic, version, key, length) concatenated
-/// with the payload.
-fn entry_checksum(header_prefix: &[u8], payload: &[u8]) -> (u64, u64) {
-    fingerprint128_split(&header_prefix[..CHECKSUM_OFFSET], payload)
-}
-
-/// Decodes and fully validates one entry, returning the storage key from
-/// its header and the reconstructed schedule.
+/// Decodes and fully validates one entry of either version, returning the
+/// storage key from its header and the reconstructed schedule.
 ///
 /// Validation order matters for typed errors: magic, then version, then
 /// length, then checksum, then structure — so a foreign file says
-/// [`StoreError::BadMagic`], a future format says
+/// [`StoreError::BadMagic`], an unknown format says
 /// [`StoreError::UnsupportedVersion`], and any bit flip anywhere else
-/// says [`StoreError::ChecksumMismatch`] (or sharper).
+/// says [`StoreError::ChecksumMismatch`] (or sharper). The checksum
+/// covers every entry byte but its own field: [`checksum128`] in v2, the
+/// byte-serial [`fingerprint128_split`] in v1.
 pub fn decode_entry(bytes: &[u8]) -> Result<((u64, u64), ControlSchedule), StoreError> {
     if bytes.len() < HEADER_LEN {
         return Err(StoreError::Truncated {
@@ -710,13 +734,7 @@ pub fn decode_entry(bytes: &[u8]) -> Result<((u64, u64), ControlSchedule), Store
         return Err(StoreError::BadMagic);
     }
     let mut cur = Cursor::new(&bytes[8..]);
-    let version = cur.read_u32()?;
-    if version != STORE_FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: STORE_FORMAT_VERSION,
-        });
-    }
+    let version = check_version(cur.read_u32()?)?;
     let _reserved = cur.read_u32()?;
     let key = (cur.read_u64()?, cur.read_u64()?);
     let payload_len = cur.read_u64()? as usize;
@@ -733,17 +751,15 @@ pub fn decode_entry(bytes: &[u8]) -> Result<((u64, u64), ControlSchedule), Store
     }
     let stored_checksum = (cur.read_u64()?, cur.read_u64()?);
     let (head, payload) = (&bytes[..CHECKSUM_OFFSET], &bytes[HEADER_LEN..]);
-    // The payload decodes while its bytes fold into the checksum's
-    // byte-serial FNV-1a lane, so decoding costs no time of its own; the
-    // whole checksum is still judged before anything decoded is handed
-    // out, so a damaged entry reads as a checksum mismatch, as before.
-    let mut payload_cur = Cursor::hashing(payload, fnv1a(head));
-    let schedule = decode_payload(&mut payload_cur);
-    let fnv = payload_cur.fnv_to_end().expect("a hashing cursor");
-    if fingerprint128_finish(fnv, head, payload) != stored_checksum {
+    let checksum = if version == 1 {
+        fingerprint128_split(head, payload)
+    } else {
+        checksum128(head, payload)
+    };
+    if checksum != stored_checksum {
         return Err(StoreError::ChecksumMismatch);
     }
-    Ok((key, schedule?))
+    Ok((key, decode_payload(version, &mut Cursor::new(payload))?))
 }
 
 fn malformed(detail: impl Into<String>) -> StoreError {
@@ -752,7 +768,7 @@ fn malformed(detail: impl Into<String>) -> StoreError {
     }
 }
 
-fn decode_payload(cur: &mut Cursor) -> Result<ControlSchedule, StoreError> {
+fn decode_payload(version: u32, cur: &mut Cursor) -> Result<ControlSchedule, StoreError> {
     let sched_key = (cur.read_u64()?, cur.read_u64()?);
     let name_len = cur.read_u32()? as usize;
     let kernel_name = String::from_utf8(cur.take(name_len)?.to_vec())
@@ -761,11 +777,102 @@ fn decode_payload(cur: &mut Cursor) -> Result<ControlSchedule, StoreError> {
     let n = cur.read_u64()? as usize;
     let instances = cur.read_u64()?;
 
-    let starts_len = cur.read_u64()? as usize;
-    let mut starts = Vec::with_capacity(starts_len.min(cur.remaining() / 4));
-    for _ in 0..starts_len {
-        starts.push(cur.read_u32()?);
+    let (gather, trace) = if version == 1 {
+        decode_v1_body(cur, n)?
+    } else {
+        decode_v2_body(cur, n)?
+    };
+
+    let template_len = cur.read_u64()? as usize;
+    let template_text = std::str::from_utf8(cur.take(template_len)?)
+        .map_err(|_| malformed("report template is not UTF-8"))?;
+    if !cur.at_end() {
+        return Err(malformed("trailing bytes after the report template"));
     }
+    let template_doc =
+        Json::parse(template_text).map_err(|e| malformed(format!("template JSON: {e}")))?;
+    let template = RunReport::from_json(&template_doc)
+        .map_err(|e| malformed(format!("report template: {e}")))?;
+    if !template.output.is_empty() {
+        return Err(malformed("report template must carry no output"));
+    }
+
+    let totals = trace.totals();
+    if totals.cycles != template.stats.cycles
+        || totals.stall_cycles != template.stats.stall_cycles
+        || totals.transfers != template.stats.transfers
+        || totals.warmup_cycles != template.warmup_cycles
+    {
+        return Err(malformed(format!(
+            "trace totals {totals:?} disagree with template stats {:?} (warmup {})",
+            template.stats, template.warmup_cycles
+        )));
+    }
+
+    Ok(ControlSchedule::from_parts(
+        sched_key,
+        n,
+        instances,
+        kernel_name,
+        kernel_latency,
+        gather,
+        trace,
+        template,
+    ))
+}
+
+/// The v2 gather and trace: the run form and the (record, repeat) pairs.
+fn decode_v2_body(cur: &mut Cursor, n: usize) -> Result<(GatherRuns, ControlTrace), StoreError> {
+    let arity = cur.read_u32()? as usize;
+    if arity > GatherTable::MAX_ARITY {
+        return Err(malformed(format!(
+            "gather arity {arity} exceeds {}",
+            GatherTable::MAX_ARITY
+        )));
+    }
+    let consts_len = cur.read_u64()? as usize;
+    cur.ensure(consts_len.saturating_mul(8))?;
+    let consts = (0..consts_len)
+        .map(|_| cur.read_u64())
+        .collect::<Result<Vec<_>, _>>()?;
+    let runs_len = cur.read_u64()? as usize;
+    cur.ensure(runs_len.saturating_mul(4 + 8 + 4 * arity))?;
+    let mut starts = Vec::with_capacity(runs_len);
+    let mut masks = Vec::with_capacity(runs_len);
+    let mut rows = Vec::with_capacity(runs_len * arity);
+    for _ in 0..runs_len {
+        starts.push(cur.read_u32()?);
+        masks.push(cur.read_u64()?);
+        for _ in 0..arity {
+            rows.push(cur.read_u32()?);
+        }
+    }
+    let gather =
+        GatherRuns::from_parts(n, arity, consts, starts, rows, masks).map_err(malformed)?;
+
+    let pairs_len = cur.read_u64()? as usize;
+    cur.ensure(pairs_len.saturating_mul(PAIR_BYTES))?;
+    let mut pairs = Vec::with_capacity(pairs_len);
+    for _ in 0..pairs_len {
+        let pair = cur.take(PAIR_BYTES)?;
+        let repeat = u32::from_le_bytes(pair[1..].try_into().expect("4 repeat bytes"));
+        if repeat == 0 {
+            return Err(malformed("a trace pair repeats zero times"));
+        }
+        pairs.push((CycleRecord(pair[0]), repeat));
+    }
+    Ok((gather, ControlTrace::from_runs(pairs)))
+}
+
+/// The v1 gather and trace: a per-element CSR table of un-lowered slot
+/// sources and masks, lowered and cut into runs here, and one record byte
+/// per cycle.
+fn decode_v1_body(cur: &mut Cursor, n: usize) -> Result<(GatherRuns, ControlTrace), StoreError> {
+    let starts_len = cur.read_u64()? as usize;
+    cur.ensure(starts_len.saturating_mul(4))?;
+    let starts = (0..starts_len)
+        .map(|_| cur.read_u32())
+        .collect::<Result<Vec<_>, _>>()?;
     let sources_len = cur.read_u64()? as usize;
 
     // Structural invariants replay relies on without rechecking. The row
@@ -798,7 +905,6 @@ fn decode_payload(cur: &mut Cursor) -> Result<ControlSchedule, StoreError> {
             starts[e + 1] - starts[e]
         )));
     }
-    // Slot sources are 9 bytes each: a tag and a value.
     cur.ensure(sources_len.saturating_mul(SOURCE_BYTES))?;
     let mut rows = GatherTable::builder(n, arity).map_err(malformed)?;
     rows.reserve(sources_len);
@@ -816,88 +922,36 @@ fn decode_payload(cur: &mut Cursor) -> Result<ControlSchedule, StoreError> {
         .map_err(malformed)?;
     }
     let masks_len = cur.read_u64()? as usize;
-    let mut masks = Vec::with_capacity(masks_len.min(cur.remaining() / 8));
-    for _ in 0..masks_len {
-        masks.push(cur.read_u64()?);
+    if masks_len != n {
+        return Err(malformed(format!(
+            "mask table covers {masks_len} elements, header says {n}"
+        )));
     }
+    cur.ensure(masks_len.saturating_mul(8))?;
+    let masks = (0..masks_len)
+        .map(|_| cur.read_u64())
+        .collect::<Result<Vec<_>, _>>()?;
+    let gather = rows.finish(masks).map_err(malformed)?.to_runs();
 
     let records_len = cur.read_u64()? as usize;
-    let records_bytes = cur.take(records_len)?;
-    let records: Vec<CycleRecord> = records_bytes.iter().map(|&b| CycleRecord(b)).collect();
-
-    let template_len = cur.read_u64()? as usize;
-    let template_text = std::str::from_utf8(cur.take(template_len)?)
-        .map_err(|_| malformed("report template is not UTF-8"))?;
-    if !cur.at_end() {
-        return Err(malformed("trailing bytes after the report template"));
+    let mut trace = ControlTrace::new();
+    for &b in cur.take(records_len)? {
+        trace.record(CycleRecord(b));
     }
-    let template_doc =
-        Json::parse(template_text).map_err(|e| malformed(format!("template JSON: {e}")))?;
-    let template = RunReport::from_json(&template_doc)
-        .map_err(|e| malformed(format!("report template: {e}")))?;
-
-    if masks.len() != n {
-        return Err(malformed(format!(
-            "mask table covers {} elements, header says {n}",
-            masks.len()
-        )));
-    }
-    let gather = Arc::new(rows.finish(masks).map_err(malformed)?);
-    if !template.output.is_empty() {
-        return Err(malformed("report template must carry no output"));
-    }
-
-    let trace = ControlTrace::from_records(records);
-    let totals = trace.totals();
-    if totals.cycles != template.stats.cycles
-        || totals.stall_cycles != template.stats.stall_cycles
-        || totals.transfers != template.stats.transfers
-        || totals.warmup_cycles != template.warmup_cycles
-    {
-        return Err(malformed(format!(
-            "trace totals {totals:?} disagree with template stats {:?} (warmup {})",
-            template.stats, template.warmup_cycles
-        )));
-    }
-
-    Ok(ControlSchedule::from_parts(
-        sched_key,
-        n,
-        instances,
-        kernel_name,
-        kernel_latency,
-        gather,
-        trace,
-        template,
-    ))
+    trace.shrink_to_fit();
+    Ok((gather, trace))
 }
 
 /// A bounds-checked little-endian reader over a byte slice; every overrun
-/// is a typed [`StoreError::Truncated`]. A hashing cursor folds every
-/// byte it hands out into an FNV-1a state, so a decoder's work overlaps
-/// the checksum's byte-serial lane.
+/// is a typed [`StoreError::Truncated`].
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
-    fnv: Option<u64>,
 }
 
 impl<'a> Cursor<'a> {
     fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor {
-            bytes,
-            pos: 0,
-            fnv: None,
-        }
-    }
-
-    /// A reader over `bytes` that continues the FNV-1a state `fnv`.
-    fn hashing(bytes: &'a [u8], fnv: u64) -> Cursor<'a> {
-        Cursor {
-            bytes,
-            pos: 0,
-            fnv: Some(fnv),
-        }
+        Cursor { bytes, pos: 0 }
     }
 
     /// Checks that `len` more bytes remain, returning where they end.
@@ -918,22 +972,8 @@ impl<'a> Cursor<'a> {
     fn take(&mut self, len: usize) -> Result<&'a [u8], StoreError> {
         let end = self.ensure(len)?;
         let slice = &self.bytes[self.pos..end];
-        if let Some(fnv) = &mut self.fnv {
-            *fnv = fnv1a_extend(*fnv, slice);
-        }
         self.pos = end;
         Ok(slice)
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// A hashing cursor's FNV-1a state with every byte folded in, read
-    /// or not.
-    fn fnv_to_end(&self) -> Option<u64> {
-        self.fnv
-            .map(|fnv| fnv1a_extend(fnv, &self.bytes[self.pos..]))
     }
 
     fn read_u32(&mut self) -> Result<u32, StoreError> {
@@ -1011,14 +1051,14 @@ mod tests {
         // A future version with a recomputed (valid) checksum must say
         // "unsupported version", not "checksum".
         let mut future = good.clone();
-        future[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let cs = entry_checksum(&future, &future[HEADER_LEN..]);
+        future[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let cs = checksum128(&future[..CHECKSUM_OFFSET], &future[HEADER_LEN..]);
         future[40..48].copy_from_slice(&cs.0.to_le_bytes());
         future[48..56].copy_from_slice(&cs.1.to_le_bytes());
         assert_eq!(
             decode_entry(&future).unwrap_err(),
             StoreError::UnsupportedVersion {
-                found: 2,
+                found: 3,
                 supported: STORE_FORMAT_VERSION
             }
         );
@@ -1157,8 +1197,9 @@ mod tests {
         assert_eq!(info.kernel, "average");
         assert_eq!(info.elements, 64);
         assert_eq!(info.instances, 2);
+        assert_eq!(info.version, STORE_FORMAT_VERSION);
         let (ok, bad) = store.verify();
-        assert_eq!((ok, bad.len()), (1, 0));
+        assert_eq!((ok, bad.len()), (vec![info.clone()], 0));
 
         // Rot the entry on disk: verify finds it, ls reports it.
         let path = store.entry_path(schedule.key());
@@ -1166,7 +1207,7 @@ mod tests {
         bytes[HEADER_LEN + 3] ^= 0x02;
         std::fs::write(&path, &bytes).expect("write");
         let (ok, bad) = store.verify();
-        assert_eq!((ok, bad.len()), (0, 1));
+        assert_eq!((ok.len(), bad.len()), (0, 1));
         assert_eq!(bad[0].1.label(), "checksum_mismatch");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -24,6 +24,7 @@ struct Registry {
     rejected_deadline: CounterId,
     rejected_draining: CounterId,
     errors: CounterId,
+    worker_panics: CounterId,
     cache_hits: CounterId,
     cache_misses: CounterId,
     cache_evictions: CounterId,
@@ -74,6 +75,7 @@ impl ServerMetrics {
         let rejected_deadline = counters.counter("serve.rejected.deadline");
         let rejected_draining = counters.counter("serve.rejected.draining");
         let errors = counters.counter("serve.errors");
+        let worker_panics = counters.counter("serve.worker.panics");
         let cache_hits = counters.counter("serve.cache.hits");
         let cache_misses = counters.counter("serve.cache.misses");
         let cache_evictions = counters.counter("serve.cache.evictions");
@@ -118,6 +120,7 @@ impl ServerMetrics {
                 rejected_deadline,
                 rejected_draining,
                 errors,
+                worker_panics,
                 cache_hits,
                 cache_misses,
                 cache_evictions,
@@ -194,6 +197,11 @@ impl ServerMetrics {
     /// Counts an error response (parse failures, failed runs).
     pub fn error(&self) {
         self.with(|r| r.counters.inc(r.errors));
+    }
+
+    /// Counts a job that panicked (answered with an `internal` error).
+    pub fn worker_panic(&self) {
+        self.with(|r| r.counters.inc(r.worker_panics));
     }
 
     /// Records a cache lookup outcome.

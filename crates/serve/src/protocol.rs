@@ -447,6 +447,18 @@ pub fn error_line(id: Option<&str>, message: &str) -> String {
     .compact()
 }
 
+/// Builds the error line of a job that panicked: `reason` `internal`,
+/// and the panic's message.
+pub fn internal_line(id: Option<&str>, message: &str) -> String {
+    Json::obj(vec![
+        ("id", id_value(id)),
+        ("status", Json::str("error")),
+        ("reason", Json::str("internal")),
+        ("error", Json::str(message)),
+    ])
+    .compact()
+}
+
 fn id_value(id: Option<&str>) -> Json {
     match id {
         Some(s) => Json::str(s),

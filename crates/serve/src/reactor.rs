@@ -44,7 +44,7 @@ use smache::system::ReplayMode;
 
 use crate::pool::JobClass;
 use crate::protocol::{error_line, ok_line, rejected_line, Request, RequestBody, RunRequest};
-use crate::server::{Completion, Job, Listener, Shared};
+use crate::server::{lock, Completion, Job, Listener, Shared};
 
 /// Token of the listening socket.
 const LISTENER: u64 = 0;
@@ -377,7 +377,7 @@ impl Reactor {
 
     fn handle_run(&mut self, token: u64, request: RunRequest, id: Option<String>) {
         let key = request.cache_key();
-        let hit = self.shared.cache.lock().expect("cache poisoned").get(key);
+        let hit = lock(&self.shared.cache).get(key);
         self.shared.metrics.cache_lookup(hit.is_some());
         if let Some(text) = hit {
             // Serving a hit is an Arc clone plus a buffer append — cheap
@@ -430,18 +430,13 @@ impl Reactor {
         let Some(key) = request.schedule_key() else {
             return JobClass::Capture;
         };
-        let in_cache = self
-            .shared
-            .schedules
-            .lock()
-            .expect("schedules poisoned")
-            .contains(key);
+        let in_cache = lock(&self.shared.schedules).contains(key);
         let resident = in_cache
             || self
                 .shared
                 .store
                 .as_ref()
-                .is_some_and(|store| store.lock().expect("store poisoned").contains(key));
+                .is_some_and(|store| lock(store).contains(key));
         if resident {
             JobClass::Replay
         } else {

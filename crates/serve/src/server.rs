@@ -52,9 +52,10 @@
 
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,7 +69,7 @@ use crate::bufpool::BufferPool;
 use crate::cache::ResultCache;
 use crate::metrics::ServerMetrics;
 use crate::pool::AdmissionQueue;
-use crate::protocol::{ok_line, rejected_line, RunRequest};
+use crate::protocol::{error_line, internal_line, ok_line, rejected_line, RunRequest};
 use crate::reactor::Reactor;
 
 /// Where the server listens.
@@ -198,6 +199,43 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The state a server with `config` starts from: empty caches, the
+    /// store opened, no socket yet.
+    fn new(config: &ServeConfig) -> std::io::Result<Shared> {
+        let store = match &config.store_dir {
+            Some(dir) => Some(Mutex::new(
+                ScheduleStore::open(dir, config.store_bytes)
+                    .map_err(|e| std::io::Error::other(e.to_string()))?,
+            )),
+            None => None,
+        };
+        let queue_cap = config.queue_cap.max(1);
+        // With replay serving off entirely, every job is a capture — a
+        // reserved replay band would only shrink the usable queue.
+        let replay_possible = config.schedule_cache_bytes > 0 || config.store_dir.is_some();
+        Ok(Shared {
+            queue: if replay_possible {
+                AdmissionQueue::new()
+            } else {
+                AdmissionQueue::unbanded()
+            },
+            cache: Mutex::new(ResultCache::new(config.cache_bytes)),
+            schedules: Mutex::new(ScheduleCache::new(config.schedule_cache_bytes)),
+            store,
+            metrics: ServerMetrics::new(),
+            shutdown: AtomicBool::new(false),
+            default_deadline: config.default_deadline_ms.map(Duration::from_millis),
+            queue_cap,
+            adaptive: config
+                .adaptive
+                .then(|| Mutex::new(AimdController::new(AimdConfig::for_capacity(queue_cap)))),
+            completions: Mutex::new(Vec::new()),
+            wake: WakePipe::new()?,
+            jobs_inflight: AtomicUsize::new(0),
+            bufpool: BufferPool::new(config.buffer_pool_bytes),
+        })
+    }
+
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue.drain();
@@ -246,7 +284,7 @@ impl Shared {
     }
 
     pub(crate) fn publish_cache_state(&self) {
-        let cache = self.cache.lock().expect("cache poisoned");
+        let cache = lock(&self.cache);
         let stats = cache.stats();
         self.metrics
             .cache_state(stats.evictions, cache.bytes() as u64, cache.len() as u64);
@@ -254,7 +292,7 @@ impl Shared {
 
     pub(crate) fn publish_store_state(&self) {
         if let Some(store) = &self.store {
-            let store = store.lock().expect("store poisoned");
+            let store = lock(store);
             self.metrics.store_state(store.bytes(), store.len() as u64);
         }
     }
@@ -262,7 +300,7 @@ impl Shared {
     /// Makes a schedule resident in the in-memory schedule cache.
     fn cache_schedule(&self, key: (u64, u64), schedule: &Arc<ControlSchedule>) {
         let bytes = schedule.approx_bytes();
-        let mut schedules = self.schedules.lock().expect("schedules poisoned");
+        let mut schedules = lock(&self.schedules);
         schedules.insert(key, Arc::clone(schedule), bytes);
         self.metrics.schedule_cache_state(schedules.bytes() as u64);
     }
@@ -336,38 +374,7 @@ impl ServerHandle {
 /// threads, and returns immediately; the handle reports the actual bound
 /// address.
 pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
-    let store = match &config.store_dir {
-        Some(dir) => Some(Mutex::new(
-            ScheduleStore::open(dir, config.store_bytes)
-                .map_err(|e| std::io::Error::other(e.to_string()))?,
-        )),
-        None => None,
-    };
-    let queue_cap = config.queue_cap.max(1);
-    // With replay serving off entirely, every job is a capture — a
-    // reserved replay band would only shrink the usable queue.
-    let replay_possible = config.schedule_cache_bytes > 0 || config.store_dir.is_some();
-    let shared = Arc::new(Shared {
-        queue: if replay_possible {
-            AdmissionQueue::new()
-        } else {
-            AdmissionQueue::unbanded()
-        },
-        cache: Mutex::new(ResultCache::new(config.cache_bytes)),
-        schedules: Mutex::new(ScheduleCache::new(config.schedule_cache_bytes)),
-        store,
-        metrics: ServerMetrics::new(),
-        shutdown: AtomicBool::new(false),
-        default_deadline: config.default_deadline_ms.map(Duration::from_millis),
-        queue_cap,
-        adaptive: config
-            .adaptive
-            .then(|| Mutex::new(AimdController::new(AimdConfig::for_capacity(queue_cap)))),
-        completions: Mutex::new(Vec::new()),
-        wake: WakePipe::new()?,
-        jobs_inflight: AtomicUsize::new(0),
-        bufpool: BufferPool::new(config.buffer_pool_bytes),
-    });
+    let shared = Arc::new(Shared::new(&config)?);
     shared.publish_store_state();
     shared.publish_adaptive_state();
 
@@ -397,7 +404,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let workers = (0..config.workers.max(1))
         .map(|_| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&shared))
+            std::thread::spawn(move || worker_loop(&shared, run_job))
         })
         .collect();
 
@@ -452,7 +459,7 @@ fn run_job(request: &RunRequest, shared: &Arc<Shared>) -> Result<smache_sim::Jso
         return request.execute();
     };
     let (disabled, hit) = {
-        let mut schedules = shared.schedules.lock().expect("schedules poisoned");
+        let mut schedules = lock(&shared.schedules);
         if schedules.budget() == 0 {
             (true, None)
         } else {
@@ -468,7 +475,7 @@ fn run_job(request: &RunRequest, shared: &Arc<Shared>) -> Result<smache_sim::Jso
     // Third level: the persistent store.
     let resident = hit.or_else(|| {
         let store = shared.store.as_ref()?;
-        let loaded = store.lock().expect("store poisoned").load_or_evict(key);
+        let loaded = lock(store).load_or_evict(key);
         match loaded {
             Ok(Some(schedule)) => {
                 shared.metrics.store_lookup(true);
@@ -507,7 +514,7 @@ fn run_job(request: &RunRequest, shared: &Arc<Shared>) -> Result<smache_sim::Jso
             shared.cache_schedule(key, &schedule);
         }
         if let Some(store) = &shared.store {
-            let saved = store.lock().expect("store poisoned").save(key, &schedule);
+            let saved = lock(store).save(key, &schedule);
             if saved.is_ok() {
                 shared.metrics.store_write();
             }
@@ -517,7 +524,34 @@ fn run_job(request: &RunRequest, shared: &Arc<Shared>) -> Result<smache_sim::Jso
     Ok(doc)
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
+/// Locks one of the structures a job works on (result cache, schedule
+/// cache, store), recovering it when a panicking job poisoned it. A panic
+/// costs its own request ([`worker_loop`]), not the structure: each
+/// changes its state only after the step that can fail — a store entry
+/// is indexed only once it decoded or was written, a cache entry only
+/// once it is built.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What a job's panic said, for its `internal` error line.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message");
+    format!("job panicked: {text}")
+}
+
+/// Serves jobs until the queue drains, executing each with `run`
+/// ([`run_job`] in a server). A job that panics costs one request: the
+/// worker answers it with a typed `internal` error line, counts
+/// `serve.worker.panics`, and carries on with the next job.
+fn worker_loop(
+    shared: &Arc<Shared>,
+    run: impl Fn(&RunRequest, &Arc<Shared>) -> Result<smache_sim::Json, String>,
+) {
     while let Some(job) = shared.queue.pop() {
         shared.publish_queue_depth();
         // First deadline checkpoint: the job expired while queued — a
@@ -530,17 +564,24 @@ fn worker_loop(shared: &Arc<Shared>) {
                 continue;
             }
         }
-        match run_job(&job.request, shared) {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run(&job.request, shared)));
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
+            Err(payload) => {
+                shared.metrics.worker_panic();
+                shared.metrics.error();
+                let message = panic_message(payload.as_ref());
+                shared.complete(job.token, internal_line(job.id.as_deref(), &message));
+                continue;
+            }
+        };
+        match outcome {
             Ok(result) => {
                 let text = result.compact();
                 // The result is computed either way: cache it so the next
                 // same-key request hits, even when *this* response misses
                 // its deadline below.
-                shared
-                    .cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .insert(job.request.cache_key(), text.clone());
+                lock(&shared.cache).insert(job.request.cache_key(), text.clone());
                 shared.publish_cache_state();
                 // Second deadline checkpoint: the run itself overran. The
                 // dequeue-time check can't see this — a job admitted with
@@ -560,10 +601,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
             Err(msg) => {
                 shared.metrics.error();
-                shared.complete(
-                    job.token,
-                    crate::protocol::error_line(job.id.as_deref(), &msg),
-                );
+                shared.complete(job.token, error_line(job.id.as_deref(), &msg));
             }
         }
     }
@@ -584,6 +622,67 @@ mod tests {
             Listen::Tcp("127.0.0.1:7777".to_string())
         );
         assert!(Listen::parse("http://x").is_err());
+    }
+
+    /// A job that panics costs its own request: the worker answers it
+    /// with an `internal` error line and carries on, even after a panic
+    /// that poisoned the store lock, and the next job is served from the
+    /// store as usual.
+    #[test]
+    fn a_panicking_job_costs_one_request() {
+        use crate::pool::JobClass;
+        use crate::protocol::{Request, RequestBody};
+
+        let dir = std::env::temp_dir().join(format!("smache-serve-panic-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let shared = Arc::new(
+            Shared::new(&ServeConfig {
+                store_dir: Some(dir.clone()),
+                ..ServeConfig::default()
+            })
+            .expect("shared state"),
+        );
+        for seed in 1..=3 {
+            let line = format!(r#"{{"cmd":"simulate","spec":{{"grid":"8x8"}},"seed":{seed}}}"#);
+            let RequestBody::Run(request) = Request::parse_line(&line).expect("parses").body else {
+                unreachable!("a run request")
+            };
+            let job = Job {
+                request: *request,
+                id: Some(seed.to_string()),
+                token: seed,
+                admitted: Instant::now(),
+                deadline: None,
+            };
+            assert!(shared.queue.try_push(job, JobClass::Capture, 8).is_ok());
+        }
+        shared.queue.drain();
+        // Seed 1 panics holding the store lock, seed 2 outside any lock,
+        // seed 3 runs.
+        worker_loop(&shared, |request, shared| match request.seed {
+            1 => {
+                let _store = lock(shared.store.as_ref().expect("a store"));
+                panic!("on purpose, store locked")
+            }
+            2 => panic!("on purpose"),
+            _ => run_job(request, shared),
+        });
+
+        let lines: Vec<String> = lock(&shared.completions)
+            .iter()
+            .map(|c| c.line.clone())
+            .collect();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        for (line, message) in lines.iter().zip(["on purpose, store locked", "on purpose"]) {
+            assert!(line.contains(r#""status":"error""#), "{line}");
+            assert!(line.contains(r#""reason":"internal""#), "{line}");
+            assert!(line.contains(message), "{line}");
+        }
+        assert!(lines[2].contains(r#""status":"ok""#), "{}", lines[2]);
+        assert!(shared.store.as_ref().expect("a store").is_poisoned());
+        assert_eq!(shared.metrics.counter("serve.worker.panics"), 2);
+        assert_eq!(shared.metrics.counter("serve.store.writes"), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -18,10 +18,13 @@
 //!   each output element, where each stencil-shape value comes from (a
 //!   current-instance grid index, a boundary constant, or a hole masked out
 //!   of the kernel), lowered once into fixed-arity rows of indices into an
-//!   extended grid, and cut into [`GatherRuns`] of elements that share one
-//!   stencil case.
-//! * [`ControlTrace`] — the packed per-cycle control-plane record
-//!   ([`CycleRecord`]: FSM phase plus handshake/stall flags) with the
+//!   extended grid. An engine reads these rows element by element.
+//! * [`GatherRuns`] — the same pattern in run form: per run of elements
+//!   that share one stencil case, only the first element, its row and the
+//!   mask. A sealed schedule keeps and replays this form, so its size
+//!   follows the runs (about three per 2D grid row), not the elements.
+//! * [`ControlTrace`] — the control-plane record ([`CycleRecord`]: FSM
+//!   phase plus handshake/stall flags), run-length encoded, with the
 //!   derived totals that replay reports instead of re-simulating.
 //! * [`ReplayUnsupported`] — the typed refusal reasons. Replay is only
 //!   sound while control stays data-independent; anything that breaks that
@@ -36,7 +39,6 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use crate::Word;
 
@@ -64,15 +66,13 @@ pub enum SlotSource {
 /// read. Element `e`'s slots are the `arity` row indices
 /// [`GatherTable::row`] returns, and its kernel mask keeps bit `p` set
 /// when slot `p` is present. The lowering happens once, slot by slot
-/// through [`GatherTable::builder`], when an engine is built or a schedule
-/// is loaded from the store, so a replay indexes and never matches on a
-/// [`SlotSource`]. [`GatherTable::source`] recovers the source a row index
-/// stands for.
+/// through [`GatherTable::builder`], when an engine is built, so a
+/// controller indexes and never matches on a [`SlotSource`].
+/// [`GatherTable::source`] recovers the source a row index stands for.
 ///
-/// Replay walks the table run by run ([`GatherTable::runs`]); the runs
-/// are cut on first use, outside whatever lock loaded the table, and do
-/// not take part in equality.
-#[derive(Debug, Clone, Default)]
+/// An engine reads the table element by element; a sealed schedule keeps
+/// only its run form ([`GatherTable::to_runs`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GatherTable {
     arity: usize,
     /// `arity` extended-grid row indices per element, element-major.
@@ -82,20 +82,7 @@ pub struct GatherTable {
     /// The distinct boundary constants, in first-use order; constant `c`
     /// lives in extended row `n + c`.
     consts: Vec<Word>,
-    /// The rows cut into runs, on first use.
-    runs: OnceLock<GatherRuns>,
 }
-
-impl PartialEq for GatherTable {
-    fn eq(&self, other: &GatherTable) -> bool {
-        self.arity == other.arity
-            && self.rows == other.rows
-            && self.masks == other.masks
-            && self.consts == other.consts
-    }
-}
-
-impl Eq for GatherTable {}
 
 impl GatherTable {
     /// Most slots a row may have: kernel masks are `u64`.
@@ -138,7 +125,9 @@ impl GatherTable {
         self.arity
     }
 
-    /// The elements cut into runs, cut on the first call.
+    /// Cuts the elements into runs and keeps, per run, its first element,
+    /// that element's row and the run's mask: the run form a sealed
+    /// schedule replays from.
     ///
     /// A run is a maximal stretch of at most [`GatherTable::MAX_RUN`]
     /// consecutive elements that share the kernel mask of its first
@@ -147,16 +136,13 @@ impl GatherTable {
     /// constant or hole row wherever `s` reads one. One stencil case
     /// along one grid row is one run, so the kernel can take a whole run
     /// in one call.
-    pub fn runs(&self) -> &GatherRuns {
-        self.runs.get_or_init(|| self.cut_runs())
-    }
-
-    fn cut_runs(&self) -> GatherRuns {
+    pub fn to_runs(&self) -> GatherRuns {
         let n = self.len();
         let mut runs = GatherRuns {
-            starts: Vec::new(),
-            end: n,
-            longest: 0,
+            n,
+            arity: self.arity,
+            consts: self.consts.clone(),
+            ..GatherRuns::default()
         };
         let mut s = 0;
         while s < n {
@@ -168,99 +154,12 @@ impl GatherTable {
             // `finish` keeps every row index, so every element, below
             // `u32::MAX`.
             runs.starts.push(s as u32);
+            runs.rows.extend_from_slice(first);
+            runs.masks.push(mask);
             runs.longest = runs.longest.max(e - s);
             s = e;
         }
         runs
-    }
-
-    /// Runs `instances` timesteps over every lane's grid at once, run by
-    /// run ([`GatherTable::runs`]), and returns each lane's final grid.
-    /// `apply(slots, mask, out)` computes `out.len()` tuples under `mask`,
-    /// tuple `i` being `slots[p][i]` for every slot `p`.
-    ///
-    /// The lanes' grids are interleaved element-major — the word for
-    /// (element `e`, lane `l`) lives at `e * lanes + l` — and each
-    /// constant and the hole row get a splat region of `longest run ×
-    /// lanes` copies after them. A run's elements read consecutive grid
-    /// rows and fixed constant or hole rows, so each of its slots is one
-    /// contiguous slice of `run length × lanes` words, and one `apply`
-    /// call takes the run's (element, lane) pairs. The two buffers are
-    /// the calling thread's, reused from call to call; only the lanes'
-    /// grids are allocated.
-    ///
-    /// Every grid must hold [`GatherTable::len`] words.
-    pub fn replay(
-        &self,
-        grids: &[&[Word]],
-        instances: u64,
-        mut apply: impl FnMut(&[&[Word]], u64, &mut [Word]),
-    ) -> Vec<Vec<Word>> {
-        let (n, lanes) = (self.len(), grids.len());
-        assert!(
-            grids.iter().all(|g| g.len() == n),
-            "every grid holds {n} words"
-        );
-        if lanes == 0 {
-            return Vec::new();
-        }
-        let runs = self.runs();
-        let grid = n * lanes;
-        let splat = runs.longest() * lanes;
-        let len = grid + (self.consts.len() + 1) * splat;
-        let [mut cur, mut next] = REPLAY_BUFFERS.take();
-        // The constant and hole regions are filled in both buffers; only
-        // the grid rows are ever rewritten, every one of them each
-        // instance, so neither buffer needs clearing.
-        for buf in [&mut cur, &mut next] {
-            if buf.len() < len {
-                buf.resize(len, 0);
-            }
-            let regions = buf[grid..len].chunks_exact_mut(splat.max(1));
-            for (region, &v) in regions.zip(self.consts.iter().chain([&0])) {
-                region.fill(v);
-            }
-        }
-        if lanes == 1 {
-            cur[..n].copy_from_slice(grids[0]);
-        } else {
-            for (e, words) in cur[..grid].chunks_exact_mut(lanes).enumerate() {
-                for (w, g) in words.iter_mut().zip(grids) {
-                    *w = g[e];
-                }
-            }
-        }
-        for _ in 0..instances {
-            let mut slots: [&[Word]; Self::MAX_ARITY] = [&[]; Self::MAX_ARITY];
-            let slots = &mut slots[..self.arity];
-            for run in runs.iter() {
-                let (row, mask) = self.row(run.start);
-                let words = run.len() * lanes;
-                for (s, &r) in slots.iter_mut().zip(row) {
-                    let r = r as usize;
-                    let base = match r.checked_sub(n) {
-                        None => r * lanes,
-                        Some(c) => grid + c * splat,
-                    };
-                    *s = &cur[base..base + words];
-                }
-                apply(slots, mask, &mut next[run.start * lanes..run.end * lanes]);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let out = if lanes == 1 {
-            vec![cur[..n].to_vec()]
-        } else {
-            let mut out: Vec<Vec<Word>> = (0..lanes).map(|_| Vec::with_capacity(n)).collect();
-            for words in cur[..grid].chunks_exact(lanes) {
-                for (o, &w) in out.iter_mut().zip(words) {
-                    o.push(w);
-                }
-            }
-            out
-        };
-        REPLAY_BUFFERS.set([cur, next]);
-        out
     }
 
     /// True when element `e` continues a run whose first row is `first`
@@ -298,12 +197,7 @@ impl GatherTable {
     /// The source extended-grid row `r` stands for.
     #[inline]
     pub fn row_source(&self, r: u32) -> SlotSource {
-        let r = r as usize;
-        match r.checked_sub(self.len()) {
-            None => SlotSource::Grid(r as u32),
-            Some(c) if c < self.consts.len() => SlotSource::Const(self.consts[c]),
-            Some(_) => SlotSource::Hole,
-        }
+        row_source(self.len(), &self.consts, r)
     }
 
     /// The sources of element `e`'s slots, in slot order.
@@ -311,30 +205,121 @@ impl GatherTable {
         (0..self.arity).map(move |p| self.source(e, p))
     }
 
-    /// Approximate heap footprint in bytes (cache accounting): the rows,
-    /// masks and constants, and the runs replay cuts them into (cut here
-    /// if no replay has yet).
+    /// Approximate heap footprint in bytes: 4 per slot row, 8 per mask
+    /// and constant.
     pub fn approx_bytes(&self) -> usize {
-        self.rows.len() * 4
-            + self.masks.len() * 8
-            + self.consts.len() * 8
-            + self.runs().approx_bytes()
+        self.rows.len() * 4 + self.masks.len() * 8 + self.consts.len() * 8
     }
 }
 
-/// A [`GatherTable`]'s elements cut into runs ([`GatherTable::runs`]):
-/// 4 B per run, the first element of each.
+/// The source extended-grid row `r` stands for, in a table of `n`
+/// elements with boundary constants `consts`.
+fn row_source(n: usize, consts: &[Word], r: u32) -> SlotSource {
+    let r = r as usize;
+    match r.checked_sub(n) {
+        None => SlotSource::Grid(r as u32),
+        Some(c) if c < consts.len() => SlotSource::Const(consts[c]),
+        Some(_) => SlotSource::Hole,
+    }
+}
+
+/// A gather table in run form ([`GatherTable::to_runs`]): per run, its
+/// first element, that element's extended-grid row and the run's kernel
+/// mask, plus the boundary constants — `4 + 4 × arity + 8` bytes a run,
+/// whatever the run's length.
+///
+/// Element `s + i` of the run that starts at `s` reads grid row `r + i`
+/// wherever `s` reads grid row `r`, and the same constant or hole row
+/// wherever `s` reads one, so every element decodes from its run
+/// ([`GatherRuns::source`]) and replay takes each run in one kernel call
+/// ([`GatherRuns::replay`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GatherRuns {
+    /// Elements covered.
+    n: usize,
+    arity: usize,
     /// First element of each run, ascending from 0.
     starts: Vec<u32>,
-    /// Where the last run ends: the table's element count.
-    end: usize,
+    /// The first element's `arity` row indices, run-major.
+    rows: Vec<u32>,
+    /// Kernel mask per run.
+    masks: Vec<u64>,
+    /// The distinct boundary constants; constant `c` lives in extended
+    /// row `n + c`, and the hole row follows them.
+    consts: Vec<Word>,
     /// Elements in the longest run.
     longest: usize,
 }
 
 impl GatherRuns {
+    /// Reassembles a run form of `n` elements with `arity` slots each from
+    /// its parts (store deserialisation): the runs' first elements, their
+    /// first rows (run-major) and masks, and the boundary constants. Fails,
+    /// naming the fault, unless the runs start at element 0, ascend, cover
+    /// every element, span at most [`GatherTable::MAX_RUN`] elements each,
+    /// and every row index names a row of the extended grid that its whole
+    /// run can read.
+    pub fn from_parts(
+        n: usize,
+        arity: usize,
+        consts: Vec<Word>,
+        starts: Vec<u32>,
+        rows: Vec<u32>,
+        masks: Vec<u64>,
+    ) -> Result<GatherRuns, String> {
+        if arity > GatherTable::MAX_ARITY {
+            return Err(format!(
+                "gather arity {arity} exceeds {}",
+                GatherTable::MAX_ARITY
+            ));
+        }
+        if masks.len() != starts.len() || Some(rows.len()) != starts.len().checked_mul(arity) {
+            return Err(format!(
+                "{} rows and {} masks for {} runs of arity {arity}",
+                rows.len(),
+                masks.len(),
+                starts.len()
+            ));
+        }
+        let hole = n.saturating_add(consts.len());
+        if hole > u32::MAX as usize {
+            return Err(format!(
+                "extended grid of {} rows exceeds u32 indices",
+                hole as u128 + 1
+            ));
+        }
+        if n > 0 && starts.first() != Some(&0) {
+            return Err("runs must start at element 0".into());
+        }
+        let mut runs = GatherRuns {
+            n,
+            arity,
+            starts,
+            rows,
+            masks,
+            consts,
+            longest: 0,
+        };
+        let mut longest = 0;
+        for (i, run) in runs.iter().enumerate() {
+            if run.is_empty() || run.end > n || run.len() > GatherTable::MAX_RUN {
+                return Err(format!("run {i} covers elements {run:?} of {n}"));
+            }
+            for &r in runs.first_row(i).0 {
+                let r = r as usize;
+                if r < n && r + run.len() > n {
+                    return Err(format!("run {i} reads grid row {r} past the grid"));
+                }
+                if r > hole {
+                    return Err(format!("row {r} lies beyond the hole row {hole}"));
+                }
+            }
+            longest = longest.max(run.len());
+        }
+        runs.longest = longest;
+        Ok(runs)
+    }
+
     /// Number of runs.
     pub fn len(&self) -> usize {
         self.starts.len()
@@ -345,9 +330,24 @@ impl GatherRuns {
         self.starts.is_empty()
     }
 
+    /// Number of elements the runs cover.
+    pub fn elements(&self) -> usize {
+        self.n
+    }
+
+    /// Slots per element.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
     /// Elements in the longest run (0 when there are none).
     pub fn longest(&self) -> usize {
         self.longest
+    }
+
+    /// The distinct boundary constants, in extended-row order.
+    pub fn consts(&self) -> &[Word] {
+        &self.consts
     }
 
     /// The runs' element ranges, in order; together they cover every
@@ -358,18 +358,142 @@ impl GatherRuns {
             .iter()
             .skip(1)
             .map(|&s| s as usize)
-            .chain(std::iter::once(self.end));
+            .chain(std::iter::once(self.n));
         self.starts.iter().zip(ends).map(|(&s, e)| s as usize..e)
     }
 
-    /// Heap footprint in bytes: 4 per run.
+    /// Run `i`'s first row and its mask.
+    #[inline]
+    pub fn first_row(&self, i: usize) -> (&[u32], u64) {
+        (
+            &self.rows[i * self.arity..(i + 1) * self.arity],
+            self.masks[i],
+        )
+    }
+
+    /// The run element `e` belongs to, and how far into it `e` lies.
+    fn locate(&self, e: usize) -> (usize, usize) {
+        assert!(e < self.n, "element {e} of {}", self.n);
+        let i = self.starts.partition_point(|&s| s as usize <= e) - 1;
+        (i, e - self.starts[i] as usize)
+    }
+
+    /// The kernel mask of element `e`.
+    pub fn mask(&self, e: usize) -> u64 {
+        self.masks[self.locate(e).0]
+    }
+
+    /// The source slot `p` of element `e` reads, decoded from its run.
+    pub fn source(&self, e: usize, p: usize) -> SlotSource {
+        let (i, off) = self.locate(e);
+        match row_source(self.n, &self.consts, self.first_row(i).0[p]) {
+            SlotSource::Grid(g) => SlotSource::Grid(g + off as u32),
+            other => other,
+        }
+    }
+
+    /// The sources of element `e`'s slots, in slot order.
+    pub fn slots(&self, e: usize) -> impl Iterator<Item = SlotSource> + '_ {
+        (0..self.arity).map(move |p| self.source(e, p))
+    }
+
+    /// Runs `instances` timesteps over every lane's grid at once, run by
+    /// run, and returns each lane's final grid. `apply(slots, mask, out)`
+    /// computes `out.len()` tuples under `mask`, tuple `i` being
+    /// `slots[p][i]` for every slot `p`.
+    ///
+    /// The lanes' grids are interleaved element-major — the word for
+    /// (element `e`, lane `l`) lives at `e * lanes + l` — and each
+    /// constant and the hole row get a splat region of `longest run ×
+    /// lanes` copies after them. A run's elements read consecutive grid
+    /// rows and fixed constant or hole rows, so each of its slots is one
+    /// contiguous slice of `run length × lanes` words, and one `apply`
+    /// call takes the run's (element, lane) pairs. The two buffers are
+    /// the calling thread's, reused from call to call; only the lanes'
+    /// grids are allocated.
+    ///
+    /// Every grid must hold [`GatherRuns::elements`] words.
+    pub fn replay(
+        &self,
+        grids: &[&[Word]],
+        instances: u64,
+        mut apply: impl FnMut(&[&[Word]], u64, &mut [Word]),
+    ) -> Vec<Vec<Word>> {
+        let (n, lanes) = (self.n, grids.len());
+        assert!(
+            grids.iter().all(|g| g.len() == n),
+            "every grid holds {n} words"
+        );
+        if lanes == 0 {
+            return Vec::new();
+        }
+        let grid = n * lanes;
+        let splat = self.longest * lanes;
+        let len = grid + (self.consts.len() + 1) * splat;
+        let [mut cur, mut next] = REPLAY_BUFFERS.take();
+        // The constant and hole regions are filled in both buffers; only
+        // the grid rows are ever rewritten, every one of them each
+        // instance, so neither buffer needs clearing.
+        for buf in [&mut cur, &mut next] {
+            if buf.len() < len {
+                buf.resize(len, 0);
+            }
+            let regions = buf[grid..len].chunks_exact_mut(splat.max(1));
+            for (region, &v) in regions.zip(self.consts.iter().chain([&0])) {
+                region.fill(v);
+            }
+        }
+        if lanes == 1 {
+            cur[..n].copy_from_slice(grids[0]);
+        } else {
+            for (e, words) in cur[..grid].chunks_exact_mut(lanes).enumerate() {
+                for (w, g) in words.iter_mut().zip(grids) {
+                    *w = g[e];
+                }
+            }
+        }
+        for _ in 0..instances {
+            let mut slots: [&[Word]; GatherTable::MAX_ARITY] = [&[]; GatherTable::MAX_ARITY];
+            let slots = &mut slots[..self.arity];
+            for (i, run) in self.iter().enumerate() {
+                let (row, mask) = self.first_row(i);
+                let words = run.len() * lanes;
+                for (s, &r) in slots.iter_mut().zip(row) {
+                    let r = r as usize;
+                    let base = match r.checked_sub(n) {
+                        None => r * lanes,
+                        Some(c) => grid + c * splat,
+                    };
+                    *s = &cur[base..base + words];
+                }
+                apply(slots, mask, &mut next[run.start * lanes..run.end * lanes]);
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        let out = if lanes == 1 {
+            vec![cur[..n].to_vec()]
+        } else {
+            let mut out: Vec<Vec<Word>> = (0..lanes).map(|_| Vec::with_capacity(n)).collect();
+            for words in cur[..grid].chunks_exact(lanes) {
+                for (o, &w) in out.iter_mut().zip(words) {
+                    o.push(w);
+                }
+            }
+            out
+        };
+        REPLAY_BUFFERS.set([cur, next]);
+        out
+    }
+
+    /// Heap footprint in bytes: per run 4 for its start, 4 per slot of
+    /// its first row and 8 for its mask; 8 per constant.
     pub fn approx_bytes(&self) -> usize {
-        self.starts.len() * 4
+        self.starts.len() * 4 + self.rows.len() * 4 + self.masks.len() * 8 + self.consts.len() * 8
     }
 }
 
 thread_local! {
-    /// The two buffers of [`GatherTable::replay`], kept by each thread
+    /// The two buffers of [`GatherRuns::replay`], kept by each thread
     /// across the calls it makes.
     static REPLAY_BUFFERS: Cell<[Vec<Word>; 2]> = const { Cell::new([Vec::new(), Vec::new()]) };
 }
@@ -473,7 +597,6 @@ impl GatherRows {
             rows: self.rows,
             masks,
             consts: self.consts,
-            runs: OnceLock::new(),
         })
     }
 }
@@ -515,7 +638,7 @@ impl CycleRecord {
     }
 }
 
-/// Totals derived by scanning a [`ControlTrace`] — the replay-side source
+/// Totals derived by summing a [`ControlTrace`] — the replay-side source
 /// of the cycle statistics a full simulation counts as it goes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceTotals {
@@ -531,10 +654,15 @@ pub struct TraceTotals {
     pub emitted: u64,
 }
 
-/// The per-cycle control-plane trace of one captured run.
-#[derive(Debug, Clone, Default)]
+/// The control-plane trace of one captured run, run-length encoded: a
+/// list of (record, repeat) pairs, each a [`CycleRecord`] and the number
+/// of consecutive cycles it held. The control plane changes only at
+/// phase and handshake edges, so a trace holds a few pairs per instance
+/// however many cycles it spans.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlTrace {
-    records: Vec<CycleRecord>,
+    runs: Vec<(CycleRecord, u32)>,
+    cycles: u64,
 }
 
 impl ControlTrace {
@@ -543,57 +671,64 @@ impl ControlTrace {
         ControlTrace::default()
     }
 
-    /// Rebuilds a trace from its recorded cycles — the inverse of
-    /// [`ControlTrace::records`], used when deserialising a persisted
+    /// Rebuilds a trace from its (record, repeat) pairs — the inverse of
+    /// [`ControlTrace::runs`], used when deserialising a persisted
     /// schedule.
-    pub fn from_records(records: Vec<CycleRecord>) -> ControlTrace {
-        ControlTrace { records }
+    pub fn from_runs(runs: Vec<(CycleRecord, u32)>) -> ControlTrace {
+        let cycles = runs.iter().map(|&(_, n)| u64::from(n)).sum();
+        ControlTrace { runs, cycles }
     }
 
-    /// Appends one cycle's record.
+    /// Appends one cycle's record, extending the last pair when the
+    /// record repeats it.
     #[inline]
     pub fn record(&mut self, record: CycleRecord) {
-        self.records.push(record);
+        self.cycles += 1;
+        match self.runs.last_mut() {
+            Some((last, n)) if *last == record && *n < u32::MAX => *n += 1,
+            _ => self.runs.push((record, 1)),
+        }
     }
 
-    /// Releases the record buffer's spare capacity.
+    /// Releases the pair buffer's spare capacity.
     pub fn shrink_to_fit(&mut self) {
-        self.records.shrink_to_fit();
+        self.runs.shrink_to_fit();
     }
 
     /// Number of recorded cycles.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.cycles as usize
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.cycles == 0
     }
 
-    /// The recorded cycles in order.
-    pub fn records(&self) -> &[CycleRecord] {
-        &self.records
+    /// The (record, repeat) pairs in cycle order.
+    pub fn runs(&self) -> &[(CycleRecord, u32)] {
+        &self.runs
     }
 
-    /// Scans the trace into its totals.
+    /// Sums the pairs into the trace's totals.
     pub fn totals(&self) -> TraceTotals {
         let mut t = TraceTotals {
-            cycles: self.records.len() as u64,
+            cycles: self.cycles,
             ..TraceTotals::default()
         };
-        for r in &self.records {
-            t.stall_cycles += u64::from(r.has(CycleRecord::STALLED));
-            t.transfers += u64::from(r.has(CycleRecord::TRANSFER));
-            t.warmup_cycles += u64::from(r.has(CycleRecord::WARMUP));
-            t.emitted += u64::from(r.has(CycleRecord::EMITTED));
+        for &(r, n) in &self.runs {
+            let n = u64::from(n);
+            t.stall_cycles += n * u64::from(r.has(CycleRecord::STALLED));
+            t.transfers += n * u64::from(r.has(CycleRecord::TRANSFER));
+            t.warmup_cycles += n * u64::from(r.has(CycleRecord::WARMUP));
+            t.emitted += n * u64::from(r.has(CycleRecord::EMITTED));
         }
         t
     }
 
-    /// Approximate heap footprint in bytes (cache accounting).
+    /// Heap footprint in bytes (cache accounting): 8 per pair.
     pub fn approx_bytes(&self) -> usize {
-        self.records.len()
+        self.runs.len() * std::mem::size_of::<(CycleRecord, u32)>()
     }
 }
 
@@ -715,18 +850,23 @@ mod tests {
     #[test]
     fn trace_totals_count_flags() {
         let mut t = ControlTrace::new();
-        t.record(CycleRecord::pack(0, CycleRecord::WARMUP));
-        t.record(CycleRecord::pack(
-            1,
-            CycleRecord::EMITTED | CycleRecord::TRANSFER,
-        ));
-        t.record(CycleRecord::pack(1, CycleRecord::STALLED));
+        let warm = CycleRecord::pack(0, CycleRecord::WARMUP);
+        let emit = CycleRecord::pack(1, CycleRecord::EMITTED | CycleRecord::TRANSFER);
+        let stall = CycleRecord::pack(1, CycleRecord::STALLED);
+        for r in [warm, warm, emit, stall, stall, stall, emit] {
+            t.record(r);
+        }
+        // Repeats fold into their pair.
+        assert_eq!(t.runs(), [(warm, 2), (emit, 1), (stall, 3), (emit, 1)]);
+        assert_eq!(t.len(), 7);
+        assert_eq!(t.approx_bytes(), 4 * 8);
         let totals = t.totals();
-        assert_eq!(totals.cycles, 3);
-        assert_eq!(totals.warmup_cycles, 1);
-        assert_eq!(totals.emitted, 1);
-        assert_eq!(totals.transfers, 1);
-        assert_eq!(totals.stall_cycles, 1);
+        assert_eq!(totals.cycles, 7);
+        assert_eq!(totals.warmup_cycles, 2);
+        assert_eq!(totals.emitted, 2);
+        assert_eq!(totals.transfers, 2);
+        assert_eq!(totals.stall_cycles, 3);
+        assert_eq!(ControlTrace::from_runs(t.runs().to_vec()), t);
     }
 
     /// Lowers `sources` (element-major, `arity` per element) through the
@@ -763,11 +903,14 @@ mod tests {
         assert_eq!(back, sources);
         // Element 1 cannot start a run with element 0 (their masks differ)
         // nor continue into element 2 (its constant slot changes).
-        let runs: Vec<_> = table.runs().iter().collect();
-        assert_eq!(runs, [0..1, 1..2, 2..3]);
-        assert_eq!(table.runs().longest(), 1);
-        // 4 B per slot row, 8 per mask and constant, 4 per run.
-        assert_eq!(table.approx_bytes(), 6 * 4 + 3 * 8 + 2 * 8 + 3 * 4);
+        let runs = table.to_runs();
+        assert_eq!(runs.iter().collect::<Vec<_>>(), [0..1, 1..2, 2..3]);
+        assert_eq!(runs.longest(), 1);
+        // 4 B per slot row, 8 per mask and constant.
+        assert_eq!(table.approx_bytes(), 6 * 4 + 3 * 8 + 2 * 8);
+        // Per run 4 B of start, 4 per first-row slot and 8 of mask; 8 per
+        // constant.
+        assert_eq!(runs.approx_bytes(), 3 * (4 + 2 * 4 + 8) + 2 * 8);
     }
 
     #[test]
@@ -795,21 +938,128 @@ mod tests {
         let table = lower(2, &sources, vec![0b11; 6]).expect("lower");
         assert_eq!(table.row(3).0, [4, 7]);
         assert_eq!(table.row(5).0, [6, 7]);
-        let runs: Vec<_> = table.runs().iter().collect();
-        assert_eq!(runs, [0..3, 3..5, 5..6]);
-        assert_eq!(table.runs().longest(), 3);
-        assert_eq!(table.runs().len(), 3);
-        // Runs are no part of equality: a fresh lowering compares equal
-        // before it has cut any.
-        assert_eq!(lower(2, &sources, vec![0b11; 6]).expect("lower"), table);
+        let runs = table.to_runs();
+        assert_eq!(runs.iter().collect::<Vec<_>>(), [0..3, 3..5, 5..6]);
+        assert_eq!(runs.longest(), 3);
+        assert_eq!(runs.len(), 3);
+        assert_eq!(runs.first_row(1), (&[4, 7][..], 0b11));
+        // Every element decodes from its run to the table's sources.
+        for e in 0..table.len() {
+            assert_eq!(
+                runs.slots(e).collect::<Vec<_>>(),
+                table.slots(e).collect::<Vec<_>>()
+            );
+            assert_eq!(runs.mask(e), table.row(e).1);
+        }
         // A long stretch is cut at the cap.
         let n = GatherTable::MAX_RUN * 2 + 3;
         let long: Vec<SlotSource> = (0..n as u32).map(Grid).collect();
-        let table = lower(1, &long, vec![1; n]).expect("lower");
-        let runs: Vec<_> = table.runs().iter().collect();
+        let runs = lower(1, &long, vec![1; n]).expect("lower").to_runs();
         let cap = GatherTable::MAX_RUN;
-        assert_eq!(runs, [0..cap, cap..2 * cap, 2 * cap..n]);
-        assert_eq!(table.runs().longest(), cap);
+        assert_eq!(
+            runs.iter().collect::<Vec<_>>(),
+            [0..cap, cap..2 * cap, 2 * cap..n]
+        );
+        assert_eq!(runs.longest(), cap);
+    }
+
+    /// Splits `runs` into the parts `GatherRuns::from_parts` takes.
+    fn parts(runs: &GatherRuns) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+        let starts = runs.iter().map(|r| r.start as u32).collect();
+        let (mut rows, mut masks) = (Vec::new(), Vec::new());
+        for i in 0..runs.len() {
+            let (row, mask) = runs.first_row(i);
+            rows.extend_from_slice(row);
+            masks.push(mask);
+        }
+        (starts, rows, masks)
+    }
+
+    #[test]
+    fn run_form_rebuilds_from_its_parts_and_refuses_broken_ones() {
+        use SlotSource::{Const, Grid, Hole};
+        // Six cells, two slots: runs 0..3, 3..5, 5..6; rows 6 and 7 are
+        // the constants, row 8 the hole.
+        let sources = [
+            Grid(1),
+            Const(4),
+            Grid(2),
+            Const(4),
+            Grid(3),
+            Const(4),
+            Grid(4),
+            Const(5),
+            Grid(5),
+            Const(5),
+            Hole,
+            Const(5),
+        ];
+        let runs = lower(2, &sources, vec![0b11, 0b11, 0b11, 0b11, 0b11, 0b10])
+            .expect("lower")
+            .to_runs();
+        let (starts, rows, masks) = parts(&runs);
+        let rebuild = |starts: Vec<u32>, rows: Vec<u32>, masks: Vec<u64>| {
+            GatherRuns::from_parts(6, 2, vec![4, 5], starts, rows, masks)
+        };
+        assert_eq!(
+            rebuild(starts.clone(), rows.clone(), masks.clone()),
+            Ok(runs)
+        );
+        let refuse = |starts: Vec<u32>, rows: Vec<u32>, masks: Vec<u64>, why: &str| {
+            let err = rebuild(starts, rows, masks).expect_err(why);
+            assert!(err.contains(why), "{err}");
+        };
+        refuse(
+            vec![1, 3, 5],
+            rows.clone(),
+            masks.clone(),
+            "start at element 0",
+        );
+        refuse(
+            vec![0, 3, 3],
+            rows.clone(),
+            masks.clone(),
+            "covers elements",
+        );
+        refuse(
+            vec![0, 3, 7],
+            rows.clone(),
+            masks.clone(),
+            "covers elements",
+        );
+        refuse(
+            starts.clone(),
+            rows[1..].to_vec(),
+            masks.clone(),
+            "runs of arity",
+        );
+        refuse(
+            starts.clone(),
+            rows.clone(),
+            masks[1..].to_vec(),
+            "runs of arity",
+        );
+        // The first run (three elements) may not start past grid row 3.
+        let mut past = rows.clone();
+        past[0] = 4;
+        refuse(starts.clone(), past, masks.clone(), "past the grid");
+        let mut beyond = rows.clone();
+        beyond[1] = 9;
+        refuse(starts.clone(), beyond, masks.clone(), "beyond the hole row");
+        let wide = GatherRuns::from_parts(1, 65, Vec::new(), vec![0], vec![0; 65], vec![1]);
+        assert!(wide.expect_err("arity").contains("arity 65"));
+        let cap = GatherTable::MAX_RUN;
+        let long = GatherRuns::from_parts(
+            cap + 1,
+            1,
+            Vec::new(),
+            vec![0],
+            vec![cap as u32 + 1],
+            vec![1],
+        );
+        assert!(long.expect_err("cap").contains("covers elements"));
+        let empty = GatherRuns::from_parts(0, 4, Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        assert!(empty.expect("empty").is_empty());
     }
 
     /// Sums the present slots of each tuple: a kernel for `replay`.
@@ -889,15 +1139,16 @@ mod tests {
                 .map(|l| (0..n as u64).map(|e| e * 10 + l + 1).collect())
                 .collect();
             let views: Vec<&[Word]> = grids.iter().map(Vec::as_slice).collect();
+            let runs = table.to_runs();
             for lanes in 1..=3 {
                 for instances in [0, 1, 2, 3] {
-                    let out = table.replay(&views[..lanes], instances, sum_present);
+                    let out = runs.replay(&views[..lanes], instances, sum_present);
                     for (got, grid) in out.iter().zip(&grids) {
                         assert_eq!(*got, sum_reference(&table, grid, instances));
                     }
                 }
             }
-            assert!(table.replay(&[], 2, sum_present).is_empty());
+            assert!(runs.replay(&[], 2, sum_present).is_empty());
         }
     }
 
@@ -911,8 +1162,8 @@ mod tests {
         assert!(lower(1, &escapes, vec![1]).is_err());
         let empty = lower(0, &[], Vec::new()).expect("empty");
         assert!(empty.is_empty());
-        assert!(empty.runs().is_empty());
-        assert_eq!(empty.runs().iter().count(), 0);
+        assert!(empty.to_runs().is_empty());
+        assert_eq!(empty.to_runs().iter().count(), 0);
     }
 
     #[test]

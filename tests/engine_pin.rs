@@ -333,3 +333,63 @@ fn engine_matches_the_pinned_table() {
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
+
+/// Replays `schedule` over `input` — in memory, and through an encoded
+/// and decoded store entry — and demands `full`'s report byte for byte,
+/// save the engine that produced it.
+fn assert_replay_is_full_sim(
+    schedule: &ControlSchedule,
+    input: &[Word],
+    full: &RunReport,
+    what: &str,
+) {
+    use smache::system::store::{decode_entry, encode_entry};
+    let (_, decoded) =
+        decode_entry(&encode_entry(schedule.key(), schedule)).expect("entry decodes");
+    let mut want = full.clone();
+    want.engine = RunEngine::Replay;
+    let want = want.to_json().compact();
+    for (from, s) in [("memory", schedule), ("store", &decoded)] {
+        let got = s.replay(&AverageKernel, input).expect("replays");
+        assert_eq!(got.output, full.output, "{what} ({from})");
+        assert_eq!(got.stats, full.stats, "{what} ({from})");
+        assert_eq!(got.to_json().compact(), want, "{what} ({from})");
+    }
+}
+
+/// Every pinned row's schedule replays fresh data exactly as the full
+/// simulation runs it: output, cycles and every report field.
+#[test]
+fn replay_matches_every_pinned_row() {
+    let grid = GridSpec::d2(11, 11).expect("grid");
+    let plan = SmacheBuilder::new(grid.clone()).plan().expect("plan");
+    let capture: Vec<Word> = (0..grid.len() as Word).collect();
+    let fresh: Vec<Word> = (0..grid.len() as Word)
+        .map(|i| (i * 37 + 11) % 4099)
+        .collect();
+    for pin in PINS {
+        let config = PipelineConfig {
+            depth: pin.depth,
+            channels: pin.channels,
+            cmd_gap: pin.cmd_gap,
+            system: SystemConfig {
+                double_buffering: pin.double_buffering,
+                fault_plan: if pin.chaos {
+                    chaos_plan()
+                } else {
+                    FaultPlan::default()
+                },
+                ..SystemConfig::default()
+            },
+            ..PipelineConfig::default()
+        };
+        let engine = || SmacheSystem::new(plan.clone(), Box::new(AverageKernel), config);
+        let (_, schedule) = engine()
+            .and_then(|mut s| s.run_captured(&capture, pin.count))
+            .expect("capture");
+        let full = engine()
+            .and_then(|mut s| s.run(&fresh, pin.count))
+            .expect("run");
+        assert_replay_is_full_sim(&schedule, &fresh, &full, pin.name);
+    }
+}

@@ -431,3 +431,33 @@ fn lanes_match_the_pinned_table() {
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
+
+/// Every pinned row's schedule replays fresh data — in memory, and
+/// through an encoded and decoded store entry — exactly as the full
+/// simulation runs it: output, cycles and every report field, byte for
+/// byte, save the engine that produced it.
+#[test]
+fn replay_matches_every_pinned_row() {
+    use smache::system::store::{decode_entry, encode_entry};
+    for pin in PINS {
+        let mut config = SystemConfig::default();
+        config.dram.bus_words = pin.lanes;
+        let engine = || SmacheSystem::new(plan(pin), Box::new(AverageKernel), config);
+        let capture: Vec<Word> = (0..(pin.h * pin.w) as Word).collect();
+        let (_, schedule) = engine()
+            .and_then(|mut s| s.run_captured(&capture, pin.instances))
+            .expect("capture");
+        let mut full = engine()
+            .and_then(|mut s| s.run(&input(pin), pin.instances))
+            .expect("run");
+        let (_, decoded) =
+            decode_entry(&encode_entry(schedule.key(), &schedule)).expect("entry decodes");
+        full.engine = RunEngine::Replay;
+        let want = full.to_json().compact();
+        for (from, s) in [("memory", &*schedule), ("store", &decoded)] {
+            let got = s.replay(&AverageKernel, &input(pin)).expect("replays");
+            assert_eq!(got.output, full.output, "{} ({from})", name(pin));
+            assert_eq!(got.to_json().compact(), want, "{} ({from})", name(pin));
+        }
+    }
+}

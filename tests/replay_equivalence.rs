@@ -19,10 +19,13 @@
 use proptest::prelude::*;
 use smache::arch::kernel::{AverageKernel, Kernel, MaxKernel, SumKernel, WeightedKernel};
 use smache::system::batch::{BatchJob, BatchOptions};
-use smache::system::{ReplayMode, RunEngine, SmacheSystem};
+use smache::system::store::{decode_entry, encode_entry};
+use smache::system::{
+    ControlSchedule, ReplayMode, RunEngine, ScheduleStore, SmacheSystem, STORE_FORMAT_VERSION,
+};
 use smache::{CoreError, HybridMode, SmacheBuilder};
 use smache_mem::{ChaosProfile, FaultPlan};
-use smache_sim::ReplayUnsupported;
+use smache_sim::{ReplayUnsupported, SlotSource};
 use smache_stencil::{AxisBoundaries, Boundary, BoundarySpec, GridSpec, StencilShape};
 use std::sync::Arc;
 
@@ -444,7 +447,6 @@ proptest! {
 /// bit-exactly against both the in-memory capture and a full simulation.
 #[test]
 fn stored_schedule_round_trips_bit_exactly() {
-    use smache::system::ScheduleStore;
     let dir = std::env::temp_dir().join(format!("smache-replay-store-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
@@ -475,77 +477,61 @@ fn stored_schedule_round_trips_bit_exactly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One canonical encoded store entry, captured once per process.
-fn encoded_entry() -> &'static [u8] {
+/// The paper-case schedule the store tests encode, captured once per
+/// process.
+fn stored_schedule() -> &'static ControlSchedule {
     use std::sync::OnceLock;
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
+    static SCHEDULE: OnceLock<Arc<ControlSchedule>> = OnceLock::new();
+    SCHEDULE.get_or_init(|| {
         let mut sys = paper_system();
         let (_, schedule) = sys.run_captured(&seeded(W * W, 0), 2).expect("capture");
-        smache::system::store::encode_entry((1, 2), &schedule)
+        schedule
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Corruption safety: ANY single bit flip anywhere in a stored entry
-    /// — header, payload or checksum — decodes to a typed [`StoreError`],
-    /// never to a plausible-but-wrong schedule.
-    #[test]
-    fn any_single_bit_flip_yields_a_typed_error(
-        pos in any::<usize>(),
-        bit in 0u8..8,
-    ) {
-        let pristine = encoded_entry();
-        prop_assert!(smache::system::store::decode_entry(pristine).is_ok());
-
-        let mut bytes = pristine.to_vec();
-        let pos = pos % bytes.len();
-        bytes[pos] ^= 1 << bit;
-        let err = smache::system::store::decode_entry(&bytes)
-            .expect_err("flipped entry must not decode");
-        prop_assert!(
-            ["bad_magic", "unsupported_version", "truncated", "checksum_mismatch", "malformed"]
-                .contains(&err.label()),
-            "unexpected error class {} at byte {pos} bit {bit}", err.label()
-        );
-    }
-
-    /// Truncation safety: an entry cut short anywhere decodes to a typed
-    /// error.
-    #[test]
-    fn any_truncation_yields_a_typed_error(cut in any::<usize>()) {
-        let pristine = encoded_entry();
-        let cut = cut % pristine.len();
-        let err = smache::system::store::decode_entry(&pristine[..cut])
-            .expect_err("truncated entry must not decode");
-        prop_assert!(
-            ["truncated", "bad_magic", "checksum_mismatch"].contains(&err.label()),
-            "unexpected error class {} at cut {cut}", err.label()
-        );
-    }
+/// One canonical encoded (current format) store entry.
+fn encoded_entry() -> &'static [u8] {
+    use std::sync::OnceLock;
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| encode_entry((1, 2), stored_schedule()))
 }
 
-/// `encoded_entry` with its gather section replaced by a hand-made CSR
-/// table — `starts`, `(tag, value)` slot sources, `masks` — and the header
-/// re-sealed (payload length and checksum), so only the decoder's
-/// structural checks stand between the entry and a schedule.
-fn with_gather(starts: &[u32], sources: &[(u8, u64)], masks: &[u64]) -> Vec<u8> {
-    const HEADER_LEN: usize = 56;
-    const CHECKSUM_OFFSET: usize = 40;
-    let entry = encoded_entry();
-    let payload = &entry[HEADER_LEN..];
-    let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-    // key, kernel name, latency, n, instances — then the gather section.
-    let name_len = u32::from_le_bytes(payload[16..20].try_into().unwrap()) as usize;
-    let gather_at = 20 + name_len + 24;
-    let mut end = gather_at;
-    end += 8 + 4 * u64_at(end) as usize;
-    end += 8 + 9 * u64_at(end) as usize;
-    end += 8 + 8 * u64_at(end) as usize;
+const HEADER_LEN: usize = 56;
+const CHECKSUM_OFFSET: usize = 40;
 
-    let mut body = payload[..gather_at].to_vec();
+/// `stored_schedule`'s gather as a v1 entry holds it: CSR row starts,
+/// `(tag, value)` slot sources and per-element masks.
+fn v1_gather(schedule: &ControlSchedule) -> (Vec<u32>, Vec<(u8, u64)>, Vec<u64>) {
+    let gather = schedule.gather();
+    let (n, arity) = (schedule.len(), gather.arity());
+    let starts = (0..=n).map(|e| (e * arity) as u32).collect();
+    let sources = (0..n)
+        .flat_map(|e| gather.slots(e))
+        .map(|s| match s {
+            SlotSource::Grid(i) => (0, i as u64),
+            SlotSource::Const(v) => (1, v),
+            SlotSource::Hole => (2, 0),
+        })
+        .collect();
+    let masks = (0..n).map(|e| gather.mask(e)).collect();
+    (starts, sources, masks)
+}
+
+/// A v1 entry of `stored_schedule` under key (1, 2), laid out as the v1
+/// writer laid it out — header, then key, kernel, counts, the CSR gather
+/// (`starts`, `(tag, value)` sources, `masks`), one record byte per cycle
+/// and the template — sealed with the byte-serial `fingerprint128`.
+fn v1_entry(starts: &[u32], sources: &[(u8, u64)], masks: &[u64]) -> Vec<u8> {
+    let schedule = stored_schedule();
+    let mut body = Vec::new();
+    body.extend_from_slice(&schedule.key().0.to_le_bytes());
+    body.extend_from_slice(&schedule.key().1.to_le_bytes());
+    let name = schedule.kernel_name().as_bytes();
+    body.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    body.extend_from_slice(name);
+    body.extend_from_slice(&schedule.kernel_latency().to_le_bytes());
+    body.extend_from_slice(&(schedule.len() as u64).to_le_bytes());
+    body.extend_from_slice(&schedule.instances().to_le_bytes());
     body.extend_from_slice(&(starts.len() as u64).to_le_bytes());
     starts
         .iter()
@@ -559,10 +545,24 @@ fn with_gather(starts: &[u32], sources: &[(u8, u64)], masks: &[u64]) -> Vec<u8> 
     masks
         .iter()
         .for_each(|m| body.extend_from_slice(&m.to_le_bytes()));
-    body.extend_from_slice(&payload[end..]);
+    let records: Vec<u8> = schedule
+        .trace()
+        .runs()
+        .iter()
+        .flat_map(|&(r, n)| std::iter::repeat_n(r.0, n as usize))
+        .collect();
+    body.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    body.extend_from_slice(&records);
+    let template = schedule.template().to_json().compact();
+    body.extend_from_slice(&(template.len() as u64).to_le_bytes());
+    body.extend_from_slice(template.as_bytes());
 
-    let mut out = entry[..CHECKSUM_OFFSET].to_vec();
-    out[32..40].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    let mut out = b"SMSCHED1".to_vec();
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out.extend_from_slice(&1u64.to_le_bytes());
+    out.extend_from_slice(&2u64.to_le_bytes());
+    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
     let mut covered = out.clone();
     covered.extend_from_slice(&body);
     let (hi, lo) = smache_sim::hash::fingerprint128(&covered);
@@ -572,6 +572,305 @@ fn with_gather(starts: &[u32], sources: &[(u8, u64)], masks: &[u64]) -> Vec<u8> 
     out
 }
 
+/// `stored_schedule` as a v1 entry.
+fn v1_encoded_entry() -> &'static [u8] {
+    use std::sync::OnceLock;
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let (starts, sources, masks) = v1_gather(stored_schedule());
+        v1_entry(&starts, &sources, &masks)
+    })
+}
+
+/// A pack of `entries` under pack format `version`.
+fn pack_of(version: u32, entries: &[&[u8]]) -> Vec<u8> {
+    let mut pack = b"SMSCPACK".to_vec();
+    pack.extend_from_slice(&version.to_le_bytes());
+    pack.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    for entry in entries {
+        pack.extend_from_slice(&(entry.len() as u64).to_le_bytes());
+        pack.extend_from_slice(entry);
+    }
+    pack
+}
+
+/// A pack mixing the v1 and the v2 entry of `stored_schedule` (under
+/// keys (1, 2) and (3, 4)).
+fn mixed_pack() -> &'static [u8] {
+    use std::sync::OnceLock;
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let v2 = encode_entry((3, 4), stored_schedule());
+        pack_of(STORE_FORMAT_VERSION, &[v1_encoded_entry(), &v2])
+    })
+}
+
+/// Re-seals `entry` (either version) after its header or payload was
+/// edited: the payload length and the checksum of its version.
+fn reseal(mut entry: Vec<u8>) -> Vec<u8> {
+    let len = (entry.len() - HEADER_LEN) as u64;
+    entry[32..40].copy_from_slice(&len.to_le_bytes());
+    let (head, payload) = (&entry[..CHECKSUM_OFFSET], &entry[HEADER_LEN..]);
+    let (hi, lo) = if entry[8] == 1 {
+        smache_sim::hash::fingerprint128_split(head, payload)
+    } else {
+        smache_sim::hash::checksum128(head, payload)
+    };
+    entry[40..48].copy_from_slice(&hi.to_le_bytes());
+    entry[48..56].copy_from_slice(&lo.to_le_bytes());
+    entry
+}
+
+/// Asserts two schedules hold the same thing: key, counts, kernel, run
+/// form, trace and template.
+fn assert_same_schedule(a: &ControlSchedule, b: &ControlSchedule) {
+    assert_eq!(a.key(), b.key());
+    assert_eq!(a.len(), b.len());
+    assert_eq!(a.instances(), b.instances());
+    assert_eq!(a.kernel_name(), b.kernel_name());
+    assert_eq!(a.kernel_latency(), b.kernel_latency());
+    assert_eq!(a.gather(), b.gather());
+    assert_eq!(a.trace(), b.trace());
+    assert_eq!(
+        a.template().to_json().compact(),
+        b.template().to_json().compact()
+    );
+}
+
+/// Encoding and decoding give back the sealed schedule, and a v1 entry of
+/// it decodes to the same schedule.
+#[test]
+fn encode_decode_equals_the_sealed_schedule_in_both_versions() {
+    let schedule = stored_schedule();
+    let (key, decoded) = decode_entry(encoded_entry()).expect("v2 decodes");
+    assert_eq!(key, (1, 2));
+    assert_same_schedule(&decoded, schedule);
+    assert_eq!(encoded_entry()[8..12], STORE_FORMAT_VERSION.to_le_bytes());
+    let (key, from_v1) = decode_entry(v1_encoded_entry()).expect("v1 decodes");
+    assert_eq!(key, (1, 2));
+    assert_same_schedule(&from_v1, schedule);
+    // Re-encoding either writes the current format, byte for byte.
+    assert_eq!(encode_entry(key, &from_v1), encoded_entry());
+    // The run form is far smaller than the v1 entry.
+    assert!(encoded_entry().len() * 3 < v1_encoded_entry().len());
+
+    // A version no build wrote refuses as such, checksum intact.
+    for version in [0u32, 3] {
+        let mut future = encoded_entry().to_vec();
+        future[8..12].copy_from_slice(&version.to_le_bytes());
+        let future = reseal(future);
+        assert_eq!(
+            decode_entry(&future).unwrap_err().label(),
+            "unsupported_version"
+        );
+        let pack = pack_of(version, &[encoded_entry()]);
+        let dir = std::env::temp_dir().join(format!(
+            "smache-pack-version-{version}-{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = ScheduleStore::open(&dir, 0).expect("open");
+        assert_eq!(
+            store.import_pack(&pack).unwrap_err().label(),
+            "unsupported_version"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A v2 entry whose run form or trace breaks an invariant replay relies
+/// on is a typed `malformed` error, checksum intact.
+#[test]
+fn broken_run_forms_and_traces_are_malformed() {
+    let entry = encoded_entry();
+    let payload = HEADER_LEN;
+    let name_len = u32::from_le_bytes(entry[payload + 16..payload + 20].try_into().unwrap());
+    let arity_at = payload + 20 + name_len as usize + 24;
+    let arity = u32::from_le_bytes(entry[arity_at..arity_at + 4].try_into().unwrap()) as usize;
+    let consts = u64::from_le_bytes(entry[arity_at + 4..arity_at + 12].try_into().unwrap());
+    let runs_at = arity_at + 12 + 8 * consts as usize;
+    let runs = u64::from_le_bytes(entry[runs_at..runs_at + 8].try_into().unwrap()) as usize;
+    let run_at = |i: usize| runs_at + 8 + i * (12 + 4 * arity);
+    let start = |i: usize| u32::from_le_bytes(entry[run_at(i)..run_at(i) + 4].try_into().unwrap());
+    // A run of at least two elements: its grid rows may not start on the
+    // grid's last row.
+    let long = (0..runs - 1)
+        .find(|&i| start(i + 1) - start(i) >= 2)
+        .expect("a long run");
+    let first_row_at = run_at(long) + 12;
+    let pairs_at = run_at(runs);
+    let edit = |at: usize, bytes: &[u8]| {
+        let mut e = entry.to_vec();
+        e[at..at + bytes.len()].copy_from_slice(bytes);
+        decode_entry(&reseal(e)).unwrap_err()
+    };
+    let grid = (W * W) as u32;
+    for (what, at, bytes) in [
+        (
+            "past the grid",
+            first_row_at,
+            (grid - 1).to_le_bytes().to_vec(),
+        ),
+        (
+            "beyond the hole row",
+            first_row_at,
+            (grid + 9).to_le_bytes().to_vec(),
+        ),
+        (
+            "start at element 0",
+            runs_at + 8,
+            1u32.to_le_bytes().to_vec(),
+        ),
+        ("arity 65", arity_at, 65u32.to_le_bytes().to_vec()),
+        (
+            "repeats zero times",
+            pairs_at + 8 + 1,
+            0u32.to_le_bytes().to_vec(),
+        ),
+        (
+            "trace totals",
+            pairs_at + 8 + 1,
+            7u32.to_le_bytes().to_vec(),
+        ),
+    ] {
+        let err = edit(at, &bytes);
+        assert_eq!(err.label(), "malformed", "{what}: {err}");
+        assert!(err.to_string().contains(what), "{what}: {err}");
+    }
+}
+
+/// A fresh store directory for one proptest case.
+fn pack_store(tag: &str) -> ScheduleStore {
+    let dir = std::env::temp_dir().join(format!("smache-pack-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    ScheduleStore::open(&dir, 0).expect("open")
+}
+
+/// Every typed class a damaged entry or pack may read as.
+const DAMAGE_LABELS: [&str; 5] = [
+    "bad_magic",
+    "unsupported_version",
+    "truncated",
+    "checksum_mismatch",
+    "malformed",
+];
+
+/// A sound mixed pack imports both entries, each published as v2.
+#[test]
+fn mixed_packs_import_as_current_entries() {
+    let mut store = pack_store("mixed");
+    let summary = store.import_pack(mixed_pack()).expect("imports");
+    assert_eq!((summary.imported, summary.replaced), (2, 0));
+    let (ok, bad) = store.verify();
+    assert!(bad.is_empty());
+    assert_eq!(ok.len(), 2);
+    assert!(ok.iter().all(|e| e.version == STORE_FORMAT_VERSION));
+    for key in [(1, 2), (3, 4)] {
+        let loaded = store.load(key).expect("load").expect("hit");
+        assert_same_schedule(&loaded, stored_schedule());
+    }
+    // A count that undercounts the entries leaves bytes no entry reads.
+    let mut short = mixed_pack().to_vec();
+    short[12..20].copy_from_slice(&1u64.to_le_bytes());
+    let err = store.import_pack(&short).unwrap_err();
+    assert_eq!(err.label(), "malformed", "{err}");
+    std::fs::remove_dir_all(store.dir()).ok();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Corruption safety: ANY single bit flip anywhere in a stored entry
+    /// of either version — header, payload or checksum — decodes to a
+    /// typed [`StoreError`], never to a plausible-but-wrong schedule.
+    #[test]
+    fn any_single_bit_flip_yields_a_typed_error(
+        v1 in any::<bool>(),
+        pos in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let pristine = if v1 { v1_encoded_entry() } else { encoded_entry() };
+        prop_assert!(decode_entry(pristine).is_ok());
+
+        let mut bytes = pristine.to_vec();
+        let pos = pos % bytes.len();
+        bytes[pos] ^= 1 << bit;
+        let err = decode_entry(&bytes).expect_err("flipped entry must not decode");
+        prop_assert!(
+            DAMAGE_LABELS.contains(&err.label()),
+            "unexpected error class {} at byte {pos} bit {bit}", err.label()
+        );
+    }
+
+    /// Truncation safety: an entry of either version cut short anywhere
+    /// decodes to a typed error.
+    #[test]
+    fn any_truncation_yields_a_typed_error(v1 in any::<bool>(), cut in any::<usize>()) {
+        let pristine = if v1 { v1_encoded_entry() } else { encoded_entry() };
+        let cut = cut % pristine.len();
+        let err = decode_entry(&pristine[..cut])
+            .expect_err("truncated entry must not decode");
+        prop_assert!(
+            ["truncated", "bad_magic", "checksum_mismatch"].contains(&err.label()),
+            "unexpected error class {} at cut {cut}", err.label()
+        );
+    }
+
+    /// A mixed v1/v2 pack with one bit flipped, or cut short, fails its
+    /// import with a typed error — never a panic, never a clean import.
+    #[test]
+    fn damaged_mixed_packs_fail_with_a_typed_error(
+        pos in any::<usize>(),
+        bit in 0u8..8,
+        truncate in any::<bool>(),
+    ) {
+        let pristine = mixed_pack();
+        let mut bytes = pristine.to_vec();
+        let pos = pos % bytes.len();
+        if truncate {
+            bytes.truncate(pos);
+        } else {
+            bytes[pos] ^= 1 << bit;
+        }
+        let mut store = pack_store("damaged");
+        let err = store.import_pack(&bytes).expect_err("damaged pack must not import");
+        prop_assert!(
+            DAMAGE_LABELS.contains(&err.label()),
+            "unexpected error class {} at byte {pos} (truncate {truncate})", err.label()
+        );
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+}
+
+/// Gather tables replay cannot lower to fixed-arity rows are typed
+/// `malformed` errors when a v1 entry loads: ragged rows and rows wider
+/// than a `u64` kernel mask.
+#[test]
+fn unlowerable_gather_tables_are_malformed() {
+    let (starts, sources, masks) = uniform_gather(4);
+    assert!(decode_entry(&v1_entry(&starts, &sources, &masks)).is_ok());
+
+    // Element 0 has 3 slots, element 1 has 5: same total, ragged rows.
+    let mut ragged = starts.clone();
+    ragged[1] = 3;
+    let err = decode_entry(&v1_entry(&ragged, &sources, &masks)).unwrap_err();
+    assert_eq!(err.label(), "malformed");
+    assert!(err.to_string().contains("ragged"), "{err}");
+
+    let (starts, sources, masks) = uniform_gather(65);
+    let err = decode_entry(&v1_entry(&starts, &sources, &masks)).unwrap_err();
+    assert_eq!(err.label(), "malformed");
+    assert!(err.to_string().contains("arity 65"), "{err}");
+    let (starts, sources, masks) = uniform_gather(64);
+    assert!(decode_entry(&v1_entry(&starts, &sources, &masks)).is_ok());
+
+    // A grid index outside the grid is malformed too.
+    let (starts, mut sources, masks) = uniform_gather(4);
+    sources[7] = (0, (W * W) as u64);
+    let err = decode_entry(&v1_entry(&starts, &sources, &masks)).unwrap_err();
+    assert_eq!(err.label(), "malformed");
+}
+
 /// A hand-made uniform table of `arity`-slot rows, every slot `Grid(0)`.
 fn uniform_gather(arity: usize) -> (Vec<u32>, Vec<(u8, u64)>, Vec<u64>) {
     let n = W * W;
@@ -579,51 +878,24 @@ fn uniform_gather(arity: usize) -> (Vec<u32>, Vec<(u8, u64)>, Vec<u64>) {
     (starts, vec![(0, 0); n * arity], vec![1; n])
 }
 
-/// Gather tables replay cannot lower to fixed-arity rows are typed
-/// `malformed` errors at load: ragged rows and rows wider than a `u64`
-/// kernel mask.
-#[test]
-fn unlowerable_gather_tables_are_malformed() {
-    use smache::system::store::decode_entry;
-    let (starts, sources, masks) = uniform_gather(4);
-    assert!(decode_entry(&with_gather(&starts, &sources, &masks)).is_ok());
-
-    // Element 0 has 3 slots, element 1 has 5: same total, ragged rows.
-    let mut ragged = starts.clone();
-    ragged[1] = 3;
-    let err = decode_entry(&with_gather(&ragged, &sources, &masks)).unwrap_err();
-    assert_eq!(err.label(), "malformed");
-    assert!(err.to_string().contains("ragged"), "{err}");
-
-    let (starts, sources, masks) = uniform_gather(65);
-    let err = decode_entry(&with_gather(&starts, &sources, &masks)).unwrap_err();
-    assert_eq!(err.label(), "malformed");
-    assert!(err.to_string().contains("arity 65"), "{err}");
-    let (starts, sources, masks) = uniform_gather(64);
-    assert!(decode_entry(&with_gather(&starts, &sources, &masks)).is_ok());
-
-    // A grid index outside the grid is malformed too.
-    let (starts, mut sources, masks) = uniform_gather(4);
-    sources[7] = (0, (W * W) as u64);
-    let err = decode_entry(&with_gather(&starts, &sources, &masks)).unwrap_err();
-    assert_eq!(err.label(), "malformed");
-}
-
 /// `Const(0)` and `Hole` both read a zero, but a constant counts in the
 /// kernel and a hole does not: they must survive the store as distinct
-/// sources, re-encode to the same bytes, and replay differently.
+/// sources — from a v1 entry into the run form, and through a v2 entry —
+/// and replay differently.
 #[test]
 fn const_zero_and_hole_round_trip_as_distinct_sources() {
-    use smache::system::store::{decode_entry, encode_entry};
-    use smache_sim::SlotSource;
     let n = W * W;
     let starts: Vec<u32> = (0..=n).map(|e| (e * 4) as u32).collect();
     // Slots: self, Const(0), Hole, Const(7); the hole is masked out.
     let sources: Vec<(u8, u64)> = (0..n)
         .flat_map(|e| [(0, e as u64), (1, 0), (2, 0), (1, 7)])
         .collect();
-    let bytes = with_gather(&starts, &sources, &vec![0b1011; n]);
-    let (key, schedule) = decode_entry(&bytes).expect("decode");
+    let bytes = v1_entry(&starts, &sources, &vec![0b1011; n]);
+    let (key, from_v1) = decode_entry(&bytes).expect("decode");
+    let v2 = encode_entry(key, &from_v1);
+    let (_, schedule) = decode_entry(&v2).expect("decode v2");
+    assert_same_schedule(&schedule, &from_v1);
+    assert_eq!(encode_entry(key, &schedule), v2);
     assert_eq!(
         schedule.gather().slots(5).collect::<Vec<_>>(),
         [
@@ -633,8 +905,6 @@ fn const_zero_and_hole_round_trip_as_distinct_sources() {
             SlotSource::Const(7),
         ]
     );
-    assert_eq!(encode_entry(key, &schedule), bytes);
-
     // Two instances of out[e] = (cur[e] + 0 + 7) / 3, on both loops.
     let input = seeded(n, 3);
     let expect: Vec<u64> = input.iter().map(|&v| ((v + 7) / 3 + 7) / 3).collect();

@@ -7,22 +7,24 @@
 //! bank, slot and port, constant and hole — and a plan the reference
 //! refuses must not lower.
 //!
-//! Replay walks the rows run by run ([`GatherTable::runs`]). The runs must
-//! cover every element once, each element must read what its run's first
-//! element reads (one grid row on per element, the same constant or hole),
-//! no two neighbouring runs may merge below the cap, and replay at 1, 2, 3
-//! and 16 lanes must equal the full simulation and the golden model.
+//! A sealed schedule keeps the rows in run form ([`GatherTable::to_runs`]):
+//! per run its first element, row and mask. The runs must cover every
+//! element once, each element must read what its run's first element reads
+//! (one grid row on per element, the same constant or hole), no two
+//! neighbouring runs may merge below the cap, every element must decode
+//! from its run to what `sources_for` gives, and replay at 1, 2, 3 and 16
+//! lanes must equal the full simulation and the golden model.
 
 use std::ops::Range;
 
 use proptest::prelude::*;
 use smache::arch::kernel::{AverageKernel, Kernel, MaxKernel, WeightedKernel};
 use smache::arch::SourceRows;
-use smache::config::{Algorithm1, BufferPlan, PlanStrategy};
+use smache::config::{Algorithm1, BufferPlan, PlanStrategy, SourceRef};
 use smache::functional::golden::golden_run;
 use smache::system::{SmacheSystem, SystemConfig};
 use smache::SmacheBuilder;
-use smache_sim::{GatherTable, SlotSource};
+use smache_sim::{GatherRuns, GatherTable, SlotSource};
 use smache_stencil::{AxisBoundaries, Boundary, BoundarySpec, GridSpec, StencilShape};
 
 /// Checks `rows` against `sources_for` on every element and slot of `plan`.
@@ -80,12 +82,13 @@ fn follows(table: &GatherTable, s: usize, e: usize) -> bool {
         })
 }
 
-/// Checks `table`'s runs: they cover `0..n` exactly once and in order,
-/// each element follows its run's first element, neighbouring runs cannot
-/// merge unless the first is at the cap, and `longest` is the longest.
-fn assert_runs_partition(table: &GatherTable, case: &str) {
-    let runs: Vec<Range<usize>> = table.runs().iter().collect();
-    assert_eq!(runs.len(), table.runs().len(), "{case}");
+/// Checks `table`'s run form `cut`: its runs cover `0..n` exactly once
+/// and in order, each element follows its run's first element,
+/// neighbouring runs cannot merge unless the first is at the cap, and
+/// `longest` is the longest.
+fn assert_runs_partition(table: &GatherTable, cut: &GatherRuns, case: &str) {
+    let runs: Vec<Range<usize>> = cut.iter().collect();
+    assert_eq!(runs.len(), cut.len(), "{case}");
     let mut next = 0;
     for run in &runs {
         assert_eq!(run.start, next, "{case}: runs leave a gap or overlap");
@@ -111,7 +114,40 @@ fn assert_runs_partition(table: &GatherTable, case: &str) {
         );
     }
     let longest = runs.iter().map(|r| r.len()).max().unwrap_or(0);
-    assert_eq!(table.runs().longest(), longest, "{case}");
+    assert_eq!(cut.longest(), longest, "{case}");
+}
+
+/// Checks that every element of `plan` decodes from its run in `cut` to
+/// what `sources_for` gives: the grid index a tap or static read reads,
+/// the constant, or a hole, and a mask bit set for every present slot.
+fn assert_runs_decode(plan: &BufferPlan, cut: &GatherRuns, case: &str) {
+    let mut reference = Vec::new();
+    for e in 0..plan.grid.len() {
+        plan.sources_for(e, &mut reference).expect("reference");
+        let mut mask = 0u64;
+        for (p, source) in reference.iter().enumerate() {
+            let want = match *source {
+                None => SlotSource::Hole,
+                Some(SourceRef::Constant(v)) => SlotSource::Const(v),
+                Some(SourceRef::Tap { pos }) => {
+                    SlotSource::Grid((e + plan.lookahead + 1 - pos) as u32)
+                }
+                Some(SourceRef::Static { buffer, slot, .. }) => {
+                    let bank = &plan.static_buffers[buffer];
+                    SlotSource::Grid(if plan.statics_are_regions {
+                        (bank.region_start + slot) as u32
+                    } else {
+                        (e as i64 + bank.offset) as u32
+                    })
+                }
+            };
+            if source.is_some() {
+                mask |= 1 << p;
+            }
+            assert_eq!(cut.source(e, p), want, "{case}: element {e} slot {p}");
+        }
+        assert_eq!(cut.mask(e), mask, "{case}: element {e} mask");
+    }
 }
 
 /// Instances each replay check runs: odd, so the replay buffers end
@@ -131,7 +167,8 @@ fn check_replay(plan: &BufferPlan, kernel: &dyn Fn() -> Box<dyn Kernel>, case: &
     let (captured, schedule) = sys
         .run_captured(&inputs[0], REPLAY_INSTANCES)
         .unwrap_or_else(|e| panic!("{case}: capture refused: {e}"));
-    assert_runs_partition(schedule.gather(), case);
+    assert_runs_partition(sys.source_rows().gather(), schedule.gather(), case);
+    assert_runs_decode(plan, schedule.gather(), case);
     let k = kernel();
     let golden: Vec<Vec<u64>> = inputs
         .iter()
@@ -297,7 +334,7 @@ fn runs_stop_at_the_cap_on_long_rows() {
         .expect("plan");
     assert!(check_plan(&plan, "4x700"));
     let rows = SourceRows::lower(&plan).expect("lowers");
-    let runs = rows.gather().runs();
+    let runs = rows.gather().to_runs();
     assert_eq!(runs.longest(), GatherTable::MAX_RUN);
     let capped = runs
         .iter()
